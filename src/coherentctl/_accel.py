@@ -1,83 +1,35 @@
-"""Frequency-sweep kernels: numba-jitted hot path with a pure-numpy fallback.
+"""Frequency-sweep kernel: ``C (iw I - A)^-1 B + D`` over a grid.
 
-Evaluating C (iw I - A)^-1 B + D over a grid is the single hottest
-operation in the toolkit (every residual check and every descent
-iteration is one or more sweeps), so it gets a dedicated kernel.  The
-backend is chosen at import time:
-
-* default: the ``@njit`` kernel, when numba imports cleanly;
-* ``COHERENTCTL_NUMBA=0`` in the environment forces the vectorised
-  numpy path (also used automatically for static models).
-
-Both paths run the same LAPACK factorizations and agree to the last bit;
-``benchmarks/bench_freq_sweep.py`` compares their throughput.
+Evaluating a transfer matrix over a grid is the single hottest operation
+in the toolkit (every residual check and every descent iteration is one
+or more sweeps), so it gets a dedicated kernel: one batched LAPACK solve
+per block of frequencies.  Blocking bounds the ``(n_omega, n, n)``
+resolvent stack to ``SWEEP_BLOCK_BYTES`` whatever the grid length; each
+frequency is still solved on its own, so the result does not depend on
+the block size.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap
+#: Upper bound on the bytes of one block's complex resolvent stack.
+SWEEP_BLOCK_BYTES = 16 * 2**20
 
 
-USE_NUMBA = HAS_NUMBA and os.environ.get("COHERENTCTL_NUMBA", "1") != "0"
-
-
-def sweep_numpy(a, b, c, d, omegas):
+def freq_sweep(a, b, c, d, omegas):
     """Batched-solve sweep: returns an (n_omega, p, m) response array."""
     n = a.shape[0]
     if n == 0:
         return np.broadcast_to(d, (omegas.size,) + d.shape).copy()
-    t = 1j * omegas[:, None, None] * np.eye(n, dtype=np.complex128) - a
-    x = np.linalg.solve(t, np.broadcast_to(b, (omegas.size,) + b.shape))
-    return c @ x + d
-
-
-@njit(cache=True)
-def _sweep_loop(a, b, c, d, omegas):  # pragma: no cover - exercised via dispatch
-    n_w = omegas.shape[0]
-    n = a.shape[0]
-    out = np.empty((n_w, c.shape[0], b.shape[1]), dtype=np.complex128)
-    eye = np.eye(n).astype(np.complex128)
-    for k in range(n_w):
-        t = 1j * omegas[k] * eye - a
-        x = np.linalg.solve(t, b)
-        out[k] = c @ x + d
+    out = np.empty((omegas.size, c.shape[0], b.shape[1]), dtype=np.complex128)
+    eye = np.eye(n, dtype=np.complex128)
+    step = max(1, SWEEP_BLOCK_BYTES // (16 * n * n))
+    for lo in range(0, omegas.size, step):
+        w = omegas[lo : lo + step]
+        t = 1j * w[:, None, None] * eye - a
+        x = np.linalg.solve(t, np.broadcast_to(b, (w.size,) + b.shape))
+        out[lo : lo + step] = c @ x + d
     return out
 
 
-def sweep_numba(a, b, c, d, omegas):
-    """Jitted per-frequency sweep (falls back to numpy for static models)."""
-    if not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if a.shape[0] == 0:
-        return sweep_numpy(a, b, c, d, omegas)
-    return _sweep_loop(
-        np.ascontiguousarray(a),
-        np.ascontiguousarray(b),
-        np.ascontiguousarray(c),
-        np.ascontiguousarray(d),
-        np.ascontiguousarray(omegas, dtype=np.float64),
-    )
-
-
-def freq_sweep(a, b, c, d, omegas):
-    """Evaluate the transfer matrix on a frequency grid with the active backend."""
-    if USE_NUMBA:
-        return sweep_numba(a, b, c, d, omegas)
-    return sweep_numpy(a, b, c, d, omegas)
-
-
 def backend_name():
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"

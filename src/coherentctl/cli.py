@@ -37,6 +37,7 @@ from .physreal import (
 )
 from .stabilization import (
     ModifiedPlant,
+    bezout_residual,
     coprime_factorization,
     default_verification_grid,
     modify_plant,
@@ -251,12 +252,7 @@ def cmd_factorize(args):
             if args.grid_points
             else default_verification_grid()
         )
-    right = cf.right_family.response(grid)
-    left = cf.left_family.response(grid)
-    eye = np.eye(cf.ctrl + cf.meas)
-    residual = float(
-        np.sqrt(np.sum(np.abs(left @ right - eye) ** 2, axis=(1, 2))).max()
-    )
+    residual, _, _ = bezout_residual(cf, grid)
     tol = 1e-8 if args.tol is None else args.tol
     passed = residual <= tol
 
@@ -373,8 +369,7 @@ def cmd_synthesize_h2(args):
     except (FeedthroughSingular, ValueError):
         pass
 
-    loop = sp.bold_t0 + sp.bold_t1 @ q_final.to_statespace() @ sp.bold_t2
-    profile = sigma_max_profile(loop, sp.grid)
+    profile = sigma_max_profile(sp.loop(q_final), sp.grid)
 
     bundle = {
         "command": "synthesize-h2",

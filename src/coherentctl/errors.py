@@ -13,6 +13,10 @@ class DimensionMismatch(CoherentctlError, ValueError):
     """Operands cannot be composed because their port widths disagree."""
 
 
+class NonFiniteData(CoherentctlError, ValueError):
+    """A matrix holds NaN or infinite entries, e.g. after double-precision overflow."""
+
+
 class SingularResolvent(CoherentctlError):
     """(iw*I - A) is numerically singular at a requested frequency."""
 

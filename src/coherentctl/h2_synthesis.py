@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    FeedthroughSingular,
+    IllPosedInterconnection,
     InfeasibleStart,
     NotStable,
     NotStrictlyProper,
@@ -26,11 +28,12 @@ from .norms import (
     h2_norm_sq,
     h2_norm_sq_quadrature,
     is_hurwitz,
+    peak_frobenius,
     quad_grid,
     sigma_max_profile,
     spectral_abscissa,
 )
-from .stabilization import closed_loop_triple, controller_from_parameter
+from .stabilization import closed_loop_triple, controller_from_parameter, parameter_statespace
 from .statespace import (
     StateSpace,
     blockdiag_systems,
@@ -43,7 +46,9 @@ from .statespace import (
 from .youla_constraint import (
     YoulaParameter,
     membership_qhat,
+    parameter_samples,
     project_direction,
+    quadratic_form,
     restore_feasibility,
     tangent_subspace,
 )
@@ -92,6 +97,10 @@ class SynthesisProblem:
     def parameter_shape(self):
         """(rows, cols) every admissible parameter must have."""
         return (self.bold_t1.n_inputs, self.bold_t2.n_outputs)
+
+    def loop(self, q):
+        """Realization of the weighted loop ``bold_t0 + bold_t1 q bold_t2``."""
+        return self.bold_t0 + self.bold_t1 @ parameter_statespace(q) @ self.bold_t2
 
     def hat_samples(self):
         """Grid responses of the three hatted operators (cached)."""
@@ -224,24 +233,13 @@ def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_to
 # -- cost and gradient -------------------------------------------------------
 
 
-def _as_statespace(q):
-    return q.to_statespace() if isinstance(q, YoulaParameter) else q
-
-
-def _samples(q, omegas):
-    if isinstance(q, YoulaParameter):
-        return q.evaluate(omegas)
-    return q.response(omegas)
-
-
 def cost(sp, q):
     """Squared H2 norm of the weighted loop at parameter ``q`` (Gramian).
 
     Assembles a realization of ``bold_t0 + bold_t1 q bold_t2`` and solves
     one Lyapunov equation; exact up to linear-algebra roundoff.
     """
-    qss = _as_statespace(q)
-    return h2_norm_sq(sp.bold_t0 + sp.bold_t1 @ qss @ sp.bold_t2)
+    return h2_norm_sq(sp.loop(q))
 
 
 def cost_quadrature(sp, q, grid=None):
@@ -252,7 +250,7 @@ def cost_quadrature(sp, q, grid=None):
     an independent cross-check of :func:`cost`; accuracy is set by the
     quadrature grid, not by the Lyapunov solver.
     """
-    qss = _as_statespace(q)
+    qss = parameter_statespace(q)
     if grid is None:
         grid = quad_grid(sp.bold_t0, sp.hat_t0, sp.hat_t1, sp.hat_t2, qss)
     base = h2_norm_sq_quadrature(sp.bold_t0, grid)
@@ -270,7 +268,7 @@ def gradient(sp, q):
     grid-sampled quadratic cost.
     """
     hat0_w, hat1_w, hat2_w = sp.hat_samples()
-    q_w = _samples(q, sp.grid)
+    q_w = parameter_samples(q, sp.grid)
     return 2.0 * (hat0_w + hat1_w @ q_w @ hat2_w)
 
 
@@ -358,15 +356,6 @@ def _rms(samples):
     return float(np.sqrt(np.mean(np.sum(np.abs(samples) ** 2, axis=(1, 2)))))
 
 
-def _grid_residual(cd_samples, q_w):
-    """Max Frobenius norm of the quadratic form at precomputed samples."""
-    phi_w, lam_w, pi_w = cd_samples
-    qh = q_w.conj().swapaxes(1, 2)
-    cross = qh @ lam_w
-    resid = phi_w + cross + cross.conj().swapaxes(1, 2) + qh @ pi_w @ q_w
-    return float(np.sqrt(np.sum(np.abs(resid) ** 2, axis=(1, 2))).max())
-
-
 def descend(sp, q_init, cfg=None):
     """Projected-gradient descent of the weighted H2 cost.
 
@@ -400,12 +389,11 @@ def descend(sp, q_init, cfg=None):
 
     grid = sp.grid
     cd_samples = sp.cd_samples()
-    hat0_w, hat1_w, hat2_w = sp.hat_samples()
     restore_tol = max(1e-12, 1e-2 * cfg.constraint_tol)
     safety = 10.0 * cfg.constraint_tol
 
     q_cur = q_init
-    res_cur = _grid_residual(cd_samples, q_cur.evaluate(grid))
+    res_cur = peak_frobenius(quadratic_form(cd_samples, q_cur.evaluate(grid)))
     if res_cur > cfg.constraint_tol:
         raise InfeasibleStart(
             f"initial constraint residual {res_cur:.3e} exceeds "
@@ -416,8 +404,7 @@ def descend(sp, q_init, cfg=None):
     records = []
     alpha_seed = cfg.alpha0
     for k in range(cfg.max_iters):
-        q_w = q_cur.evaluate(grid)
-        grad_w = 2.0 * (hat0_w + hat1_w @ q_w @ hat2_w)
+        grad_w = gradient(sp, q_cur)
         grad_norm = _rms(grad_w)
         ts = tangent_subspace(sp.cd, q_cur, grid, samples=cd_samples)
         direction = project_direction(ts, q_cur, grad_w)
@@ -432,7 +419,7 @@ def descend(sp, q_init, cfg=None):
             cand = YoulaParameter(
                 q_cur.basis_pole, q_cur.coeffs - alpha * direction.coeffs
             )
-            cand_res = _grid_residual(cd_samples, cand.evaluate(grid))
+            cand_res = peak_frobenius(quadratic_form(cd_samples, cand.evaluate(grid)))
             if cand_res > safety:
                 cand, cand_res = restore_feasibility(
                     sp.cd, cand, grid, tol=restore_tol
@@ -498,7 +485,7 @@ def validate_result(sp, q_final, grid=None, tol=1e-6, margin=1e-9):
         )
         abscissa = spectral_abscissa(loop.a)
         stable = bool(abscissa < -margin)
-    except Exception:
+    except (FeedthroughSingular, IllPosedInterconnection):
         abscissa = np.inf
         stable = False
     return SynthesisVerdict(

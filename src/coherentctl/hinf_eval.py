@@ -18,7 +18,7 @@ from .errors import DimensionMismatch
 from .norms import hinf_norm, sigma_max_profile
 from .stabilization import closed_loop_triple
 from .statespace import conjugate_system, validate_grid, zero_system
-from .youla_constraint import ConstraintData, YoulaParameter
+from .youla_constraint import ConstraintData
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ def hinf_cost(sp, q, grid=None, rel_tol=1e-6):
         When the assembled loop has a pole in the closed right half
         plane (the axis supremum is then undefined/infinite).
     """
-    qss = q.to_statespace() if isinstance(q, YoulaParameter) else q
-    loop = sp.bold_t0 + sp.bold_t1 @ qss @ sp.bold_t2
+    loop = sp.loop(q)
     value, peak = hinf_norm(loop, rel_tol=rel_tol)
     if grid is None:
         grid = sp.grid

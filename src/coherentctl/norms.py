@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -16,6 +18,7 @@ __all__ = [
     "h2_norm_sq_quadrature",
     "h2_inner_quadrature",
     "quad_grid",
+    "peak_frobenius",
     "sigma_max_profile",
     "hinf_norm",
 ]
@@ -132,6 +135,11 @@ def h2_inner_quadrature(g, h, grid=None):
     return complex(np.trapezoid(vals, grid) / (2.0 * np.pi))
 
 
+def peak_frobenius(samples):
+    """Largest Frobenius norm over the grid axis of an (n_omega, p, m) stack."""
+    return float(np.sqrt(np.sum(np.abs(samples) ** 2, axis=(1, 2))).max())
+
+
 def sigma_max_profile(sys, grid):
     """Largest singular value of the response at each grid point."""
     grid = validate_grid(np.asarray(grid, dtype=np.float64))
@@ -195,6 +203,12 @@ def hinf_norm(sys, rel_tol=1e-6, grid=None, max_iter=80):
     peak_omega : float
         A frequency (from the sampled candidates) attaining the
         returned value to within the tolerance.
+
+    Raises
+    ------
+    NotStable
+        When the model is unstable, or when ``max_iter`` doublings of the
+        grid maximum find no certified upper bound whose square is finite.
     """
     if sys.n_states and not is_hurwitz(sys.a, 0.0):
         raise NotStable("Hinf norm on the axis undefined for an unstable model")
@@ -211,10 +225,20 @@ def hinf_norm(sys, rel_tol=1e-6, grid=None, max_iter=80):
     sig_d = float(np.linalg.svd(sys.d, compute_uv=False)[0]) if sys.d.size else 0.0
     lo = max(grid_max, sig_d * (1.0 + 1e-12)) + 1e-300
     hi = max(2.0 * lo, 1e-12)
+    certified = False
     for _ in range(max_iter):
-        if _imaginary_crossings(sys, hi) is None:
+        # the crossing test squares its level: stop doubling short of overflow
+        if not math.isfinite(hi * hi):
+            break
+        certified = _imaginary_crossings(sys, hi) is None
+        if certified:
             break
         hi *= 2.0
+    if not certified:
+        raise NotStable(
+            f"Hinf norm not bracketed: no certified upper bound up to {hi:.3e} "
+            f"(grid peak {grid_max:.3e})"
+        )
     candidates = [peak]
     for _ in range(max_iter):
         if hi - lo <= rel_tol * lo:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSlh
-from .norms import is_spectrally_generic
+from .norms import is_spectrally_generic, peak_frobenius
 from .statespace import (
     StateSpace,
     doubled,
@@ -152,9 +152,12 @@ def slh_to_statespace(model):
     hmat = model.hamiltonian()
     theta = model.commutation_kernel()
     dmat = model.scattering_feedthrough()
-    lh = lmat.conj().T @ jm
-    a = -1j * theta @ hmat - 0.5 * theta @ lh @ lmat
-    b = -theta @ lh @ dmat
+    with np.errstate(all="ignore"):
+        lh = lmat.conj().T @ jm
+        a = -1j * theta @ hmat - 0.5 * theta @ lh @ lmat
+        b = -theta @ lh @ dmat
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InvalidSlh("SLH data too large: the network model overflows double precision")
     if n == 0:
         a = np.zeros((0, 0), dtype=np.complex128)
         b = np.zeros((0, 2 * m), dtype=np.complex128)
@@ -182,7 +185,7 @@ def j_unitarity_residual(sys, grid=None, form="left"):
         gap = np.einsum("kij,jl,kml->kim", resp, j, resp.conj()) - j
     else:
         raise ValueError("form must be 'left' or 'right'")
-    return float(np.sqrt(np.sum(np.abs(gap) ** 2, axis=(1, 2))).max())
+    return peak_frobenius(gap)
 
 
 @dataclass

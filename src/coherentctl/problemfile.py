@@ -52,10 +52,21 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(value, path):
+    """A JSON number as a float, rejecting NaN, infinities and overflow."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ProblemFileError(path, "numbers must be finite in double precision")
+    return number
+
+
 def _decode_number(value, path):
     if not _is_number(value):
         raise ProblemFileError(path, f"expected a number, got {value!r}")
-    return float(value)
+    return _finite(value, path)
 
 
 def _decode_int(value, path, minimum=None):
@@ -75,7 +86,7 @@ def _decode_complex(value, path):
         raise ProblemFileError(
             path, f"complex entries must be [re, im] number pairs, got {value!r}"
         )
-    return complex(float(value[0]), float(value[1]))
+    return complex(_finite(value[0], path), _finite(value[1], path))
 
 
 def _decode_matrix(value, path, allow_empty=False):
@@ -397,8 +408,8 @@ def _decode_grid(section):
     lo = _decode_number(section["omega_min"], f"{path}.omega_min")
     hi = _decode_number(section["omega_max"], f"{path}.omega_max")
     points = _decode_int(section["points"], f"{path}.points", minimum=1)
-    bounds_ok = (0.0 < lo < hi) if points > 1 else (0.0 < lo <= hi)
-    if not bounds_ok:
+    # a one-point grid still needs lo < hi: a points override may widen it
+    if not 0.0 < lo < hi:
         raise ProblemFileError(path, f"need 0 < omega_min < omega_max, got [{lo}, {hi}]")
     return GridSection(omega_min=lo, omega_max=hi, points=points)
 
@@ -411,6 +422,8 @@ def loads_problem(text):
         raise ProblemFileError(
             "", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ProblemFileError("", f"invalid JSON: {exc}") from exc
     _require_mapping(
         doc, "", allowed=("plant", "partition", "weights", "youla", "descent", "grid")
     )
@@ -466,13 +479,11 @@ def fit_parameter(sys, omegas, basis_pole, order):
     than raising.
     """
     omegas = validate_grid(omegas)
-    basis = (1.0 / (1j * omegas + float(basis_pole)))[:, None] ** np.arange(order + 1)
     resp = sys.response(omegas)
-    n_omega, rows, cols = resp.shape
-    flat = resp.reshape(n_omega, rows * cols)
-    sol, *_ = np.linalg.lstsq(basis, flat, rcond=None)
-    residual = float(np.abs(basis @ sol - flat).max(initial=0.0))
-    return YoulaParameter(float(basis_pole), sol.reshape(order + 1, rows, cols)), residual
+    q = YoulaParameter.fit(resp, omegas, basis_pole=basis_pole, order=order)
+    fitted = q.basis(omegas) @ q.coeffs.reshape(order + 1, -1)
+    residual = float(np.abs(fitted - resp.reshape(omegas.size, -1)).max(initial=0.0))
+    return q, residual
 
 
 # -- deterministic JSON emission ---------------------------------------------

@@ -34,7 +34,7 @@ from .errors import (
     NotStabilizable,
     PlacementFailed,
 )
-from .norms import is_hurwitz, spectral_abscissa
+from .norms import is_hurwitz, peak_frobenius, spectral_abscissa
 from .statespace import (
     StateSpace,
     compose_lft,
@@ -59,7 +59,9 @@ __all__ = [
     "pbh_detectable",
     "stabilizing_gains",
     "coprime_factorization",
+    "bezout_residual",
     "central_controller",
+    "parameter_statespace",
     "controller_from_parameter",
     "parameter_from_controller",
     "closed_loop_triple",
@@ -489,12 +491,7 @@ def coprime_factorization(
     if grid is None:
         grid = default_verification_grid()
     grid = validate_grid(grid)
-    rw = right.response(grid)
-    lw = left.response(grid)
-    eye = np.eye(nc + nm)
-    residual = float(
-        np.sqrt(np.sum(np.abs(lw @ rw - eye) ** 2, axis=(1, 2))).max()
-    )
+    residual, rw, lw = bezout_residual(cf, grid)
     if residual > bezout_tol:
         raise BezoutResidualTooLarge(
             f"factor-family identity residual {residual:.3e} > {bezout_tol:.1e}"
@@ -516,6 +513,17 @@ def coprime_factorization(
     return cf
 
 
+def bezout_residual(cf, grid):
+    """Peak Frobenius deviation of ``left_family * right_family`` from I.
+
+    Returns the residual over ``grid`` together with the right and left
+    family responses it was computed from.
+    """
+    rw = cf.right_family.response(grid)
+    lw = cf.left_family.response(grid)
+    return peak_frobenius(lw @ rw - np.eye(cf.ctrl + cf.meas)), rw, lw
+
+
 def central_controller(mp, cf):
     """Observer-form stabilizing controller; equals U V^{-1}."""
     a, b2, c2, d22 = mp.full.a, mp.b2, mp.c2, mp.d22
@@ -523,7 +531,8 @@ def central_controller(mp, cf):
     return StateSpace(a + b2 @ f + l @ (c2 + d22 @ f), -l, f, np.zeros((cf.ctrl, cf.meas)))
 
 
-def _as_statespace_parameter(q):
+def parameter_statespace(q):
+    """A parameter as a realization: basis coefficients are realized exactly."""
     if isinstance(q, StateSpace):
         return q
     return q.to_statespace()
@@ -538,7 +547,7 @@ def controller_from_parameter(cf, q, feed_tol=1e-9):
         When ``(V + N Q)`` has a singular feedthrough, i.e. the
         candidate controller would be improper.
     """
-    qss = _as_statespace_parameter(q)
+    qss = parameter_statespace(q)
     if qss.shape != (cf.ctrl, cf.meas):
         raise DimensionMismatch(
             f"parameter shape {qss.shape} != loop shape {(cf.ctrl, cf.meas)}"

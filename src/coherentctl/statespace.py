@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _accel
-from .errors import DimensionMismatch, IllPosedInterconnection, SingularResolvent
+from .errors import DimensionMismatch, IllPosedInterconnection, NonFiniteData, SingularResolvent
 
 __all__ = [
     "StateSpace",
@@ -51,7 +51,7 @@ def _as_complex_matrix(m, rows=None, cols=None, name="matrix"):
     if cols is not None and arr.shape[1] != cols:
         raise DimensionMismatch(f"{name} must have {cols} columns, got {arr.shape[1]}")
     if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteData(f"{name} contains non-finite entries")
     return arr
 
 

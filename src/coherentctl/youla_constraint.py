@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DimensionMismatch, FeedthroughSingular, RankDeficientProjection
-from .norms import is_hurwitz, is_spectrally_generic
+from .norms import is_hurwitz, is_spectrally_generic, peak_frobenius
 from .stabilization import controller_from_parameter
 from .statespace import (
     StateSpace,
@@ -43,9 +43,11 @@ from .statespace import (
 __all__ = [
     "ConstraintData",
     "YoulaParameter",
+    "parameter_samples",
     "TangentSubspace",
     "MembershipVerdict",
     "build_constraint_data",
+    "quadratic_form",
     "constraint_samples",
     "constraint_residual",
     "feedthrough_ok",
@@ -159,7 +161,8 @@ class YoulaParameter:
         return cls(basis_pole, flat.reshape(order + 1, *values.shape[1:]))
 
 
-def _parameter_samples(q, omegas):
+def parameter_samples(q, omegas):
+    """A parameter's values on the imaginary axis, (n_omega, rows, cols)."""
     if isinstance(q, YoulaParameter):
         return q.evaluate(omegas)
     return q.response(omegas)
@@ -242,14 +245,23 @@ def build_constraint_data(cf, mu=None, check_grid=None):
     return cd
 
 
-def constraint_samples(cd, q, omegas):
-    """Pointwise residual matrices of the quadratic form, (n_omega, d, d)."""
-    omegas = validate_grid(omegas)
-    phi_w, lam_w, pi_w = cd.samples(omegas)
-    q_w = _parameter_samples(q, omegas)
+def quadratic_form(samples, q_w):
+    """``Phi + Q~ Lambda + Lambda~ Q + Q~ Pi Q`` at every grid point.
+
+    ``samples`` is the ``(phi, lam, pi)`` triple of
+    :meth:`ConstraintData.samples` and ``q_w`` the parameter's values on
+    the same grid; the result has shape (n_omega, d, d).
+    """
+    phi_w, lam_w, pi_w = samples
     qh = q_w.conj().swapaxes(1, 2)
     cross = qh @ lam_w
     return phi_w + cross + cross.conj().swapaxes(1, 2) + qh @ pi_w @ q_w
+
+
+def constraint_samples(cd, q, omegas):
+    """Pointwise residual matrices of the quadratic form, (n_omega, d, d)."""
+    omegas = validate_grid(omegas)
+    return quadratic_form(cd.samples(omegas), parameter_samples(q, omegas))
 
 
 def constraint_residual(cd, q, omegas=None):
@@ -258,8 +270,7 @@ def constraint_residual(cd, q, omegas=None):
         from .stabilization import default_verification_grid
 
         omegas = default_verification_grid()
-    r = constraint_samples(cd, q, omegas)
-    return float(np.sqrt(np.sum(np.abs(r) ** 2, axis=(1, 2))).max())
+    return peak_frobenius(constraint_samples(cd, q, omegas))
 
 
 def feedthrough_ok(cf, q, tol=1e-9):
@@ -394,7 +405,7 @@ def tangent_subspace(cd, q, grid, samples=None):
         _, lam_w, pi_w = cd.samples(grid)
     else:
         _, lam_w, pi_w = samples
-    q_w = _parameter_samples(q, grid)
+    q_w = parameter_samples(q, grid)
     return TangentSubspace(grid=grid, base_point=q, w_samples=lam_w + pi_w @ q_w)
 
 
@@ -533,28 +544,23 @@ def restore_feasibility(cd, q, grid, tol=1e-10, max_iter=12):
     if not isinstance(q, YoulaParameter):
         raise TypeError("feasibility restoration operates on basis coefficients")
     grid = validate_grid(grid)
-    phi_w, lam_w, pi_w = cd.samples(grid)
-    basis_mat = q.basis(grid)
-    col_tensor = _column_tensor(basis_mat, *q.shape)
+    samples = cd.samples(grid)
+    _, lam_w, pi_w = samples
+    col_tensor = _column_tensor(q.basis(grid), *q.shape)
 
     x = _pack(q.coeffs)
-    best_x, best_res = x, np.inf
+    best, best_res = q, np.inf
     for _ in range(max_iter + 1):
-        coeffs = _unpack(x, q.order, q.shape)
-        q_w = np.einsum("wk,kab->wab", basis_mat, coeffs)
-        qh = q_w.conj().swapaxes(1, 2)
-        cross = qh @ lam_w
-        resid = phi_w + cross + cross.conj().swapaxes(1, 2) + qh @ pi_w @ q_w
-        res = float(np.sqrt(np.sum(np.abs(resid) ** 2, axis=(1, 2))).max())
+        cand = YoulaParameter(q.basis_pole, _unpack(x, q.order, q.shape))
+        q_w = cand.evaluate(grid)
+        resid = quadratic_form(samples, q_w)
+        res = peak_frobenius(resid)
         if res < best_res:
-            best_x, best_res = x, res
+            best, best_res = cand, res
         if res <= tol:
             break
         a_con = _constraint_matrix(lam_w + pi_w @ q_w, col_tensor)
         rvec = _hermitian_stack(resid).ravel()
         step, *_ = np.linalg.lstsq(a_con, -rvec, rcond=None)
         x = x + step
-    return (
-        YoulaParameter(q.basis_pole, _unpack(best_x, q.order, q.shape)),
-        best_res,
-    )
+    return best, best_res

@@ -1,0 +1,174 @@
+"""Exit-code contract under mutated documents: 0/1/2 and never a traceback.
+
+Numeric leaves and object keys of the shipped fixtures are mutated while
+every matrix keeps its shape, so no mutation can ask for a large
+allocation.  Integer leaves only move within a small range for the same
+reason.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from coherentctl.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+DOCUMENTS = sorted(p.name for p in FIXTURES.glob("*.json"))
+COMMANDS = ("check-pr", "factorize", "synthesize-h2", "eval-hinf", "closed-loop")
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -1.0, 1e-300, -1e-300, 1e200, -1e200, 1e308, 5e-324]),
+)
+INTS = st.integers(min_value=-1, max_value=4)
+KEYS = st.one_of(
+    st.none(),
+    st.sampled_from(["S", "L1", "beta", "order", "a", "d", "w_in", "points", "n_y"]),
+    st.text(alphabet="abcxyz_", min_size=1, max_size=4),
+)
+
+
+def _leaves(node, path=()):
+    """(path, value) of every numeric leaf, and the path of every object key."""
+    if isinstance(node, dict):
+        for key, sub in node.items():
+            yield "key", path + (key,), key
+            yield from _leaves(sub, path + (key,))
+    elif isinstance(node, list):
+        for i, sub in enumerate(node):
+            yield from _leaves(sub, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield "value", path, node
+
+
+@st.composite
+def mutated(draw):
+    name = draw(st.sampled_from(DOCUMENTS))
+    sites = list(_leaves(json.loads((FIXTURES / name).read_text())))
+    mutations = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind, path, old = draw(st.sampled_from(sites))
+        if kind == "key":
+            new = draw(KEYS)
+        else:
+            new = draw(INTS if isinstance(old, int) else FLOATS)
+        mutations.append((kind, path, new))
+    return name, mutations
+
+
+def _apply(doc, kind, path, new):
+    """Set a leaf or rename (``None``: drop) a key; stale paths are skipped."""
+    try:
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if kind == "value":
+            parent[path[-1]] = new
+            return
+        value = parent.pop(path[-1])
+    except (KeyError, IndexError, TypeError):
+        return
+    if new is not None:
+        parent[new] = value
+
+
+def _run(command, text):
+    """Run one command on a document text; return (exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = os.path.join(tmp, "doc.json")
+        with open(doc, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        main_doc, q_doc = doc, doc
+        if '"plant"' not in text and '"youla"' in text:
+            # a parameter document: evaluate it on a loop it fits
+            main_doc = str(FIXTURES / "allpass_hinf.json")
+        argv = [command, main_doc]
+        if command in ("eval-hinf", "closed-loop"):
+            argv += ["--q-from", q_doc]
+        if command == "synthesize-h2":
+            argv += ["--out", os.path.join(tmp, "bundle")]
+        if command == "eval-hinf":
+            argv += ["--out", os.path.join(tmp, "profile.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+def _document(name, mutations):
+    doc = json.loads((FIXTURES / name).read_text())
+    for kind, path, new in mutations:
+        _apply(doc, kind, path, new)
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(case=mutated(), command=st.sampled_from(COMMANDS))
+# an SLH coupling whose network model overflows double precision
+@example(
+    case=("allpass_hinf.json", [("value", ("plant", "slh", "L1", 0, 0, 0), 1e200)]),
+    command="check-pr",
+)
+@example(
+    case=("allpass_hinf.json", [("value", ("plant", "slh", "L1", 0, 0, 0), 1e200)]),
+    command="factorize",
+)
+@example(
+    case=("allpass_hinf.json", [("value", ("plant", "slh", "L1", 0, 0, 0), 1e200)]),
+    command="eval-hinf",
+)
+# a basis pole so close to the axis that the H-infinity bracket overflows
+@example(
+    case=("allpass_hinf.json", [("value", ("youla", "beta"), 1e-300)]),
+    command="eval-hinf",
+)
+# non-finite literals in the document text
+@example(
+    case=("allpass_hinf.json", [("value", ("grid", "omega_max"), float("nan"))]),
+    command="eval-hinf",
+)
+@example(
+    case=("cavity_pr.json", [("value", ("plant", "slh", "L2", 0, 0, 0), float("inf"))]),
+    command="check-pr",
+)
+def test_mutated_documents_keep_exit_contract(case, command):
+    code, err = _run(command, _document(*case))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1, err
+
+
+def test_overflowing_slh_model_is_domain_failure():
+    text = _document(
+        "allpass_hinf.json", [("value", ("plant", "slh", "L1", 0, 0, 0), 1e200)]
+    )
+    for command in ("check-pr", "factorize", "eval-hinf"):
+        code, err = _run(command, text)
+        assert code == 1, command
+        assert err.startswith("InvalidSlh:"), err
+
+
+def test_unbracketed_hinf_norm_is_domain_failure():
+    text = _document("allpass_hinf.json", [("value", ("youla", "beta"), 1e-300)])
+    code, err = _run("eval-hinf", text)
+    assert code == 1
+    assert err.startswith("NotStable:"), err
+
+
+def test_non_finite_literals_are_input_errors():
+    for name, path, value in (
+        ("allpass_hinf.json", ("grid", "omega_max"), float("nan")),
+        ("cavity_pr.json", ("plant", "slh", "L2", 0, 0, 0), float("inf")),
+        ("cavity_pr.json", ("plant", "slh", "L1", 0, 0, 1), float("-inf")),
+    ):
+        text = _document(name, [("value", path, value)])
+        assert "NaN" in text or "Infinity" in text
+        code, err = _run("check-pr", text)
+        assert code == 2
+        assert err.startswith("input error:") and ".".join(map(str, path[:2])) in err

@@ -506,6 +506,18 @@ class TestValidateResult:
         assert verdict.closed_loop_stable
         assert verdict.closed_loop_abscissa < -0.1
 
+    def test_singular_controller_feedthrough_is_not_stable(self):
+        # V = I and N(inf) = I for the cavity, so Q(inf) = -I makes the
+        # feedthrough of (V + N Q) vanish: no proper controller exists
+        sp = cavity_problem()
+        coeffs = np.zeros((2, 2, 2), dtype=complex)
+        coeffs[0] = -np.eye(2)
+        verdict = validate_result(sp, YoulaParameter(1.0, coeffs))
+        assert not verdict.membership.feedthrough_ok
+        assert not verdict.closed_loop_stable
+        assert verdict.closed_loop_abscissa == np.inf
+        assert not verdict.ok
+
     def test_flags_infeasible_parameter(self):
         sp = cavity_problem()
         verdict = validate_result(sp, YoulaParameter.zero((2, 2), order=1))

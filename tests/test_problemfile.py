@@ -115,6 +115,10 @@ class TestDecoding:
         with pytest.raises(ProblemFileError, match="line 1"):
             loads_problem("{not json}")
 
+    def test_oversized_integer_literal_is_a_problem_error(self):
+        with pytest.raises(ProblemFileError, match="invalid JSON"):
+            loads_problem('{"youla": {"beta": 1.0, "order": 1' + "0" * 5000 + "}}")
+
     def test_missing_file_is_a_problem_error(self, tmp_path):
         with pytest.raises(ProblemFileError, match="cannot read"):
             load_problem_file(tmp_path / "absent.json")
@@ -192,6 +196,8 @@ class TestDecoding:
             doc({"grid": {"kind": "linear", "omega_min": 0.1, "omega_max": 1.0, "points": 3}})
         with pytest.raises(ProblemFileError, match="omega_min"):
             doc({"grid": {"kind": "log", "omega_min": 1.0, "omega_max": 0.1, "points": 3}})
+        with pytest.raises(ProblemFileError, match="omega_min"):
+            doc({"grid": {"kind": "log", "omega_min": 1.0, "omega_max": 1.0, "points": 1}})
 
 
 class TestEncoding:

@@ -65,14 +65,17 @@ class TestFreqResponse:
         with pytest.raises(SingularResolvent):
             g.freq_response(0.0)
 
-    def test_backends_agree(self):
-        if not _accel.HAS_NUMBA:
-            pytest.skip("numba not importable")
+    def test_blocked_sweep_equals_per_frequency_solves(self, monkeypatch):
         rng = make_rng(11)
         g = random_statespace(rng, 5, 3, 2)
-        r1 = _accel.sweep_numba(g.a, g.b, g.c, g.d, GRID)
-        r2 = _accel.sweep_numpy(g.a, g.b, g.c, g.d, GRID)
-        np.testing.assert_allclose(r1, r2, atol=1e-13)
+        # three frequencies per block: the 17-point grid spans six blocks
+        monkeypatch.setattr(_accel, "SWEEP_BLOCK_BYTES", 3 * 16 * 5 * 5)
+        swept = g.response(GRID)
+        eye = np.eye(5, dtype=np.complex128)
+        single = np.stack(
+            [g.c @ np.linalg.solve(1j * w * eye - g.a, g.b) + g.d for w in GRID]
+        )
+        assert np.array_equal(swept, single)
 
 
 class TestAlgebra:
