@@ -580,7 +580,10 @@ def main(argv=None):
         # argparse exits 2 on usage errors and 0 on --help
         return INPUT_ERROR if exc.code not in (0, None) else PASS
     try:
-        return args.func(args)
+        # overflow surfaces as a verdict or a one-line error through the
+        # non-finite checks, never as numpy warnings on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ProblemFileError, DimensionMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

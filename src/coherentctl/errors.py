@@ -33,6 +33,10 @@ class NotStrictlyProper(CoherentctlError):
     """An operation that requires zero feedthrough was given D != 0."""
 
 
+class DegenerateWeights(CoherentctlError, ValueError):
+    """Frequency weights have identically zero response, so they span no bandwidth."""
+
+
 class InvalidSlh(CoherentctlError, ValueError):
     """Scattering/coupling/Hamiltonian data violates its structural constraints."""
 

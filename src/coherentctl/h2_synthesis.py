@@ -2,19 +2,21 @@
 
 The closed loop is affine in the stable parameter, so wrapping it in
 stable frequency weights gives an exactly quadratic squared-H2 cost.
-This module assembles the six weighted operators that cost needs, the
-frequency-sampled gradient, and a projected-gradient descent that walks
+This module builds that weighted loop (H-infinity evaluation reuses it),
+the frequency-sampled gradient, and a projected-gradient descent that walks
 the rational coefficient basis while a Gauss-Newton pull-back keeps the
 iterates on the quadratic constraint set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    DegenerateWeights,
     DimensionMismatch,
     FeedthroughSingular,
     IllPosedInterconnection,
@@ -68,30 +70,26 @@ BANDWIDTH_DROP = 1e-2
 
 @dataclass
 class SynthesisProblem:
-    """Weighted model-matching data, ready for cost/gradient evaluation.
+    """The weighted affine loop ``bold_t0 + bold_t1 Q bold_t2`` on a grid.
 
-    ``bold_t0/t1/t2`` are the weighted closed-loop operators; the cost is
-    the squared H2 norm of ``bold_t0 + bold_t1 Q bold_t2``.  The hatted
-    operators fold the outer factors into the quadratic expansion of that
-    cost: ``hat_t0`` drives the linear term, ``hat_t1``/``hat_t2`` the
-    quadratic one, and the gradient is ``2(hat_t0 + hat_t1 Q hat_t2)``
-    evaluated on ``grid``.
+    One object serves the quadratic cost and the supremum-norm
+    evaluation alike; the cost is the squared H2 norm of that loop.  The
+    hatted operators, derived on first use, fold the outer factors into
+    the quadratic expansion of the cost: ``hat_t0`` drives the linear
+    term, ``hat_t1``/``hat_t2`` the quadratic one, and the gradient is
+    ``2(hat_t0 + hat_t1 Q hat_t2)`` evaluated on ``grid``.  Only descent
+    reads the constraint data ``cd``; only validation reads ``mp``/``cf``.
     """
 
-    mp: object
-    cf: object
-    cd: object
-    w_in: StateSpace
-    w_out: StateSpace
     bold_t0: StateSpace
     bold_t1: StateSpace
     bold_t2: StateSpace
-    hat_t0: StateSpace
-    hat_t1: StateSpace
-    hat_t2: StateSpace
     grid: np.ndarray
-    _hat_samples: tuple = field(repr=False, default=None)
-    _cd_samples: tuple = field(repr=False, default=None)
+    mp: object = None
+    cf: object = None
+    cd: object = None
+    w_in: StateSpace = None
+    w_out: StateSpace = None
 
     @property
     def parameter_shape(self):
@@ -102,21 +100,27 @@ class SynthesisProblem:
         """Realization of the weighted loop ``bold_t0 + bold_t1 q bold_t2``."""
         return self.bold_t0 + self.bold_t1 @ parameter_statespace(q) @ self.bold_t2
 
-    def hat_samples(self):
-        """Grid responses of the three hatted operators (cached)."""
-        if self._hat_samples is None:
-            self._hat_samples = (
-                self.hat_t0.response(self.grid),
-                self.hat_t1.response(self.grid),
-                self.hat_t2.response(self.grid),
-            )
-        return self._hat_samples
+    @cached_property
+    def hat_t0(self):
+        return conjugate_system(self.bold_t1) @ self.bold_t0 @ conjugate_system(self.bold_t2)
 
+    @cached_property
+    def hat_t1(self):
+        return conjugate_system(self.bold_t1) @ self.bold_t1
+
+    @cached_property
+    def hat_t2(self):
+        return self.bold_t2 @ conjugate_system(self.bold_t2)
+
+    @cached_property
+    def hat_samples(self):
+        """Grid responses of the three hatted operators."""
+        return tuple(h.response(self.grid) for h in (self.hat_t0, self.hat_t1, self.hat_t2))
+
+    @cached_property
     def cd_samples(self):
-        """Grid responses of the constraint coefficients (cached)."""
-        if self._cd_samples is None:
-            self._cd_samples = self.cd.samples(self.grid)
-        return self._cd_samples
+        """Grid responses of the constraint coefficients."""
+        return self.cd.samples(self.grid)
 
 
 def _prepare_weight(w, width, name):
@@ -147,7 +151,10 @@ def default_descent_grid(w_out, w_in, points=DEFAULT_GRID_POINTS):
     prof = sigma_max_profile(w_out, probe) * sigma_max_profile(w_in, probe)
     peak = prof.max()
     if peak <= 0.0:
-        raise ValueError("weights have identically zero response")
+        raise DegenerateWeights(
+            "weights w_out and w_in have identically zero response; "
+            "no default grid spans their bandwidth"
+        )
     keep = np.flatnonzero(prof >= peak * BANDWIDTH_DROP)
     lo, hi = probe[keep[0]], probe[keep[-1]]
     if hi <= lo:
@@ -155,15 +162,15 @@ def default_descent_grid(w_out, w_in, points=DEFAULT_GRID_POINTS):
     return log_grid(lo, hi, points)
 
 
-def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_tol=1e-9):
-    """Build the weighted operators and their quadratic-expansion data.
+def evaluation_problem(mp, cf, w_in=None, w_out=None, grid=None, cd=None):
+    """Wrap the closed-loop triple of ``(mp, cf)`` in stable weights.
 
-    The cost is finite only when the weighted loop is strictly proper for
-    every parameter in the basis family, which requires the constant term
-    of the weighted map itself to vanish and at least one of the two
-    affine factors to lose its feedthrough.  Violations raise
-    :class:`NotStrictlyProper` here, at assembly, rather than deep inside
-    a norm computation.
+    A missing weight is the identity and a scalar one is tiled across
+    the channels; a missing grid spans the weights' bandwidth.  No
+    strict-properness gate applies: a supremum norm tolerates
+    feedthrough, so static (including identity) weights are legitimate
+    for norm evaluation.  The quadratic cost adds its gate in
+    :func:`assemble_problem`.
     """
     triple = closed_loop_triple(mp, cf)
     w_out = _prepare_weight(w_out, triple.t0.n_outputs, "w_out")
@@ -180,10 +187,36 @@ def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_to
     bold_t0 = w_out @ triple.t0 @ w_in
     bold_t1 = w_out @ triple.t1
     bold_t2 = triple.t2 @ w_in
+    if grid is None:
+        grid = default_descent_grid(w_out, w_in)
+    return SynthesisProblem(
+        bold_t0=bold_t0,
+        bold_t1=bold_t1,
+        bold_t2=bold_t2,
+        grid=validate_grid(np.asarray(grid, dtype=np.float64)),
+        mp=mp,
+        cf=cf,
+        cd=cd,
+        w_in=w_in,
+        w_out=w_out,
+    )
 
-    d0 = float(np.abs(bold_t0.d).max(initial=0.0))
-    d1 = float(np.abs(bold_t1.d).max(initial=0.0))
-    d2 = float(np.abs(bold_t2.d).max(initial=0.0))
+
+def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_tol=1e-9):
+    """The weighted loop of :func:`evaluation_problem`, gated for the H2 cost.
+
+    The cost is finite only when the weighted loop is strictly proper for
+    every parameter in the basis family, which requires the constant term
+    of the weighted map itself to vanish and at least one of the two
+    affine factors to lose its feedthrough.  Violations raise
+    :class:`NotStrictlyProper` here, at assembly, rather than deep inside
+    a norm computation.  Feedthrough within ``properness_tol`` is
+    stripped, and the constraint data must fit the parameter slots.
+    """
+    sp = evaluation_problem(mp, cf, w_in=w_in, w_out=w_out, grid=grid, cd=cd)
+    d0, d1, d2 = (
+        float(np.abs(t.d).max(initial=0.0)) for t in (sp.bold_t0, sp.bold_t1, sp.bold_t2)
+    )
     if d0 > properness_tol:
         raise NotStrictlyProper(
             f"weighted map keeps feedthrough |D| = {d0:.3e}; "
@@ -194,39 +227,15 @@ def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_to
             "both affine factors keep feedthrough "
             f"({d1:.3e}, {d2:.3e}); parameter directions would not stay H2"
         )
-    bold_t0 = _zero_feedthrough(bold_t0)
-    if d1 <= properness_tol:
-        bold_t1 = _zero_feedthrough(bold_t1)
-    if d2 <= properness_tol:
-        bold_t2 = _zero_feedthrough(bold_t2)
-
-    shape = (bold_t1.n_inputs, bold_t2.n_outputs)
-    if cd.phi.shape != shape:
+    if cd.phi.shape != sp.parameter_shape:
         raise DimensionMismatch(
-            f"constraint blocks are {cd.phi.shape}, parameter slots are {shape}"
+            f"constraint blocks are {cd.phi.shape}, parameter slots are {sp.parameter_shape}"
         )
-
-    hat_t0 = conjugate_system(bold_t1) @ bold_t0 @ conjugate_system(bold_t2)
-    hat_t1 = conjugate_system(bold_t1) @ bold_t1
-    hat_t2 = bold_t2 @ conjugate_system(bold_t2)
-
-    if grid is None:
-        grid = default_descent_grid(w_out, w_in)
-    grid = validate_grid(np.asarray(grid, dtype=np.float64))
-
-    return SynthesisProblem(
-        mp=mp,
-        cf=cf,
-        cd=cd,
-        w_in=w_in,
-        w_out=w_out,
-        bold_t0=bold_t0,
-        bold_t1=bold_t1,
-        bold_t2=bold_t2,
-        hat_t0=hat_t0,
-        hat_t1=hat_t1,
-        hat_t2=hat_t2,
-        grid=grid,
+    return replace(
+        sp,
+        bold_t0=_zero_feedthrough(sp.bold_t0),
+        bold_t1=_zero_feedthrough(sp.bold_t1) if d1 <= properness_tol else sp.bold_t1,
+        bold_t2=_zero_feedthrough(sp.bold_t2) if d2 <= properness_tol else sp.bold_t2,
     )
 
 
@@ -267,7 +276,7 @@ def gradient(sp, q):
     summed over the grid) gives the directional derivative of the
     grid-sampled quadratic cost.
     """
-    hat0_w, hat1_w, hat2_w = sp.hat_samples()
+    hat0_w, hat1_w, hat2_w = sp.hat_samples
     q_w = parameter_samples(q, sp.grid)
     return 2.0 * (hat0_w + hat1_w @ q_w @ hat2_w)
 
@@ -388,7 +397,7 @@ def descend(sp, q_init, cfg=None):
         )
 
     grid = sp.grid
-    cd_samples = sp.cd_samples()
+    cd_samples = sp.cd_samples
     restore_tol = max(1e-12, 1e-2 * cfg.constraint_tol)
     safety = 10.0 * cfg.constraint_tol
 

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .h2_synthesis import SynthesisProblem, _prepare_weight, default_descent_grid
-from .errors import DimensionMismatch
+from .h2_synthesis import evaluation_problem
 from .norms import hinf_norm, sigma_max_profile
-from .stabilization import closed_loop_triple
-from .statespace import conjugate_system, validate_grid, zero_system
-from .youla_constraint import ConstraintData
+from .stabilization import closed_loop_triple  # noqa: F401  (traced per layer by pipebench)
+from .statespace import validate_grid
+
+__all__ = ["HinfReport", "evaluation_problem", "hinf_cost"]
 
 
 @dataclass(frozen=True)
@@ -42,58 +42,6 @@ class HinfReport:
                 float(self.grid_profile[k, 0]),
                 float(self.grid_profile[k, 1]),
             )
-
-
-def evaluation_problem(mp, cf, w_in=None, w_out=None, grid=None, cd=None):
-    """Weighted loop operators for norm evaluation only.
-
-    Same layout as the quadratic assembly, but without the
-    strict-properness gate: a supremum norm tolerates feedthrough, so
-    static (including identity) weights are legitimate here.  When no
-    constraint data is supplied a zero placeholder is attached; it
-    carries no meaning for evaluation.
-    """
-    triple = closed_loop_triple(mp, cf)
-    w_out = _prepare_weight(w_out, triple.t0.n_outputs, "w_out")
-    w_in = _prepare_weight(w_in, triple.t0.n_inputs, "w_in")
-    if w_out.n_inputs != triple.t0.n_outputs:
-        raise DimensionMismatch(
-            f"w_out acts on {w_out.n_inputs} channels, loop emits {triple.t0.n_outputs}"
-        )
-    if w_in.n_outputs != triple.t0.n_inputs:
-        raise DimensionMismatch(
-            f"w_in feeds {w_in.n_outputs} channels, loop accepts {triple.t0.n_inputs}"
-        )
-
-    bold_t0 = w_out @ triple.t0 @ w_in
-    bold_t1 = w_out @ triple.t1
-    bold_t2 = triple.t2 @ w_in
-    if cd is None:
-        d = bold_t1.n_inputs
-        cd = ConstraintData(
-            phi=zero_system(d, d),
-            lam=zero_system(d, d),
-            pi=zero_system(d, d),
-            mu=d // 2,
-        )
-    if grid is None:
-        grid = default_descent_grid(w_out, w_in)
-    grid = validate_grid(np.asarray(grid, dtype=np.float64))
-
-    return SynthesisProblem(
-        mp=mp,
-        cf=cf,
-        cd=cd,
-        w_in=w_in,
-        w_out=w_out,
-        bold_t0=bold_t0,
-        bold_t1=bold_t1,
-        bold_t2=bold_t2,
-        hat_t0=conjugate_system(bold_t1) @ bold_t0 @ conjugate_system(bold_t2),
-        hat_t1=conjugate_system(bold_t1) @ bold_t1,
-        hat_t2=bold_t2 @ conjugate_system(bold_t2),
-        grid=grid,
-    )
 
 
 def hinf_cost(sp, q, grid=None, rel_tol=1e-6):

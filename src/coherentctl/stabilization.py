@@ -53,10 +53,7 @@ __all__ = [
     "default_verification_grid",
     "modify_plant",
     "undo_modify",
-    "extract_p22",
     "pbh_unstabilizable_modes",
-    "pbh_stabilizable",
-    "pbh_detectable",
     "stabilizing_gains",
     "coprime_factorization",
     "bezout_residual",
@@ -231,11 +228,6 @@ def undo_modify(mp, part):
     return StateSpace(f.a, f.b[:, inv_cols], f.c[inv_rows], f.d[inv_rows][:, inv_cols])
 
 
-def extract_p22(mp):
-    """Controller-facing block of the regrouped plant."""
-    return mp.p22()
-
-
 # -- PBH tests ----------------------------------------------------------
 
 
@@ -252,16 +244,6 @@ def pbh_unstabilizable_modes(a, b, tol=1e-8):
         if sv[-1] <= tol * max(sv[0], 1.0):
             bad.append(complex(lam))
     return bad
-
-
-def pbh_stabilizable(a, b, tol=1e-8):
-    return not pbh_unstabilizable_modes(a, b, tol)
-
-
-def pbh_detectable(a, c, tol=1e-8):
-    a = np.atleast_2d(np.asarray(a, dtype=np.complex128))
-    c = np.asarray(c, dtype=np.complex128).reshape(-1, a.shape[0])
-    return not pbh_unstabilizable_modes(a.conj().T, c.conj().T, tol)
 
 
 # -- gain design ----------------------------------------------------------

@@ -6,7 +6,7 @@ realness is assumed anywhere: quantum input-output models in doubled-up
 (annihilation/creation) coordinates have genuinely complex coefficient
 matrices, so every operation here is written for ``complex128``.
 
-Alongside the composition algebra (series, parallel, stacking, feedback
+Alongside the composition algebra (products, sums, stacking, feedback
 interconnection, inverse, adjoint conjugation) the module carries the
 structural helpers used by the quantum layers: doubled-up matrices
 ``[[R1, R2], [conj(R2), conj(R1)]]`` and the signature (Krein) matrix
@@ -25,8 +25,6 @@ __all__ = [
     "static_gain",
     "identity_system",
     "zero_system",
-    "series",
-    "parallel",
     "hstack_systems",
     "vstack_systems",
     "blockdiag_systems",
@@ -110,9 +108,6 @@ class StateSpace:
             f"StateSpace(n_states={self.n_states}, "
             f"n_outputs={self.n_outputs}, n_inputs={self.n_inputs})"
         )
-
-    def poles(self):
-        return np.linalg.eigvals(self.a)
 
     # -- evaluation ----------------------------------------------------
 
@@ -233,18 +228,6 @@ def identity_system(k):
 
 def zero_system(p, m):
     return static_gain(np.zeros((p, m)))
-
-
-def series(first, then):
-    """Signal-flow series: output of ``first`` feeds ``then``.
-
-    Equals ``then @ first`` — the response is ``then(iw) @ first(iw)``.
-    """
-    return then @ first
-
-
-def parallel(g, h):
-    return g + h
 
 
 def conjugate_system(sys):

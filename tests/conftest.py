@@ -168,7 +168,7 @@ def matched_target_problem():
     Returns (problem, q_target).
     """
     from coherentctl.h2_synthesis import SynthesisProblem
-    from coherentctl.statespace import conjugate_system, log_grid
+    from coherentctl.statespace import log_grid
     from coherentctl.youla_constraint import YoulaParameter
 
     t = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
@@ -180,18 +180,11 @@ def matched_target_problem():
     )
     bold_t0 = -(bold_t1 @ q_target.to_statespace() @ bold_t2)
     sp = SynthesisProblem(
-        mp=None,
-        cf=None,
-        cd=zero_constraints(1),
-        w_in=None,
-        w_out=None,
         bold_t0=bold_t0,
         bold_t1=bold_t1,
         bold_t2=bold_t2,
-        hat_t0=conjugate_system(bold_t1) @ bold_t0 @ conjugate_system(bold_t2),
-        hat_t1=conjugate_system(bold_t1) @ bold_t1,
-        hat_t2=bold_t2 @ conjugate_system(bold_t2),
         grid=log_grid(1e-2, 1.0, 33),
+        cd=zero_constraints(1),
     )
     return sp, q_target
 

@@ -43,7 +43,6 @@ from coherentctl.stabilization import (
 from coherentctl.statespace import (
     StateSpace,
     compose_lft,
-    conjugate_system,
     log_grid,
     static_gain,
 )
@@ -67,7 +66,6 @@ from conftest import (
     random_complex,
     random_slh,
     random_statespace,
-    zero_constraints,
 )
 
 _MODULE_T0 = time.perf_counter()
@@ -120,17 +118,9 @@ def random_matching_problem(seed):
     t2 = random_statespace(rng, 2, k, nw)
     t0 = strictly_proper(random_statespace(rng, 2, nz, nw))
     return SynthesisProblem(
-        mp=None,
-        cf=None,
-        cd=zero_constraints(k),
-        w_in=None,
-        w_out=None,
         bold_t0=t0,
         bold_t1=t1,
         bold_t2=t2,
-        hat_t0=conjugate_system(t1) @ t0 @ conjugate_system(t2),
-        hat_t1=conjugate_system(t1) @ t1,
-        hat_t2=t2 @ conjugate_system(t2),
         grid=log_grid(1e-2, 1e1, 17),
     )
 
@@ -363,7 +353,7 @@ def test_a07_gradient_matches_finite_differences():
 
         # the sampled gradient is the exact derivative of the
         # grid-summed quadratic functional it advertises
-        h0, h1, h2 = sp.hat_samples()
+        h0, h1, h2 = sp.hat_samples
 
         def grid_functional(p):
             pw = p.evaluate(sp.grid)
@@ -442,7 +432,7 @@ def test_a09_descent_reaches_minimizer():
     q_final, trace = descend(sp, q0, DescentConfig(max_iters=200, grad_tol=1e-9))
 
     basis = q0.basis(sp.grid)
-    h0, h1, h2 = (s[:, 0, 0] for s in sp.hat_samples())
+    h0, h1, h2 = (s[:, 0, 0] for s in sp.hat_samples)
     weight = (h1 * h2).real
     cols = np.vstack(
         [part * basis[:, k] for part in (1.0, 1j) for k in range(3)]

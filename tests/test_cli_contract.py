@@ -11,6 +11,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -108,6 +109,13 @@ def _document(name, mutations):
     return json.dumps(doc)
 
 
+ZERO_WEIGHTS = [
+    ("key", ("grid",), None),
+    ("value", ("weights", "w_out", "c", 0, 0, 0), 0.0),
+]
+HUGE_SCATTERING = [("value", ("plant", "slh", "S", 0, 0, 0), 1e200)]
+
+
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(case=mutated(), command=st.sampled_from(COMMANDS))
 # an SLH coupling whose network model overflows double precision
@@ -137,6 +145,12 @@ def _document(name, mutations):
     case=("cavity_pr.json", [("value", ("plant", "slh", "L2", 0, 0, 0), float("inf"))]),
     command="check-pr",
 )
+# zero-response weights and no grid section to replace their bandwidth
+@example(case=("coupled_h2.json", ZERO_WEIGHTS), command="synthesize-h2")
+@example(case=("coupled_h2.json", ZERO_WEIGHTS), command="eval-hinf")
+# a scattering entry whose products overflow inside the unitarity checks
+@example(case=("cavity_pr.json", HUGE_SCATTERING), command="check-pr")
+@example(case=("cavity_pr.json", HUGE_SCATTERING), command="factorize")
 def test_mutated_documents_keep_exit_contract(case, command):
     code, err = _run(command, _document(*case))
     assert code in (0, 1, 2)
@@ -172,3 +186,24 @@ def test_non_finite_literals_are_input_errors():
         code, err = _run("check-pr", text)
         assert code == 2
         assert err.startswith("input error:") and ".".join(map(str, path[:2])) in err
+
+
+def test_zero_response_weights_without_grid_name_the_weights():
+    text = _document("coupled_h2.json", ZERO_WEIGHTS)
+    for command in ("synthesize-h2", "eval-hinf"):
+        code, err = _run(command, text)
+        assert code == 1, command
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("DegenerateWeights:") and "w_out and w_in" in err
+
+
+def test_overflow_raises_no_numpy_warnings():
+    # pytest captures warnings before they reach stderr, so record them
+    text = _document("cavity_pr.json", HUGE_SCATTERING)
+    for command, errors in (("check-pr", []), ("factorize", ["InvalidSlh"])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run(command, text)
+        assert code == 1, command
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert [line.split(":")[0] for line in err.splitlines()] == errors, err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coherentctl.errors import (
+    DegenerateWeights,
     DimensionMismatch,
     InfeasibleStart,
     NotStable,
@@ -233,6 +234,12 @@ class TestAssembleProblem:
         assert 80.0 < grid[-1] < 110.0
         assert np.all(np.diff(grid) > 0)
 
+    def test_zero_weights_leave_no_default_grid(self):
+        mp, cf = scalar_demo_loop()
+        silent = StateSpace([[-1.0]], [[1.0]], [[0.0]], [[0.0]])
+        with pytest.raises(DegenerateWeights, match="w_out and w_in"):
+            assemble_problem(mp, cf, zero_constraints(1), w_out=silent)
+
     def test_unsorted_grid_rejected(self):
         mp, cf = scalar_demo_loop()
         with pytest.raises(ValueError):
@@ -328,7 +335,7 @@ class TestGradient:
         sp = scalar_problem()
         q = random_parameter(21, order=2)
         delta = random_parameter(22, order=2)
-        h0, h1, h2 = sp.hat_samples()
+        h0, h1, h2 = sp.hat_samples
 
         def grid_functional(p):
             pw = p.evaluate(sp.grid)
@@ -357,7 +364,7 @@ class TestDescend:
         # independent oracle: real normal equations of the grid-sampled
         # quadratic expansion over the stacked coefficient unknowns
         basis = q0.basis(sp.grid)
-        h0, h1, h2 = (s[:, 0, 0] for s in sp.hat_samples())
+        h0, h1, h2 = (s[:, 0, 0] for s in sp.hat_samples)
         weight = (h1 * h2).real
         cols = np.vstack(
             [part * basis[:, k] for part in (1.0, 1j) for k in range(3)]

@@ -8,7 +8,6 @@ from coherentctl.h2_synthesis import SynthesisProblem
 from coherentctl.hinf_eval import HinfReport, evaluation_problem, hinf_cost
 from coherentctl.statespace import (
     StateSpace,
-    conjugate_system,
     log_grid,
     static_gain,
     zero_system,
@@ -21,7 +20,6 @@ from conftest import (
     lowpass_weight,
     make_rng,
     random_statespace,
-    zero_constraints,
 )
 
 
@@ -41,20 +39,7 @@ def fixed_loop_problem(bold_t0, grid=None):
 def synthetic_problem(bold_t0, bold_t1, bold_t2, grid=None):
     if grid is None:
         grid = log_grid(1e-2, 1e2, 41)
-    return SynthesisProblem(
-        mp=None,
-        cf=None,
-        cd=zero_constraints(bold_t1.n_inputs),
-        w_in=None,
-        w_out=None,
-        bold_t0=bold_t0,
-        bold_t1=bold_t1,
-        bold_t2=bold_t2,
-        hat_t0=conjugate_system(bold_t1) @ bold_t0 @ conjugate_system(bold_t2),
-        hat_t1=conjugate_system(bold_t1) @ bold_t1,
-        hat_t2=bold_t2 @ conjugate_system(bold_t2),
-        grid=grid,
-    )
+    return SynthesisProblem(bold_t0=bold_t0, bold_t1=bold_t1, bold_t2=bold_t2, grid=grid)
 
 
 class TestHinfCost:
@@ -178,12 +163,6 @@ class TestEvaluationProblem:
         sp = evaluation_problem(mp, cf, w_in=lowpass_weight(1.0, 10.0))
         assert sp.grid.size == 33
         assert np.all(np.diff(sp.grid) > 0)
-
-    def test_placeholder_constraints_have_loop_width(self):
-        mp, cf = coupled_cavity_loop()
-        sp = evaluation_problem(mp, cf, grid=log_grid(1e-1, 1e1, 5))
-        assert sp.cd.phi.shape == (2, 2)
-        assert np.abs(sp.cd.lam.d).max() == 0.0
 
 
 class TestHinfReport:

@@ -21,7 +21,6 @@ from coherentctl.statespace import (
     is_doubled,
     log_grid,
     minimal_realization,
-    series,
     signature_matrix,
     static_gain,
     validate_grid,
@@ -93,13 +92,13 @@ class TestAlgebra:
     def test_series_signal_flow_order(self):
         up = static_gain([[0.0, 1.0], [0.0, 0.0]])
         down = static_gain([[0.0, 0.0], [1.0, 0.0]])
-        chained = series(up, down)  # signal passes `up` first
+        chained = down @ up  # signal passes `up` first
         np.testing.assert_allclose(chained.d, down.d @ up.d)
 
     def test_series_identity(self):
         g = first_order(-1.0)
         np.testing.assert_allclose(
-            pointwise(series(g, identity_system(1)), 2.0), pointwise(g, 2.0)
+            pointwise(identity_system(1) @ g, 2.0), pointwise(g, 2.0)
         )
 
     def test_series_of_integrator_like_pair_at_zero(self):
