@@ -3,7 +3,7 @@
 Five commands over JSON problem documents: realizability checking,
 coprime factorization, quadratic-cost synthesis, worst-case-gain
 evaluation, and closed-loop assembly.  Outputs are deterministic —
-fixed seeds, no wall-clock data — so identical inputs produce
+no random draws, no wall-clock data — so identical inputs produce
 byte-identical reports and CSV files.  Exit codes: 0 pass, 1 domain
 failure (the mathematics rejected the problem), 2 input error (the
 document or invocation was malformed).
@@ -138,7 +138,7 @@ def _modified_plant(prob, command):
 
 def _factorized(prob, args, command):
     mp = _modified_plant(prob, command)
-    gains = stabilizing_gains(mp, seed=args.seed)
+    gains = stabilizing_gains(mp)
     return mp, coprime_factorization(mp, gains)
 
 
@@ -242,7 +242,7 @@ def _matrix_lines(name, mat, indent="    "):
 def cmd_factorize(args):
     prob = pf.load_problem_file(args.file)
     mp = _modified_plant(prob, "factorize")
-    gains = stabilizing_gains(mp, policy=args.policy, seed=args.seed)
+    gains = stabilizing_gains(mp, policy=args.policy)
     cf = coprime_factorization(mp, gains, check=False)
 
     grid = prob.build_grid(args.grid_points)
@@ -510,13 +510,6 @@ def _add_common(sub):
         help="override the command's pass/fail tolerance",
     )
     sub.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed for randomized internals (gain placement)",
-    )
-    sub.add_argument(
         "--json", action="store_true", help="machine-readable report on stdout"
     )
 
@@ -536,9 +529,10 @@ def build_parser():
     _add_common(p)
     p.add_argument(
         "--policy",
-        choices=("reflect", "zero", "assign"),
+        choices=("reflect", "zero"),
         default="reflect",
-        help="stabilizing-gain placement policy",
+        help="stabilizing gains: reflect (mirror unstable modes into the left "
+        "half-plane) or zero (F = L = 0, stable plants only)",
     )
     p.set_defaults(func=cmd_factorize)
 

@@ -50,7 +50,7 @@ class NotDetectable(CoherentctlError):
 
 
 class PlacementFailed(CoherentctlError):
-    """Eigenvalue assignment did not produce a verified stabilizing gain."""
+    """Gain placement did not produce a verified stabilizing gain."""
 
 
 class BezoutResidualTooLarge(CoherentctlError):

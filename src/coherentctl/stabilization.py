@@ -257,78 +257,83 @@ class GainPair:
     l: np.ndarray
 
 
-def _bidiagonal_target(targets):
-    lam = np.diag(np.asarray(targets, dtype=np.complex128))
-    k = len(targets)
-    if k > 1:
-        lam[np.arange(1, k), np.arange(0, k - 1)] = 1.0
-    return lam
+def _lyapunov_gain(t, b, modes):
+    """-B* Y^-1 with Y solving T Y + Y T* = B B* for upper-triangular T.
 
-
-def _assign_feedback(a, b, should_move, new_location, rng, attempts=8):
-    """F with A + B F keeping the untouched modes and moving the rest.
-
-    Ordered Schur form puts kept modes first; a Sylvester-equation
-    assignment on the trailing block places the moved modes without
-    disturbing the kept ones (the feedback is zero on the leading
-    block's coordinates).
+    T is anti-stable, so Y is positive definite exactly when every mode
+    of T is controllable.  A Y that LAPACK had to perturb or scale, that
+    is not finite, or that is singular to working precision raises
+    ``PlacementFailed`` naming ``modes``.
     """
-    n = a.shape[0]
-    m = b.shape[1]
-    if n == 0:
-        return np.zeros((m, 0), dtype=np.complex128)
-    t, z, sdim = sla.schur(
-        a.astype(np.complex128), output="complex", sort=lambda lam: not should_move(lam)
-    )
-    k = int(sdim)
-    if k == n:
-        return np.zeros((m, n), dtype=np.complex128)
-    t22 = t[k:, k:]
-    b2 = (z.conj().T @ b)[k:]
-    targets = [new_location(lam) for lam in np.linalg.eigvals(t22)]
-    lam = _bidiagonal_target(targets)
-    for _ in range(attempts):
-        g = rng.standard_normal((m, n - k)) + 1j * rng.standard_normal((m, n - k))
-        try:
-            x = sla.solve_sylvester(t22, -lam, -b2 @ g)
-        except (ValueError, np.linalg.LinAlgError):
-            continue
-        if np.linalg.cond(x) > 1e10:
-            continue
-        f2 = g @ np.linalg.inv(x)
-        f = np.hstack([np.zeros((m, k), dtype=np.complex128), f2]) @ z.conj().T
-        return f
+    q = b @ b.conj().T
+    trsyl = sla.get_lapack_funcs("trsyl", (t, q))
+    y, scale, info = trsyl(t, t, q, tranb="C")
+    if info == 0 and scale == 1.0 and np.isfinite(y).all():
+        w = np.linalg.eigvalsh(y)
+        if w[0] > w.size * np.finfo(float).eps * w[-1]:
+            gain = -np.linalg.solve(y.conj().T, b).conj().T
+            if np.isfinite(gain).all():
+                return gain
     raise PlacementFailed(
-        f"could not assign {len(targets)} modes after {attempts} attempts"
+        f"cannot move the modes at {[complex(lam) for lam in modes]}: "
+        "singular Lyapunov solution"
     )
 
 
-def _reflect_location(lam, margin):
-    if abs(lam.real) <= max(margin, 1e-12):
-        return -1.0 + 1j * lam.imag
-    return -lam.real + 1j * lam.imag
+def _mirror_feedback(a, b, margin):
+    """F with A + B F moving every mode at Re >= -margin and keeping the rest.
+
+    Each pass puts the modes it keeps first in an ordered complex Schur
+    form of A + B F, so a gain on the trailing Schur vectors leaves them
+    in place.  The first pass mirrors the strictly unstable modes
+    (s = 0); the second, run only when modes near the axis remain, moves
+    them to -1 + i Im(lam) (s = 1/2).  See :func:`stabilizing_gains`.
+    """
+    n, m = a.shape[0], b.shape[1]
+    f = np.zeros((m, n), dtype=np.complex128)
+    if n == 0:
+        return f
+    axis = max(margin, 1e-12)
+    for sigma, keep in ((0.0, lambda lam: lam.real <= axis),
+                        (0.5, lambda lam: lam.real < -margin)):
+        t, z, k = sla.schur(a + b @ f, output="complex", sort=keep)
+        if k < n:
+            z2 = z[:, k:]
+            t22 = t[k:, k:] + sigma * np.eye(n - k)
+            f = f + _lyapunov_gain(t22, z2.conj().T @ b, np.diag(t)[k:]) @ z2.conj().T
+        if np.all(np.diag(t)[:k].real < -margin):
+            break
+    return f
 
 
-def stabilizing_gains(mp, policy="reflect", margin=1e-9, pbh_tol=1e-8, seed=0):
+def stabilizing_gains(mp, policy="reflect", margin=1e-9, pbh_tol=1e-8):
     """Design (F, L) making A + B2 F and A + L C2 Hurwitz.
 
     Policies
     --------
     ``"reflect"`` (default)
         Keep eigenvalues with Re < -margin, mirror strictly unstable
-        ones across the imaginary axis, and push near-axis modes to
-        real part -1.  A stable plant therefore gets F = 0, L = 0.
+        ones across the imaginary axis (lam -> -conj(lam)), and push
+        near-axis modes to -1 + i Im(lam).  A stable plant therefore
+        gets F = 0, L = 0.  The moved modes get Bass's minimum-energy
+        gain (Armstrong 1975, IEEE TAC 20(1)): on the trailing block T
+        of an ordered Schur form, one Lyapunov solve of
+        (T + s I) Y + Y (T + s I)* = B2 B2* gives F2 = -B2* Y^-1, which
+        lands each mode on -conj(lam) - 2 s.  Strictly unstable modes
+        take s = 0, near-axis modes s = 1/2.  L is the same design on
+        the adjoint pair (A*, C2*).
     ``"zero"``
         F = 0, L = 0 (valid only for a stable plant).
-    ``"assign"``
-        Move every mode to -1, -2, ..., -n.
 
     Raises
     ------
     NotStabilizable / NotDetectable
         On PBH failure (the offending eigenvalues are reported).
     PlacementFailed
-        If the assignment cannot be completed or verification fails.
+        When a moved mode cannot be moved (its Lyapunov solution is
+        singular or not finite; the modes are named, for L as
+        eigenvalues of A*), or when a core is not Hurwitz afterwards,
+        e.g. an unstable plant under ``"zero"``.
     """
     a, b2, c2 = mp.full.a, mp.b2, mp.c2
     n = a.shape[0]
@@ -339,34 +344,14 @@ def stabilizing_gains(mp, policy="reflect", margin=1e-9, pbh_tol=1e-8, seed=0):
     if bad:
         raise NotDetectable(f"undetectable modes at {np.conj(bad).tolist()}")
 
-    rng = np.random.default_rng(seed)
     if policy == "zero":
         f = np.zeros((mp.in_ctrl, n), dtype=np.complex128)
         l = np.zeros((n, mp.out_meas), dtype=np.complex128)
     elif policy == "reflect":
-        # The mirror map commutes with conjugation, so the same callbacks
-        # serve the adjoint problem for L.
-        should_move = lambda lam: lam.real >= -margin  # noqa: E731
-        relocate = lambda lam: _reflect_location(lam, margin)  # noqa: E731
-        f = _assign_feedback(a, b2, should_move, relocate, rng)
-        fl = _assign_feedback(a.conj().T, c2.conj().T, should_move, relocate, rng)
-        l = fl.conj().T
-    elif policy == "assign":
-        # Targets -1, -2, ... skipping anything too close to an existing
-        # eigenvalue (a coincidence would make the placement equations
-        # singular).
-        eigs = np.linalg.eigvals(a) if n else np.array([])
-        slots, candidate = [], 0.0
-        while len(slots) < n:
-            candidate -= 1.0
-            if not eigs.size or np.abs(eigs - candidate).min() > 1e-6:
-                slots.append(candidate)
-        it_f, it_l = iter(slots), iter(slots)
-        f = _assign_feedback(a, b2, lambda lam: True, lambda lam: next(it_f), rng)
-        fl = _assign_feedback(
-            a.conj().T, c2.conj().T, lambda lam: True, lambda lam: next(it_l), rng
-        )
-        l = fl.conj().T
+        # The mirror map commutes with conjugation, so the adjoint
+        # problem gives L.
+        f = _mirror_feedback(a, b2, margin)
+        l = _mirror_feedback(a.conj().T, c2.conj().T, margin).conj().T
     else:
         raise ValueError(f"unknown policy {policy!r}")
 

@@ -37,17 +37,21 @@ def random_statespace(rng, n, p, m, stable=True, margin=0.2):
     return StateSpace(a, b, c, d)
 
 
-def random_slh(rng, n=None, m=None, coupling_scale=1.0):
-    """Random doubled-up network data (canonical modes)."""
+def random_slh(rng, n=None, m=None, coupling_scale=1.0, squeeze=1.0):
+    """Random doubled-up network data (canonical modes).
+
+    ``squeeze`` scales the active parts H2 and L2 on top of
+    ``coupling_scale``; small values give weakly squeezing networks.
+    """
     n = int(n if n is not None else rng.integers(1, 4))
     m = int(m if m is not None else rng.integers(1, 4))
     s = random_unitary(rng, m)
     x = random_complex(rng, (n, n))
     h1 = 0.5 * (x + x.conj().T)
-    y = random_complex(rng, (n, n))
+    y = random_complex(rng, (n, n), squeeze)
     h2 = 0.5 * (y + y.T)
     l1 = random_complex(rng, (m, n), coupling_scale)
-    l2 = random_complex(rng, (m, n), coupling_scale)
+    l2 = random_complex(rng, (m, n), coupling_scale * squeeze)
     return SlhModel(s=s, l1=l1, l2=l2, h1=h1, h2=h2)
 
 

@@ -352,3 +352,8 @@ class TestInvocation:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_removed_gain_options_are_usage_errors(self, capsys):
+        # the eigenvalue-assignment policy and the seed that fed it are gone
+        assert main(["factorize", fx("scalar_demo.json"), "--policy", "assign"]) == 2
+        assert main(["factorize", fx("scalar_demo.json"), "--seed", "3"]) == 2

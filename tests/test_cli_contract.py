@@ -114,6 +114,22 @@ ZERO_WEIGHTS = [
     ("value", ("weights", "w_out", "c", 0, 0, 0), 0.0),
 ]
 HUGE_SCATTERING = [("value", ("plant", "slh", "S", 0, 0, 0), 1e200)]
+# A = diag(-5e-10, -1), B2 = [0; 1]: a stable mode inside the gain margin
+# that the control input cannot reach
+NEAR_AXIS_UNREACHABLE = [
+    (
+        "value",
+        ("plant",),
+        {
+            "abcd": {
+                "a": [[[-5e-10, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+                "b": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]],
+                "c": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]],
+                "d": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            }
+        },
+    )
+]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -151,6 +167,8 @@ HUGE_SCATTERING = [("value", ("plant", "slh", "S", 0, 0, 0), 1e200)]
 # a scattering entry whose products overflow inside the unitarity checks
 @example(case=("cavity_pr.json", HUGE_SCATTERING), command="check-pr")
 @example(case=("cavity_pr.json", HUGE_SCATTERING), command="factorize")
+# an uncontrollable mode that gain placement must move
+@example(case=("scalar_demo.json", NEAR_AXIS_UNREACHABLE), command="factorize")
 def test_mutated_documents_keep_exit_contract(case, command):
     code, err = _run(command, _document(*case))
     assert code in (0, 1, 2)
@@ -173,6 +191,13 @@ def test_unbracketed_hinf_norm_is_domain_failure():
     code, err = _run("eval-hinf", text)
     assert code == 1
     assert err.startswith("NotStable:"), err
+
+
+def test_unreachable_near_axis_mode_is_domain_failure():
+    code, err = _run("factorize", _document("scalar_demo.json", NEAR_AXIS_UNREACHABLE))
+    assert code == 1
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("PlacementFailed:") and "-5e-10" in err
 
 
 def test_non_finite_literals_are_input_errors():

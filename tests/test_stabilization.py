@@ -21,6 +21,7 @@ from coherentctl.statespace import (
     zero_system,
 )
 from coherentctl.norms import is_hurwitz, spectral_abscissa
+from coherentctl.physreal import slh_to_statespace
 from coherentctl.stabilization import (
     CoprimeFactorization,
     GainPair,
@@ -38,7 +39,7 @@ from coherentctl.stabilization import (
     undo_modify,
 )
 
-from conftest import make_rng, random_statespace
+from conftest import make_rng, random_slh, random_statespace
 
 
 def scalar_demo_plant():
@@ -71,6 +72,25 @@ def random_unstable_plant(seed, n=4, n_exo=2, n_ctrl=2, n_perf=2, n_meas=2):
         out_perf=n_perf,
         out_meas=n_meas,
     )
+
+
+def squeezing_plant(seed, modes, fields=4, squeeze=0.3):
+    """Regrouped model of a random squeezing network with 2*modes states.
+
+    Couplings scale as 1/sqrt(modes), so decay rates stay of order one.
+    """
+    rng = make_rng([seed, modes])
+    net = random_slh(
+        rng, n=modes, m=fields, coupling_scale=1.0 / np.sqrt(modes), squeeze=squeeze
+    )
+    pairs = fields // 2
+    part = PartitionSpec(n_r=fields - pairs, n_u=pairs, n_z=fields - pairs, n_y=pairs)
+    return modify_plant(slh_to_statespace(net), part)
+
+
+# (seed, modes) of open-loop-unstable draws on which gains from a randomized
+# Sylvester assignment failed the 1e-8 Bezout check (residuals 1.7e-8 to 3.5e-6)
+SYLVESTER_FAILURES = ((0, 16), (2, 16), (11, 12), (52, 12), (52, 16))
 
 
 class TestPartitionSpec:
@@ -252,25 +272,37 @@ class TestStabilizingGains:
         got = np.linalg.eigvals(a + mp.b2 @ gains.f)
         np.testing.assert_allclose(got, [-1.0 + 3.0j], atol=1e-9)
 
-    def test_assign_policy_places_ladder(self):
-        mp = random_unstable_plant(11, n=3)
-        gains = stabilizing_gains(mp, policy="assign")
-        got = np.sort(np.linalg.eigvals(mp.full.a + mp.b2 @ gains.f).real)
-        np.testing.assert_allclose(got, [-3.0, -2.0, -1.0], atol=1e-7)
-
-    def test_assign_policy_avoids_existing_eigenvalues(self):
-        a = np.diag([-1.0, 2.0]).astype(complex)
+    def test_reflect_moves_mixed_block(self):
+        # a strictly unstable and an on-axis mode are moved together:
+        # the first is mirrored, the second pushed to real part -1
+        a = np.diag([0.5 + 2.0j, 3.0j, -1.0])
         mp = ModifiedPlant(
-            full=StateSpace(a, np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2))),
+            full=StateSpace(a, np.ones((3, 2)), np.ones((2, 3)), np.zeros((2, 2))),
             in_exo=1,
             in_ctrl=1,
             out_perf=1,
             out_meas=1,
         )
-        gains = stabilizing_gains(mp, policy="assign")
-        got = np.sort(np.linalg.eigvals(a + mp.b2 @ gains.f).real)
-        # the slot at -1 collides with an existing mode and is skipped
-        np.testing.assert_allclose(got, [-3.0, -2.0], atol=1e-7)
+        gains = stabilizing_gains(mp)
+        want = [-1.0, -0.5 + 2.0j, -1.0 + 3.0j]
+        for core in (a + mp.b2 @ gains.f, a + gains.l @ mp.c2):
+            got = sorted(np.linalg.eigvals(core), key=lambda z: z.imag)
+            np.testing.assert_allclose(got, want, atol=1e-9)
+
+    def test_uncontrollable_near_axis_mode_fails_placement(self):
+        # -5e-10 is stable, so the PBH test passes, but it lies within the
+        # margin and is moved; B2 cannot reach it
+        a = np.diag([-5e-10, -1.0]).astype(complex)
+        b = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
+        mp = ModifiedPlant(
+            full=StateSpace(a, b, np.ones((2, 2)), np.zeros((2, 2))),
+            in_exo=1,
+            in_ctrl=1,
+            out_perf=1,
+            out_meas=1,
+        )
+        with pytest.raises(PlacementFailed, match=r"-5e-10"):
+            stabilizing_gains(mp)
 
     def test_unstabilizable_reported(self):
         a = np.diag([1.0, -1.0]).astype(complex)
@@ -300,7 +332,7 @@ class TestStabilizingGains:
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="policy"):
-            stabilizing_gains(random_unstable_plant(1), policy="what")
+            stabilizing_gains(random_unstable_plant(1), policy="assign")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reflect_stabilizes_random_plants(self, seed):
@@ -392,6 +424,23 @@ class TestCoprimeFactorization:
             np.testing.assert_allclose(n @ np.linalg.inv(m), pw, atol=1e-8)
             mh, nh = _eval(cf.mhat_factor(), w), _eval(cf.nhat_factor(), w)
             np.testing.assert_allclose(np.linalg.solve(mh, nh), pw, atol=1e-8)
+
+    @pytest.mark.parametrize("seed, modes", SYLVESTER_FAILURES)
+    def test_unstable_squeezing_plants_factor_cleanly(self, seed, modes):
+        mp = squeezing_plant(seed, modes)
+        assert spectral_abscissa(mp.full.a) > 0
+        coprime_factorization(mp, stabilizing_gains(mp))
+
+    def test_unstable_squeezing_sweep_factors_cleanly(self):
+        unstable = 0
+        for seed in range(100, 112):
+            for modes in (4, 12, 16):
+                mp = squeezing_plant(seed, modes)
+                if spectral_abscissa(mp.full.a) <= 0:
+                    continue
+                unstable += 1
+                coprime_factorization(mp, stabilizing_gains(mp))
+        assert unstable >= 24
 
     def test_destabilizing_gains_rejected(self):
         mp = random_unstable_plant(2)
