@@ -234,9 +234,11 @@ def undo_modify(mp, part):
 def pbh_unstabilizable_modes(a, b, tol=1e-8):
     """Closed-right-half-plane eigenvalues failing rank [lambda*I - A, B]."""
     a = np.atleast_2d(np.asarray(a, dtype=np.complex128))
+    if not a.size:
+        return []
     b = np.asarray(b, dtype=np.complex128).reshape(a.shape[0], -1)
     bad = []
-    for lam in np.linalg.eigvals(a) if a.size else []:
+    for lam in np.linalg.eigvals(a):
         if lam.real < 0.0:
             continue
         pencil = np.hstack([lam * np.eye(a.shape[0]) - a, b])
@@ -291,8 +293,6 @@ def _mirror_feedback(a, b, margin):
     """
     n, m = a.shape[0], b.shape[1]
     f = np.zeros((m, n), dtype=np.complex128)
-    if n == 0:
-        return f
     axis = max(margin, 1e-12)
     for sigma, keep in ((0.0, lambda lam: lam.real <= axis),
                         (0.5, lambda lam: lam.real < -margin)):

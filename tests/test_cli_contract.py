@@ -131,6 +131,22 @@ NEAR_AXIS_UNREACHABLE = [
     )
 ]
 
+# a static plant: no states, identity feedthrough
+STATIC_PLANT = [
+    (
+        "value",
+        ("plant",),
+        {
+            "abcd": {
+                "a": [],
+                "b": [],
+                "c": [[], []],
+                "d": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            }
+        },
+    )
+]
+
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(case=mutated(), command=st.sampled_from(COMMANDS))
@@ -169,6 +185,8 @@ NEAR_AXIS_UNREACHABLE = [
 @example(case=("cavity_pr.json", HUGE_SCATTERING), command="factorize")
 # an uncontrollable mode that gain placement must move
 @example(case=("scalar_demo.json", NEAR_AXIS_UNREACHABLE), command="factorize")
+@example(case=("scalar_demo.json", STATIC_PLANT), command="factorize")
+@example(case=("scalar_demo.json", STATIC_PLANT), command="eval-hinf")
 def test_mutated_documents_keep_exit_contract(case, command):
     code, err = _run(command, _document(*case))
     assert code in (0, 1, 2)
@@ -198,6 +216,11 @@ def test_unreachable_near_axis_mode_is_domain_failure():
     assert code == 1
     assert len(err.splitlines()) == 1, err
     assert err.startswith("PlacementFailed:") and "-5e-10" in err
+
+
+def test_static_plant_factorizes():
+    code, err = _run("factorize", _document("scalar_demo.json", STATIC_PLANT))
+    assert (code, err) == (0, "")
 
 
 def test_non_finite_literals_are_input_errors():

@@ -187,6 +187,9 @@ class TestPbh:
         assert pbh_unstabilizable_modes(a.conj().T, c_blind.conj().T)
         assert not pbh_unstabilizable_modes(a.conj().T, c_seeing.conj().T)
 
+    def test_static_model_has_no_modes(self):
+        assert pbh_unstabilizable_modes(np.zeros((0, 0)), np.zeros((0, 2))) == []
+
     def test_complex_modes(self):
         a = np.diag([1j, -1.0 + 0j])
         b = np.array([[1.0], [1.0]], dtype=complex)
