@@ -136,7 +136,7 @@ def _modified_plant(prob, command):
     )
 
 
-def _factorized(prob, args, command):
+def _factorized(prob, command):
     mp = _modified_plant(prob, command)
     gains = stabilizing_gains(mp)
     return mp, coprime_factorization(mp, gains)
@@ -325,7 +325,7 @@ def _pr_block(verdict):
 def cmd_synthesize_h2(args):
     prob = pf.load_problem_file(args.file)
     _require_section(prob.youla is not None, "youla", "synthesize-h2")
-    mp, cf = _factorized(prob, args, "synthesize-h2")
+    mp, cf = _factorized(prob, "synthesize-h2")
     cd = build_constraint_data(cf)
     sp = assemble_problem(
         mp,
@@ -424,7 +424,7 @@ def cmd_synthesize_h2(args):
 
 def cmd_eval_hinf(args):
     prob = pf.load_problem_file(args.file)
-    mp, cf = _factorized(prob, args, "eval-hinf")
+    mp, cf = _factorized(prob, "eval-hinf")
     sp = evaluation_problem(
         mp,
         cf,
@@ -456,7 +456,7 @@ def cmd_eval_hinf(args):
 
 def cmd_closed_loop(args):
     prob = pf.load_problem_file(args.file)
-    mp, cf = _factorized(prob, args, "closed-loop")
+    mp, cf = _factorized(prob, "closed-loop")
     section = _youla_section_from(args, prob)
     if section is None:
         raise ProblemFileError("", "closed-loop needs a parameter (youla section)")

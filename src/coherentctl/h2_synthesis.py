@@ -1,8 +1,9 @@
 """Weighted H2 model matching over the constrained parameter family.
 
-The closed loop is affine in the stable parameter, so wrapping it in
-stable frequency weights gives an exactly quadratic squared-H2 cost.
-This module builds that weighted loop (H-infinity evaluation reuses it),
+The closed loop is the Youla generator closed by the stable parameter,
+so it is affine in that parameter, and wrapping the generator in stable
+frequency weights gives an exactly quadratic squared-H2 cost.  This
+module builds that weighted generator (H-infinity evaluation reuses it),
 the frequency-sampled gradient, and a projected-gradient descent that walks
 the rational coefficient basis while a Gauss-Newton pull-back keeps the
 iterates on the quadratic constraint set.
@@ -70,35 +71,58 @@ BANDWIDTH_DROP = 1e-2
 
 @dataclass
 class SynthesisProblem:
-    """The weighted affine loop ``bold_t0 + bold_t1 Q bold_t2`` on a grid.
+    """The weighted closed loop ``bold_t0 + bold_t1 Q bold_t2`` on a grid.
 
-    One object serves the quadratic cost and the supremum-norm
-    evaluation alike; the cost is the squared H2 norm of that loop.  The
-    hatted operators, derived on first use, fold the outer factors into
-    the quadratic expansion of the cost: ``hat_t0`` drives the linear
-    term, ``hat_t1``/``hat_t2`` the quadratic one, and the gradient is
-    ``2(hat_t0 + hat_t1 Q hat_t2)`` evaluated on ``grid``.  Only descent
-    reads the constraint data ``cd``; only validation reads ``mp``/``cf``.
+    ``generator`` is the weighted Youla generator
+    ``diag(W_out, I) [[T0, T1], [T2, 0]] diag(W_in, I)``; :meth:`loop`
+    closes its lower port with a parameter of ``parameter_shape``.  Of its
+    states [w_out, x, e, w_in], those before ``split`` realize
+    ``bold_t1 = W_out T1`` exactly and the rest ``bold_t2 = T2 W_in``.
+    The cost is the squared H2 norm of the loop.  The hatted operators,
+    derived on first use, fold the outer factors into its quadratic
+    expansion: ``hat_t0`` drives the linear term, ``hat_t1``/``hat_t2``
+    the quadratic one, and the gradient is ``2(hat_t0 + hat_t1 Q hat_t2)``
+    on ``grid``.  Only descent reads the constraint data ``cd``; only
+    validation reads ``mp``/``cf``.
     """
 
-    bold_t0: StateSpace
-    bold_t1: StateSpace
-    bold_t2: StateSpace
+    generator: StateSpace
+    parameter_shape: tuple
+    split: int
     grid: np.ndarray
     mp: object = None
     cf: object = None
     cd: object = None
-    w_in: StateSpace = None
-    w_out: StateSpace = None
 
     @property
-    def parameter_shape(self):
-        """(rows, cols) every admissible parameter must have."""
-        return (self.bold_t1.n_inputs, self.bold_t2.n_outputs)
+    def _outer(self):
+        """(performance, exogenous) widths of the generator."""
+        rows, cols = self.parameter_shape
+        return self.generator.n_outputs - cols, self.generator.n_inputs - rows
+
+    @property
+    def bold_t0(self):
+        nz, nw = self._outer
+        return self.generator.select(rows=slice(0, nz), cols=slice(0, nw))
+
+    @property
+    def bold_t1(self):
+        g, k, (nz, nw) = self.generator, self.split, self._outer
+        return StateSpace(g.a[:k, :k], g.b[:k, nw:], g.c[:nz, :k], g.d[:nz, nw:])
+
+    @property
+    def bold_t2(self):
+        g, k, (nz, nw) = self.generator, self.split, self._outer
+        return StateSpace(g.a[k:, k:], g.b[k:, :nw], g.c[nz:, k:], g.d[nz:, :nw])
 
     def loop(self, q):
-        """Realization of the weighted loop ``bold_t0 + bold_t1 q bold_t2``."""
-        return self.bold_t0 + self.bold_t1 @ parameter_statespace(q) @ self.bold_t2
+        """The weighted loop at ``q``: the generator's lower port closed by it."""
+        qss, (rows, cols) = parameter_statespace(q), self.parameter_shape
+        if qss.shape != (rows, cols):
+            raise DimensionMismatch(
+                f"parameter block {qss.shape} does not fit slots {(rows, cols)}"
+            )
+        return compose_lft(self.generator, qss, n_meas=cols, n_ctrl=rows)
 
     @cached_property
     def hat_t0(self):
@@ -136,10 +160,6 @@ def _prepare_weight(w, width, name):
     return w
 
 
-def _zero_feedthrough(sys):
-    return StateSpace(sys.a, sys.b, sys.c, np.zeros_like(sys.d))
-
-
 def default_descent_grid(w_out, w_in, points=DEFAULT_GRID_POINTS):
     """Log grid spanning the -40 dB bandwidth of the combined weights.
 
@@ -163,7 +183,7 @@ def default_descent_grid(w_out, w_in, points=DEFAULT_GRID_POINTS):
 
 
 def evaluation_problem(mp, cf, w_in=None, w_out=None, grid=None, cd=None):
-    """Wrap the closed-loop triple of ``(mp, cf)`` in stable weights.
+    """Wrap the Youla generator of ``(mp, cf)`` in stable weights.
 
     A missing weight is the identity and a scalar one is tiled across
     the channels; a missing grid spans the weights' bandwidth.  No
@@ -172,33 +192,32 @@ def evaluation_problem(mp, cf, w_in=None, w_out=None, grid=None, cd=None):
     for norm evaluation.  The quadratic cost adds its gate in
     :func:`assemble_problem`.
     """
-    triple = closed_loop_triple(mp, cf)
-    w_out = _prepare_weight(w_out, triple.t0.n_outputs, "w_out")
-    w_in = _prepare_weight(w_in, triple.t0.n_inputs, "w_in")
-    if w_out.n_inputs != triple.t0.n_outputs:
+    w_out = _prepare_weight(w_out, mp.out_perf, "w_out")
+    w_in = _prepare_weight(w_in, mp.in_exo, "w_in")
+    if w_out.n_inputs != mp.out_perf:
         raise DimensionMismatch(
-            f"w_out acts on {w_out.n_inputs} channels, loop emits {triple.t0.n_outputs}"
+            f"w_out acts on {w_out.n_inputs} channels, loop emits {mp.out_perf}"
         )
-    if w_in.n_outputs != triple.t0.n_inputs:
+    if w_in.n_outputs != mp.in_exo:
         raise DimensionMismatch(
-            f"w_in feeds {w_in.n_outputs} channels, loop accepts {triple.t0.n_inputs}"
+            f"w_in feeds {w_in.n_outputs} channels, loop accepts {mp.in_exo}"
         )
 
-    bold_t0 = w_out @ triple.t0 @ w_in
-    bold_t1 = w_out @ triple.t1
-    bold_t2 = triple.t2 @ w_in
+    generator = (
+        blockdiag_systems([w_out, identity_system(mp.out_meas)])
+        @ closed_loop_triple(mp, cf)
+        @ blockdiag_systems([w_in, identity_system(mp.in_ctrl)])
+    )
     if grid is None:
         grid = default_descent_grid(w_out, w_in)
     return SynthesisProblem(
-        bold_t0=bold_t0,
-        bold_t1=bold_t1,
-        bold_t2=bold_t2,
+        generator=generator,
+        parameter_shape=(mp.in_ctrl, mp.out_meas),
+        split=w_out.n_states + mp.full.n_states,
         grid=validate_grid(np.asarray(grid, dtype=np.float64)),
         mp=mp,
         cf=cf,
         cd=cd,
-        w_in=w_in,
-        w_out=w_out,
     )
 
 
@@ -211,12 +230,14 @@ def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_to
     affine factors to lose its feedthrough.  Violations raise
     :class:`NotStrictlyProper` here, at assembly, rather than deep inside
     a norm computation.  Feedthrough within ``properness_tol`` is
-    stripped, and the constraint data must fit the parameter slots.
+    stripped from the generator, and the constraint data must fit the
+    parameter slots.
     """
     sp = evaluation_problem(mp, cf, w_in=w_in, w_out=w_out, grid=grid, cd=cd)
-    d0, d1, d2 = (
-        float(np.abs(t.d).max(initial=0.0)) for t in (sp.bold_t0, sp.bold_t1, sp.bold_t2)
-    )
+    nz, nw = mp.out_perf, mp.in_exo
+    d = sp.generator.d.copy()
+    blocks = (np.s_[:nz, :nw], np.s_[:nz, nw:], np.s_[nz:, :nw])
+    d0, d1, d2 = (float(np.abs(d[blk]).max(initial=0.0)) for blk in blocks)
     if d0 > properness_tol:
         raise NotStrictlyProper(
             f"weighted map keeps feedthrough |D| = {d0:.3e}; "
@@ -231,12 +252,11 @@ def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_to
         raise DimensionMismatch(
             f"constraint blocks are {cd.phi.shape}, parameter slots are {sp.parameter_shape}"
         )
-    return replace(
-        sp,
-        bold_t0=_zero_feedthrough(sp.bold_t0),
-        bold_t1=_zero_feedthrough(sp.bold_t1) if d1 <= properness_tol else sp.bold_t1,
-        bold_t2=_zero_feedthrough(sp.bold_t2) if d2 <= properness_tol else sp.bold_t2,
-    )
+    for blk, size in zip(blocks, (d0, d1, d2)):
+        if size <= properness_tol:
+            d[blk] = 0.0
+    g = sp.generator
+    return replace(sp, generator=StateSpace(g.a, g.b, g.c, d))
 
 
 # -- cost and gradient -------------------------------------------------------
@@ -245,8 +265,8 @@ def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_to
 def cost(sp, q):
     """Squared H2 norm of the weighted loop at parameter ``q`` (Gramian).
 
-    Assembles a realization of ``bold_t0 + bold_t1 q bold_t2`` and solves
-    one Lyapunov equation; exact up to linear-algebra roundoff.
+    Closes the weighted generator with ``q`` and solves one Lyapunov
+    equation; exact up to linear-algebra roundoff.
     """
     return h2_norm_sq(sp.loop(q))
 

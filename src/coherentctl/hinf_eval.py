@@ -1,10 +1,10 @@
 """Supremum-norm evaluation of the weighted closed loop.
 
 Evaluation-only companion to the quadratic-cost machinery: given the
-affine loop operators and a parameter, report the worst-case gain over
-frequency — a bisection-certified peak together with the sampled
-profile.  No descent happens here; optimization belongs to the
-quadratic cost, where the geometry is benign.
+weighted Youla generator and a parameter, close the loop and report its
+worst-case gain over frequency — a bisection-certified peak together
+with the sampled profile.  No descent happens here; optimization belongs
+to the quadratic cost, where the geometry is benign.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class HinfReport:
 
 
 def hinf_cost(sp, q, grid=None, rel_tol=1e-6):
-    """Worst-case gain of ``bold_t0 + bold_t1 q bold_t2``.
+    """Worst-case gain of the weighted loop ``sp.loop(q)``.
 
     The certified value is the maximum of the bisection result and every
     profile sample, so the report's norm is never below a sampled gain.

@@ -37,7 +37,6 @@ from .errors import (
 from .norms import is_hurwitz, peak_frobenius, spectral_abscissa
 from .statespace import (
     StateSpace,
-    compose_lft,
     invert_system,
     log_grid,
     minimal_realization,
@@ -49,7 +48,6 @@ __all__ = [
     "ModifiedPlant",
     "GainPair",
     "CoprimeFactorization",
-    "ClosedLoopTriple",
     "default_verification_grid",
     "modify_plant",
     "undo_modify",
@@ -159,15 +157,6 @@ class ModifiedPlant:
     @property
     def d22(self):
         return self.full.d[self.out_perf :, self.in_exo :]
-
-    def p11(self):
-        return self.full.select(rows=slice(0, self.out_perf), cols=slice(0, self.in_exo))
-
-    def p12(self):
-        return self.full.select(rows=slice(0, self.out_perf), cols=slice(self.in_exo, None))
-
-    def p21(self):
-        return self.full.select(rows=slice(self.out_perf, None), cols=slice(0, self.in_exo))
 
     def p22(self):
         return self.full.select(rows=slice(self.out_perf, None), cols=slice(self.in_exo, None))
@@ -556,31 +545,25 @@ def parameter_from_controller(cf, k, stability_margin=1e-9, feed_tol=1e-9):
     return q
 
 
-@dataclass
-class ClosedLoopTriple:
-    """Affine closed-loop data: ``G(Q) = t0 + t1 Q t2`` with stable parts."""
-
-    t0: StateSpace
-    t1: StateSpace
-    t2: StateSpace
-
-
 def closed_loop_triple(mp, cf):
-    """Stable realizations of the affine closed-loop decomposition.
+    """The Youla generator ``G = [[T0, T1], [T2, 0]]`` of the closed loop.
 
-    ``t1`` and ``t2`` use the exact reduced forms of the compositions
-    (the plant modes cancel structurally), and ``t0`` closes the loop
-    with the observer-form central controller, giving a realization
-    whose spectrum is that of the two gain cores.
+    Every stabilizing closed loop is ``T0 + T1 Q T2 = compose_lft(G, Q)``
+    for a stable Q.  Inputs are (exogenous, q), outputs (performance,
+    innovation), and the states are the plant state x and the estimation
+    error e = x - xhat of the observer-form central controller; T1 lives
+    on x alone, T2 on e alone, D22 drops out and no rank decision is made:
+
+        A = [[A + B2 F, -B2 F], [0, A + L C2]]    B = [[B1, B2], [B1 + L D21, 0]]
+        C = [[C1 + D12 F, -D12 F], [0, C2]]       D = [[D11, D12], [D21, 0]]
     """
-    a, b2, c2 = mp.full.a, mp.b2, mp.c2
-    b1, c1 = mp.b1, mp.c1
+    a, b1, b2, c1, c2 = mp.full.a, mp.b1, mp.b2, mp.c1, mp.c2
     d12, d21 = mp.d12, mp.d21
     f, l = cf.gains.f, cf.gains.l
-
-    t1 = StateSpace(a + b2 @ f, b2, c1 + d12 @ f, d12)
-    t2 = StateSpace(a + l @ c2, b1 + l @ d21, c2, d21)
-    t0 = compose_lft(
-        mp.full, central_controller(mp, cf), n_meas=mp.out_meas, n_ctrl=mp.in_ctrl
+    n = a.shape[0]
+    return StateSpace(
+        np.block([[a + b2 @ f, -b2 @ f], [np.zeros((n, n)), a + l @ c2]]),
+        np.block([[b1, b2], [b1 + l @ d21, np.zeros((n, mp.in_ctrl))]]),
+        np.block([[c1 + d12 @ f, -d12 @ f], [np.zeros((mp.out_meas, n)), c2]]),
+        np.block([[mp.d11, d12], [d21, np.zeros((mp.out_meas, mp.in_ctrl))]]),
     )
-    return ClosedLoopTriple(t0=t0, t1=t1, t2=t2)

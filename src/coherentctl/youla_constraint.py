@@ -28,7 +28,7 @@ import scipy.linalg as sla
 
 from .errors import DimensionMismatch, FeedthroughSingular, RankDeficientProjection
 from .norms import is_hurwitz, is_spectrally_generic, peak_frobenius
-from .stabilization import controller_from_parameter
+from .stabilization import controller_from_parameter, default_verification_grid
 from .statespace import (
     StateSpace,
     conjugate_system,
@@ -267,8 +267,6 @@ def constraint_samples(cd, q, omegas):
 def constraint_residual(cd, q, omegas=None):
     """Worst-case Frobenius norm of the quadratic form over the grid."""
     if omegas is None:
-        from .stabilization import default_verification_grid
-
         omegas = default_verification_grid()
     return peak_frobenius(constraint_samples(cd, q, omegas))
 
@@ -321,8 +319,6 @@ def membership_qhat(cf, q, grid=None, tol=1e-6):
     scattering structure of the controller's feedthrough.
     """
     if grid is None:
-        from .stabilization import default_verification_grid
-
         grid = default_verification_grid()
     cd = build_constraint_data(cf)
 

@@ -159,6 +159,29 @@ def scalar_demo_loop():
     return mp, coprime_factorization(mp, gains)
 
 
+def triple_problem(t0, t1, t2, grid, cd=None):
+    """Synthesis problem of an arbitrary triple: the generator [[t0, t1], [t2, 0]].
+
+    The generator's states are [t0, t1, t2], so those before the split
+    carry t1 (t0's states are unreachable from the parameter port) and
+    those after it are exactly t2's.
+    """
+    from coherentctl.h2_synthesis import SynthesisProblem
+    from coherentctl.statespace import hstack_systems, vstack_systems, zero_system
+
+    generator = vstack_systems([
+        hstack_systems([t0, t1]),
+        hstack_systems([t2, zero_system(t2.n_outputs, t1.n_inputs)]),
+    ])
+    return SynthesisProblem(
+        generator=generator,
+        parameter_shape=(t1.n_inputs, t2.n_outputs),
+        split=t0.n_states + t1.n_states,
+        grid=grid,
+        cd=cd,
+    )
+
+
 def matched_target_problem():
     """Unconstrained quadratic fixture whose minimizer is known exactly.
 
@@ -171,7 +194,6 @@ def matched_target_problem():
 
     Returns (problem, q_target).
     """
-    from coherentctl.h2_synthesis import SynthesisProblem
     from coherentctl.statespace import log_grid
     from coherentctl.youla_constraint import YoulaParameter
 
@@ -183,12 +205,8 @@ def matched_target_problem():
         np.array([[[0.3 + 0.0j]], [[0.5 - 0.2j]], [[-0.2 + 0.1j]]]),
     )
     bold_t0 = -(bold_t1 @ q_target.to_statespace() @ bold_t2)
-    sp = SynthesisProblem(
-        bold_t0=bold_t0,
-        bold_t1=bold_t1,
-        bold_t2=bold_t2,
-        grid=log_grid(1e-2, 1.0, 33),
-        cd=zero_constraints(1),
+    sp = triple_problem(
+        bold_t0, bold_t1, bold_t2, log_grid(1e-2, 1.0, 33), cd=zero_constraints(1)
     )
     return sp, q_target
 

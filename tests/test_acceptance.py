@@ -16,7 +16,6 @@ import pytest
 from coherentctl.cli import main as cli_main
 from coherentctl.h2_synthesis import (
     DescentConfig,
-    SynthesisProblem,
     assemble_problem,
     cost,
     descend,
@@ -66,6 +65,7 @@ from conftest import (
     random_complex,
     random_slh,
     random_statespace,
+    triple_problem,
 )
 
 _MODULE_T0 = time.perf_counter()
@@ -117,12 +117,7 @@ def random_matching_problem(seed):
     t1 = strictly_proper(random_statespace(rng, 2, nz, k))
     t2 = random_statespace(rng, 2, k, nw)
     t0 = strictly_proper(random_statespace(rng, 2, nz, nw))
-    return SynthesisProblem(
-        bold_t0=t0,
-        bold_t1=t1,
-        bold_t2=t2,
-        grid=log_grid(1e-2, 1e1, 17),
-    )
+    return triple_problem(t0, t1, t2, log_grid(1e-2, 1e1, 17))
 
 
 def test_a01_random_networks_are_realizable():
@@ -202,8 +197,9 @@ def test_a03_bezout_identity_and_worked_factors():
 
 
 def test_a04_affine_loop_matches_lft():
-    """t0 + t1 Q t2 equals the closed loop of the assembled controller,
-    and that loop is comfortably Hurwitz, for 50 random plants."""
+    """The Youla generator closed by Q (t0 + t1 Q t2) equals the closed
+    loop of the assembled controller, and that loop is comfortably
+    Hurwitz, for 50 random plants."""
     grid = default_verification_grid()
     for seed in range(50):
         # modest feedthrough and a healthy placement margin keep the
@@ -217,8 +213,10 @@ def test_a04_affine_loop_matches_lft():
             random_complex(rng, (3, mp.in_ctrl, mp.out_meas), scale=0.3),
         )
 
-        triple = closed_loop_triple(mp, cf)
-        affine = triple.t0 + triple.t1 @ q.to_statespace() @ triple.t2
+        affine = compose_lft(
+            closed_loop_triple(mp, cf), q.to_statespace(),
+            n_meas=mp.out_meas, n_ctrl=mp.in_ctrl,
+        )
         k = controller_from_parameter(cf, q)
         loop = compose_lft(mp.full, k, n_meas=mp.out_meas, n_ctrl=mp.in_ctrl)
 

@@ -294,6 +294,22 @@ class TestEvalHinf:
         assert code == 2
         assert "youla" in capsys.readouterr().err
 
+    def test_wrong_shape_parameter_names_the_slots(self, tmp_path, capsys):
+        code = main(
+            [
+                "eval-hinf",
+                fx("allpass_hinf.json"),
+                "--q-from",
+                fx("q_zero_scalar.json"),
+                "--out",
+                str(tmp_path / "p.csv"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "input error: parameter block (1, 1) does not fit slots (2, 2)\n"
+        )
+
 
 class TestClosedLoop:
     def test_quantum_controller_closes_stably(self, capsys):

@@ -255,3 +255,14 @@ def test_overflow_raises_no_numpy_warnings():
         assert code == 1, command
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert [line.split(":")[0] for line in err.splitlines()] == errors, err
+
+
+def test_static_plant_evaluates(tmp_path, capsys):
+    doc = tmp_path / "static.json"
+    doc.write_text(_document("scalar_demo.json", STATIC_PLANT))
+    argv = ["eval-hinf", str(doc), "--json", "--out", str(tmp_path / "profile.csv")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    report = json.loads(captured.out)
+    assert (report["norm"], report["peak_omega"]) == (1.0, -1000.0)

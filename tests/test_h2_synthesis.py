@@ -20,6 +20,7 @@ from coherentctl.h2_synthesis import (
     cost_quadrature,
     default_descent_grid,
     descend,
+    evaluation_problem,
     gradient,
     validate_result,
 )
@@ -28,13 +29,14 @@ from coherentctl.stabilization import (
     GainPair,
     ModifiedPlant,
     closed_loop_triple,
-    compose_lft,
     coprime_factorization,
     controller_from_parameter,
     stabilizing_gains,
 )
 from coherentctl.statespace import (
     StateSpace,
+    blockdiag_systems,
+    compose_lft,
     identity_system,
     log_grid,
     static_gain,
@@ -52,6 +54,8 @@ from conftest import (
     make_rng,
     matched_target_problem,
     mixing_weight_cavity_problem,
+    random_complex,
+    random_statespace,
     scalar_demo_loop,
     zero_constraints,
 )
@@ -118,11 +122,12 @@ class TestAssembleProblem:
     def test_weighted_operators_match_pointwise(self):
         sp = scalar_problem()
         mp, cf = scalar_demo_loop()
-        triple = closed_loop_triple(mp, cf)
+        gen = closed_loop_triple(mp, cf)
         w = lowpass_weight(1.0, 10.0)
         om = sp.grid
         ww = w.response(om)
-        t0, t1, t2 = (s.response(om) for s in (triple.t0, triple.t1, triple.t2))
+        g = gen.response(om)
+        t0, t1, t2 = g[:, :1, :1], g[:, :1, 1:], g[:, 1:, :1]
         assert np.allclose(sp.bold_t0.response(om), ww @ t0 @ ww, atol=1e-12)
         assert np.allclose(sp.bold_t1.response(om), ww @ t1, atol=1e-12)
         assert np.allclose(sp.bold_t2.response(om), t2 @ ww, atol=1e-12)
@@ -144,16 +149,17 @@ class TestAssembleProblem:
         sp = assemble_problem(
             mp, cf, zero_constraints(1), grid=log_grid(1e-1, 1e1, 7)
         )
-        triple = closed_loop_triple(mp, cf)
+        gen = closed_loop_triple(mp, cf)
         om = sp.grid
         assert np.allclose(
-            sp.bold_t0.response(om), triple.t0.response(om), atol=1e-12
+            sp.bold_t0.response(om), gen.response(om)[:, :1, :1], atol=1e-12
         )
-        assert sp.w_in.n_states == 0 and sp.w_out.n_states == 0
+        assert sp.generator.n_states == gen.n_states
 
     def test_scalar_weight_tiles_to_loop_width(self):
         sp, _ = mixing_weight_cavity_problem()
-        assert sp.w_in.shape == (2, 2)
+        # the tiled input weight adds one pole per exogenous channel
+        assert sp.bold_t2.n_states == sp.mp.full.n_states + 2
         assert sp.bold_t0.shape == (2, 2)
         assert sp.parameter_shape == (2, 2)
 
@@ -248,19 +254,45 @@ class TestAssembleProblem:
             )
 
 
+class TestLoop:
+    def test_structural_order_and_weighted_lft(self):
+        """The loop keeps the weights, x and e once each, plus Q's chain."""
+        rng = make_rng(2718)
+        base = random_statespace(rng, 3, 4, 4, stable=True)
+        full = StateSpace(base.a + 1.2 * np.eye(3), base.b, base.c, base.d)
+        mp = ModifiedPlant(full, in_exo=2, in_ctrl=2, out_perf=2, out_meas=2)
+        cf = coprime_factorization(mp, stabilizing_gains(mp))
+        w_out = random_statespace(rng, 2, 2, 2, stable=True)
+        w_in = random_statespace(rng, 3, 2, 2, stable=True)
+        sp = evaluation_problem(
+            mp, cf, w_in=w_in, w_out=w_out, grid=log_grid(0.1, 10.0, 5)
+        )
+        q = YoulaParameter(1.0, 0.3 * random_complex(rng, (4, 2, 2)))
+
+        loop = sp.loop(q)
+        assert loop.n_states == 2 + 2 * 3 + 3 + q.to_statespace().n_states
+        k = controller_from_parameter(cf, q)
+        direct = w_out @ compose_lft(full, k, n_meas=2, n_ctrl=2) @ w_in
+        for w in (0.0, 0.3, 1.7, 9.0):
+            np.testing.assert_allclose(
+                loop.freq_response(w), direct.freq_response(w), rtol=1e-9, atol=1e-9
+            )
+
+
 class TestCost:
     def test_matches_directly_assembled_weighted_loop(self):
         sp = cavity_problem()
         q = exact_cavity_parameter(2)
+        w = blockdiag_systems([lowpass_weight(0.7, 10.0)] * 2)
         direct = h2_norm_sq(
-            sp.w_out
+            w
             @ compose_lft(
                 sp.mp.full,
                 controller_from_parameter(sp.cf, q),
                 n_meas=sp.mp.out_meas,
                 n_ctrl=sp.mp.in_ctrl,
             )
-            @ sp.w_in
+            @ w
         )
         assert cost(sp, q) == pytest.approx(direct, rel=1e-6)
 

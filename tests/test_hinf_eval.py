@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from coherentctl.errors import DimensionMismatch, NotStable
-from coherentctl.h2_synthesis import SynthesisProblem
 from coherentctl.hinf_eval import HinfReport, evaluation_problem, hinf_cost
 from coherentctl.statespace import (
     StateSpace,
@@ -20,6 +19,7 @@ from conftest import (
     lowpass_weight,
     make_rng,
     random_statespace,
+    triple_problem,
 )
 
 
@@ -39,7 +39,7 @@ def fixed_loop_problem(bold_t0, grid=None):
 def synthetic_problem(bold_t0, bold_t1, bold_t2, grid=None):
     if grid is None:
         grid = log_grid(1e-2, 1e2, 41)
-    return SynthesisProblem(bold_t0=bold_t0, bold_t1=bold_t1, bold_t2=bold_t2, grid=grid)
+    return triple_problem(bold_t0, bold_t1, bold_t2, grid)
 
 
 class TestHinfCost:

@@ -525,57 +525,90 @@ class TestParameterMaps:
             parameter_from_controller(cf, zero_system(1, 2))
 
 
+def generator_blocks(mp, gen):
+    """T0, T1 and T2 of a Youla generator, as selections of its ports."""
+    nz, nw = mp.out_perf, mp.in_exo
+    return (
+        gen.select(rows=slice(0, nz), cols=slice(0, nw)),
+        gen.select(rows=slice(0, nz), cols=slice(nw, None)),
+        gen.select(rows=slice(nz, None), cols=slice(0, nw)),
+    )
+
+
 class TestClosedLoopTriple:
     def test_scalar_demo_values(self):
         mp, cf = scalar_demo_factors()
-        triple = closed_loop_triple(mp, cf)
+        t0, t1, t2 = generator_blocks(mp, closed_loop_triple(mp, cf))
         for w in (0.0, 0.41, 3.0):
             s = 1j * w
+            np.testing.assert_allclose(_eval(t1, w), [[1 / (s + 1)]], atol=1e-12)
+            np.testing.assert_allclose(_eval(t2, w), [[1 / (s + 1)]], atol=1e-12)
             np.testing.assert_allclose(
-                _eval(triple.t1, w), [[1 / (s + 1)]], atol=1e-12
-            )
-            np.testing.assert_allclose(
-                _eval(triple.t2, w), [[1 / (s + 1)]], atol=1e-12
-            )
-            np.testing.assert_allclose(
-                _eval(triple.t0, w), [[(s + 3) / (s + 1) ** 2]], atol=1e-12
+                _eval(t0, w), [[(s + 3) / (s + 1) ** 2]], atol=1e-12
             )
 
     def test_all_parts_stable(self):
         mp = random_unstable_plant(4)
         cf = coprime_factorization(mp, stabilizing_gains(mp))
-        triple = closed_loop_triple(mp, cf)
-        for part in (triple.t0, triple.t1, triple.t2):
-            assert is_hurwitz(part.a)
+        gen = closed_loop_triple(mp, cf)
+        assert is_hurwitz(gen.a)
+        cores = np.concatenate([
+            np.linalg.eigvals(cf.right_family.a), np.linalg.eigvals(cf.left_family.a)
+        ])
+        np.testing.assert_allclose(
+            np.sort_complex(np.linalg.eigvals(gen.a)), np.sort_complex(cores), atol=1e-9
+        )
+
+    def test_t1_and_t2_are_exact_state_slices(self):
+        """T1 lives on the x states and T2 on the e states, entry for entry."""
+        mp = random_unstable_plant(5, n=3)
+        cf = coprime_factorization(mp, stabilizing_gains(mp))
+        gen = closed_loop_triple(mp, cf)
+        a, b2, c2, f, l = mp.full.a, mp.b2, mp.c2, cf.gains.f, cf.gains.l
+        n, nz, nw = 3, mp.out_perf, mp.in_exo
+        assert gen.n_states == 2 * n
+        np.testing.assert_array_equal(gen.a[:n, :n], a + b2 @ f)
+        np.testing.assert_array_equal(gen.b[:n, nw:], b2)
+        np.testing.assert_array_equal(gen.c[:nz, :n], mp.c1 + mp.d12 @ f)
+        np.testing.assert_array_equal(gen.a[n:, n:], a + l @ c2)
+        np.testing.assert_array_equal(gen.b[n:, :nw], mp.b1 + l @ mp.d21)
+        np.testing.assert_array_equal(gen.c[nz:, n:], c2)
+        # the q input reaches no e state and the innovation sees no x state
+        assert not gen.b[n:, nw:].any() and not gen.c[nz:, :n].any()
+        assert not gen.a[n:, :n].any() and not gen.d[nz:, nw:].any()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_affine_formula_matches_lft(self, seed):
         mp = random_unstable_plant(seed, n=3)
         cf = coprime_factorization(mp, stabilizing_gains(mp))
-        triple = closed_loop_triple(mp, cf)
+        gen = closed_loop_triple(mp, cf)
         rng = make_rng(100 + seed)
         q = random_statespace(rng, 2, mp.in_ctrl, mp.out_meas, stable=True)
         k = controller_from_parameter(cf, q)
         loop = compose_lft(mp.full, k, n_meas=mp.out_meas, n_ctrl=mp.in_ctrl)
         assert is_hurwitz(loop.a)
-        affine = triple.t0 + triple.t1 @ q @ triple.t2
+        closed = compose_lft(gen, q, n_meas=mp.out_meas, n_ctrl=mp.in_ctrl)
+        assert closed.n_states == 2 * 3 + 2
+        t0, t1, t2 = generator_blocks(mp, gen)
+        affine = t0 + t1 @ q @ t2
         for w in (0.0, 0.23, 1.1, 6.5):
-            np.testing.assert_allclose(
-                _eval(affine, w), _eval(loop, w), atol=1e-7
-            )
+            np.testing.assert_allclose(_eval(closed, w), _eval(loop, w), atol=1e-7)
+            np.testing.assert_allclose(_eval(affine, w), _eval(loop, w), atol=1e-7)
 
     def test_center_matches_lft_of_central_controller(self):
         mp = random_unstable_plant(6, n=3)
         cf = coprime_factorization(mp, stabilizing_gains(mp))
-        triple = closed_loop_triple(mp, cf)
+        t0, _, _ = generator_blocks(mp, closed_loop_triple(mp, cf))
         k0 = central_controller(mp, cf)
         loop = compose_lft(mp.full, k0, n_meas=mp.out_meas, n_ctrl=mp.in_ctrl)
         for w in (0.0, 0.77, 4.2):
-            np.testing.assert_allclose(_eval(triple.t0, w), _eval(loop, w), atol=1e-9)
+            np.testing.assert_allclose(_eval(t0, w), _eval(loop, w), atol=1e-9)
 
     def test_minimal_orders_of_demo_triple(self):
         mp, cf = scalar_demo_factors()
-        triple = closed_loop_triple(mp, cf)
-        assert minimal_realization(triple.t0).n_states == 2
-        assert minimal_realization(triple.t1).n_states == 1
-        assert minimal_realization(triple.t2).n_states == 1
+        gen = closed_loop_triple(mp, cf)
+        assert gen.n_states == 2
+        t0, t1, t2 = generator_blocks(mp, gen)
+        assert minimal_realization(t0).n_states == 2
+        assert minimal_realization(t1).n_states == 1
+        assert minimal_realization(t2).n_states == 1
