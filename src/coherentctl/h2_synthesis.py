@@ -96,7 +96,7 @@ class SynthesisProblem:
 
     @property
     def _outer(self):
-        """(performance, exogenous) widths of the generator."""
+        """Outer widths of the weighted generator: W_out outputs, W_in inputs."""
         rows, cols = self.parameter_shape
         return self.generator.n_outputs - cols, self.generator.n_inputs - rows
 
@@ -234,7 +234,7 @@ def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_to
     parameter slots.
     """
     sp = evaluation_problem(mp, cf, w_in=w_in, w_out=w_out, grid=grid, cd=cd)
-    nz, nw = mp.out_perf, mp.in_exo
+    nz, nw = sp._outer
     d = sp.generator.d.copy()
     blocks = (np.s_[:nz, :nw], np.s_[:nz, nw:], np.s_[nz:, :nw])
     d0, d1, d2 = (float(np.abs(d[blk]).max(initial=0.0)) for blk in blocks)

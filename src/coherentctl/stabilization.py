@@ -158,6 +158,15 @@ class ModifiedPlant:
     def d22(self):
         return self.full.d[self.out_perf :, self.in_exo :]
 
+    def p11(self):
+        return self.full.select(rows=slice(0, self.out_perf), cols=slice(0, self.in_exo))
+
+    def p12(self):
+        return self.full.select(rows=slice(0, self.out_perf), cols=slice(self.in_exo, None))
+
+    def p21(self):
+        return self.full.select(rows=slice(self.out_perf, None), cols=slice(0, self.in_exo))
+
     def p22(self):
         return self.full.select(rows=slice(self.out_perf, None), cols=slice(self.in_exo, None))
 

@@ -204,6 +204,42 @@ class TestAssembleProblem:
         value = cost(sp, random_parameter(0, order=1))
         assert np.isfinite(value) and value >= 0.0
 
+    @staticmethod
+    def _wide_performance_plant():
+        """Unstable plant with two performance channels and D21 != 0."""
+        rng = make_rng(1618)
+        base = random_statespace(rng, 3, 3, 3, stable=True)
+        d = base.d.copy()
+        d[2, :2] = [0.8, -0.5]
+        full = StateSpace(base.a + 1.2 * np.eye(3), base.b, base.c, d)
+        mp = ModifiedPlant(full, in_exo=2, in_ctrl=1, out_perf=2, out_meas=1)
+        return mp, coprime_factorization(mp, stabilizing_gains(mp))
+
+    def test_non_square_output_weight_gates_its_own_rows(self):
+        """A 1x2 strictly proper w_out: D21 stays out of the constant term."""
+        mp, cf = self._wide_performance_plant()
+        w_out = StateSpace([[-3.0]], [[1.0, 2.0]], [[1.5]], [[0.0, 0.0]])
+        sp = assemble_problem(
+            mp, cf, zero_constraints(1), w_out=w_out, grid=log_grid(0.1, 10.0, 5)
+        )
+        assert sp.bold_t0.shape == (1, 2)
+        assert np.abs(sp.bold_t2.d).max() > 0.4
+        q = random_parameter(3, order=2, scale=0.3)
+        k = controller_from_parameter(cf, q)
+        direct = h2_norm_sq(w_out @ compose_lft(mp.full, k, n_meas=1, n_ctrl=1))
+        assert cost(sp, q) == pytest.approx(direct, rel=1e-9)
+
+    def test_non_square_output_weight_feedthrough_rejected(self):
+        """A 3x2 w_out whose only feedthrough sits on its third row."""
+        mp, cf = self._wide_performance_plant()
+        d = np.zeros((3, 2))
+        d[2] = [0.0, 1.0]
+        w_out = StateSpace(-2.0 * np.eye(2), np.eye(2), np.ones((3, 2)), d)
+        with pytest.raises(NotStrictlyProper, match="weighted map"):
+            assemble_problem(
+                mp, cf, zero_constraints(1), w_out=w_out, grid=log_grid(0.1, 10.0, 5)
+            )
+
     def test_constraint_width_mismatch_rejected(self):
         mp, cf = scalar_demo_loop()
         with pytest.raises(DimensionMismatch):
