@@ -2,7 +2,7 @@
 
 Evaluation-only companion to the quadratic-cost machinery: given the
 weighted Youla generator and a parameter, close the loop and report its
-worst-case gain over frequency — a bisection-certified peak together
+worst-case gain over frequency — a level-set-certified peak together
 with the sampled profile.  No descent happens here; optimization belongs
 to the quadratic cost, where the geometry is benign.
 """
@@ -26,9 +26,9 @@ class HinfReport:
     """Worst-case gain report.
 
     ``norm`` is the certified supremum (never below any sampled value),
-    ``peak_omega`` a frequency attaining it to within the bisection
+    ``peak_omega`` a frequency attaining it to within the level-set
     tolerance, and ``grid_profile`` the ``(n_omega, 2)`` array of
-    ``(omega, sigma_max)`` samples that seeded the search.
+    ``(omega, sigma_max)`` samples on the problem grid.
     """
 
     norm: float
@@ -47,7 +47,7 @@ class HinfReport:
 def hinf_cost(sp, q, grid=None, rel_tol=1e-6):
     """Worst-case gain of the weighted loop ``sp.loop(q)``.
 
-    The certified value is the maximum of the bisection result and every
+    The certified value is the maximum of the level-set result and every
     profile sample, so the report's norm is never below a sampled gain.
 
     Raises

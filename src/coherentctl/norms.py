@@ -1,4 +1,4 @@
-"""Stability predicates and system norms (H2 via Lyapunov, Hinf via bisection)."""
+"""Stability predicates and system norms (H2 via Lyapunov, Hinf via level sets)."""
 
 from __future__ import annotations
 
@@ -148,17 +148,15 @@ def sigma_max_profile(sys, grid):
 
 
 def _default_hinf_grid(sys):
-    scale = [1.0]
-    if sys.n_states:
-        eig = np.linalg.eigvals(sys.a)
-        scale.extend(np.abs(eig[np.abs(eig) > 0]).tolist())
-    lo, hi = min(scale) * 1e-3, max(scale) * 1e3
-    pos = np.logspace(np.log10(lo), np.log10(hi), 256)
-    extra = []
-    if sys.n_states:
-        extra = [im for im in np.linalg.eigvals(sys.a).imag if im != 0.0]
-    pts = np.concatenate([-pos[::-1], [0.0], pos, np.asarray(extra, dtype=float)])
-    return np.unique(pts)
+    """Start frequencies of the level-set iteration.
+
+    Zero, the imaginary parts of A's eigenvalues (where resonant peaks
+    sit) and +-1e3 * max(1, spectral radius), where a supremum that is
+    approached as omega -> infinity (feedthrough-dominated) shows.
+    """
+    eig = np.linalg.eigvals(sys.a) if sys.n_states else np.zeros(0)
+    top = 1e3 * max(1.0, float(np.abs(eig).max(initial=0.0)))
+    return np.unique(np.concatenate([[-top, 0.0, top], eig.imag]))
 
 
 def _imaginary_crossings(sys, gamma):
@@ -193,71 +191,70 @@ def _imaginary_crossings(sys, gamma):
 def hinf_norm(sys, rel_tol=1e-6, grid=None, max_iter=80):
     """Hinf norm ``sup_w sigma_max(G(iw))`` of a stable model.
 
-    A coarse grid maximum warm-starts a bisection on the imaginary-axis
-    eigenvalue test of the associated Hamiltonian-type matrix; candidate
-    peak frequencies from the final bracketing step refine the result.
+    Level-set iteration (Boyd and Balakrishnan 1990; Bruinsma and
+    Steinbuch 1990): the best sample ``lo`` seeds an imaginary-axis
+    eigenvalue test of the Hamiltonian-type matrix at the level
+    ``lo * (1 + rel_tol/2)``.  Axis eigenvalues there are the crossing
+    frequencies; sampling sigma_max at them and at the midpoints between
+    them raises ``lo``, quadratically near a peak.  A level with no axis
+    eigenvalue is a certified upper bound within ``rel_tol`` of an
+    attained sample, and is returned.
+
+    Parameters
+    ----------
+    grid : array_like, optional
+        Start frequencies; defaults to zero, the imaginary parts of A's
+        eigenvalues and +-1e3 * max(1, spectral radius).
+    max_iter : int
+        Bound on the number of level tests.
 
     Returns
     -------
     value : float
     peak_omega : float
-        A frequency (from the sampled candidates) attaining the
-        returned value to within the tolerance.
+        The sampled frequency with the largest sigma_max.
 
     Raises
     ------
     NotStable
-        When the model is unstable, or when ``max_iter`` doublings of the
-        grid maximum find no certified upper bound whose square is finite.
+        When the model is unstable, or when ``max_iter`` level tests find
+        no certified upper bound whose square is finite.
     """
     if sys.n_states and not is_hurwitz(sys.a, 0.0):
         raise NotStable("Hinf norm on the axis undefined for an unstable model")
     if grid is None:
         grid = _default_hinf_grid(sys)
     grid = np.asarray(grid, dtype=np.float64)
-    resp = sys.response(grid)
-    prof = np.linalg.svd(resp, compute_uv=False)[:, 0]
+    prof = np.linalg.svd(sys.response(grid), compute_uv=False)[:, 0]
     k0 = int(np.argmax(prof))
-    grid_max, peak = float(prof[k0]), float(grid[k0])
+    best, peak = float(prof[k0]), float(grid[k0])
     if sys.n_states == 0:
-        return grid_max, peak
+        return best, peak
 
     sig_d = float(np.linalg.svd(sys.d, compute_uv=False)[0]) if sys.d.size else 0.0
-    lo = max(grid_max, sig_d * (1.0 + 1e-12)) + 1e-300
-    hi = max(2.0 * lo, 1e-12)
-    certified = False
+    # floored so that the test's level squared stays a normal float
+    lo = max(best, sig_d * (1.0 + 1e-12), 1e-150)
+    level = lo
     for _ in range(max_iter):
-        # the crossing test squares its level: stop doubling short of overflow
-        if not math.isfinite(hi * hi):
+        level = lo * (1.0 + 0.5 * rel_tol)
+        # the crossing test squares its level
+        if not math.isfinite(level * level):
             break
-        certified = _imaginary_crossings(sys, hi) is None
-        if certified:
-            break
-        hi *= 2.0
-    if not certified:
-        raise NotStable(
-            f"Hinf norm not bracketed: no certified upper bound up to {hi:.3e} "
-            f"(grid peak {grid_max:.3e})"
-        )
-    candidates = [peak]
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * lo:
-            break
-        mid = 0.5 * (lo + hi)
-        crossings = _imaginary_crossings(sys, mid)
+        crossings = _imaginary_crossings(sys, level)
         if crossings is None:
-            hi = mid
-        else:
-            lo = mid
-            if crossings.size >= 2:
-                candidates.extend(0.5 * (crossings[:-1] + crossings[1:]))
-            candidates.extend(crossings)
-    cand = np.unique(np.asarray(candidates, dtype=np.float64))
-    cprof = np.linalg.svd(sys.response(cand), compute_uv=False)[:, 0]
-    kbest = int(np.argmax(cprof))
-    # hi certifies ||G||_inf < hi, so it dominates any sampled value;
-    # report it (within rel_tol of the lower bracket) plus the best
-    # frequency seen among the crossing candidates.
-    value = max(float(cprof[kbest]), grid_max, hi)
-    peak = float(cand[kbest]) if cprof[kbest] >= grid_max else peak
-    return value, peak
+            return level, peak
+        if crossings.size:
+            lo_w, hi_w = crossings[:-1], crossings[1:]
+            # arithmetic midpoints, plus geometric ones for intervals on one
+            # side of zero, where a wide interval's peak sits low in log scale
+            geo = np.sign(lo_w) * np.sqrt(np.maximum(lo_w * hi_w, 0.0))
+            cand = np.unique(np.concatenate([crossings, 0.5 * (lo_w + hi_w), geo]))
+            cprof = np.linalg.svd(sys.response(cand), compute_uv=False)[:, 0]
+            k = int(np.argmax(cprof))
+            if cprof[k] > best:
+                best, peak = float(cprof[k]), float(cand[k])
+        lo = max(level, best)
+    raise NotStable(
+        f"Hinf norm not bracketed: no certified upper bound up to {level:.3e} "
+        f"(best sample {best:.3e})"
+    )

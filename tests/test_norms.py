@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coherentctl import norms
 from coherentctl.errors import NotStable, NotStrictlyProper
 from coherentctl.norms import (
     h2_norm_sq,
@@ -105,13 +106,61 @@ class TestHinf:
         assert val == pytest.approx(expected, rel=1e-6)
         assert abs(peak) == pytest.approx(np.sqrt(1 - 2 * zeta**2), rel=1e-4)
 
+    @staticmethod
+    def count_level_tests(monkeypatch):
+        levels = []
+        test = norms._imaginary_crossings
+
+        def counted(sys, gamma):
+            levels.append(gamma)
+            return test(sys, gamma)
+
+        monkeypatch.setattr(norms, "_imaginary_crossings", counted)
+        return levels
+
+    def test_resonant_peak_takes_few_level_tests(self, monkeypatch):
+        zeta = 0.05
+        a = np.array([[0.0, 1.0], [-1.0, -2.0 * zeta]])
+        sys = StateSpace(a, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        levels = self.count_level_tests(monkeypatch)
+        val, _ = hinf_norm(sys, rel_tol=1e-8)
+        assert val == pytest.approx(1.0 / (2 * zeta * np.sqrt(1 - zeta**2)), rel=1e-8)
+        assert len(levels) <= 3
+
+    def test_wide_crossing_interval_takes_few_level_tests(self, monkeypatch):
+        # G(s) = 3 + exp(2.2i)/(s + 0.5): the best start sample, 3.0008 at
+        # omega = 1e3, sits just above |D| = 3, so the first crossing
+        # interval is [0.16, 998] and its arithmetic midpoint lands far
+        # past the peak near omega = 0.68
+        sys = StateSpace([[-0.5]], [[1.0]], [[np.exp(2.2j)]], [[3.0]])
+        levels = self.count_level_tests(monkeypatch)
+        val, peak = hinf_norm(sys)
+        local = np.linspace(0.0, 2.0, 20001)
+        prof = sigma_max_profile(sys, local)
+        assert prof.max() <= val <= prof.max() * (1.0 + 1e-6)
+        assert abs(peak - local[np.argmax(prof)]) < 1e-2
+        assert len(levels) <= 6
+
+    def test_feedthrough_dominated_supremum(self):
+        # G(s) = 2 - 1/(s+1): sigma^2 = 4 - 3/(1 + w^2) approaches 2 only
+        # as w -> infinity, which the pole frequencies alone do not see
+        sys = StateSpace([[-1.0]], [[1.0]], [[-1.0]], [[2.0]])
+        val, peak = hinf_norm(sys)
+        assert 2.0 <= val <= 2.0 * (1.0 + 1e-6)
+        at_peak = np.linalg.svd(sys.response([peak]), compute_uv=False)[0, 0]
+        assert at_peak >= val * (1.0 - 1e-3)
+
+    def test_zero_output_certifies_a_tiny_level(self):
+        val, _ = hinf_norm(StateSpace([[-1.0]], [[1.0]], [[0.0]], [[0.0]]))
+        assert 0.0 < val <= 1e-149
+
     def test_static(self):
         val, peak = hinf_norm(static_gain([[3.0, 0.0], [0.0, 1.0]]))
         assert val == pytest.approx(3.0)
 
     def test_unbracketed_norm_is_not_certified(self):
-        # peak 1/(2 zeta) = 5e3, far above what three doublings of the
-        # two-point grid's maximum reach
+        # peak 1/(2 zeta) = 5e3, far above what three level tests from
+        # the two-point grid's maximum reach
         zeta = 1e-4
         a = np.array([[0.0, 1.0], [-1.0, -2.0 * zeta]])
         sys = StateSpace(a, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
