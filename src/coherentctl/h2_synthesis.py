@@ -4,9 +4,10 @@ The closed loop is the Youla generator closed by the stable parameter,
 so it is affine in that parameter, and wrapping the generator in stable
 frequency weights gives an exactly quadratic squared-H2 cost.  This
 module builds that weighted generator (H-infinity evaluation reuses it),
-the frequency-sampled gradient, and a projected-gradient descent that walks
-the rational coefficient basis while a Gauss-Newton pull-back keeps the
-iterates on the quadratic constraint set.
+the gradient sampled on a frequency grid from the generator's responses,
+and a projected-gradient descent that walks the rational coefficient
+basis while a Gauss-Newton pull-back keeps the iterates on the quadratic
+constraint set.
 """
 
 from __future__ import annotations
@@ -27,12 +28,9 @@ from .errors import (
     StalledLineSearch,
 )
 from .norms import (
-    h2_inner_quadrature,
     h2_norm_sq,
-    h2_norm_sq_quadrature,
     is_hurwitz,
     peak_frobenius,
-    quad_grid,
     sigma_max_profile,
     spectral_abscissa,
 )
@@ -41,7 +39,6 @@ from .statespace import (
     StateSpace,
     blockdiag_systems,
     compose_lft,
-    conjugate_system,
     identity_system,
     log_grid,
     validate_grid,
@@ -78,12 +75,12 @@ class SynthesisProblem:
     closes its lower port with a parameter of ``parameter_shape``.  Of its
     states [w_out, x, e, w_in], those before ``split`` realize
     ``bold_t1 = W_out T1`` exactly and the rest ``bold_t2 = T2 W_in``.
-    The cost is the squared H2 norm of the loop.  The hatted operators,
-    derived on first use, fold the outer factors into its quadratic
-    expansion: ``hat_t0`` drives the linear term, ``hat_t1``/``hat_t2``
-    the quadratic one, and the gradient is ``2(hat_t0 + hat_t1 Q hat_t2)``
-    on ``grid``.  Only descent reads the constraint data ``cd``; only
-    validation reads ``mp``/``cf``.
+    The cost is the squared H2 norm of the loop.  The hatted samples,
+    taken on first use, fold the outer factors into its quadratic
+    expansion: ``T1* T0 T2*`` drives the linear term, ``T1* T1`` and
+    ``T2 T2*`` the quadratic one, and the gradient is
+    ``2(T1* T0 T2* + T1* T1 Q T2 T2*)`` on ``grid``.  Only descent reads
+    the constraint data ``cd``; only validation reads ``mp``/``cf``.
     """
 
     generator: StateSpace
@@ -125,21 +122,16 @@ class SynthesisProblem:
         return compose_lft(self.generator, qss, n_meas=cols, n_ctrl=rows)
 
     @cached_property
-    def hat_t0(self):
-        return conjugate_system(self.bold_t1) @ self.bold_t0 @ conjugate_system(self.bold_t2)
-
-    @cached_property
-    def hat_t1(self):
-        return conjugate_system(self.bold_t1) @ self.bold_t1
-
-    @cached_property
-    def hat_t2(self):
-        return self.bold_t2 @ conjugate_system(self.bold_t2)
-
-    @cached_property
     def hat_samples(self):
-        """Grid responses of the three hatted operators."""
-        return tuple(h.response(self.grid) for h in (self.hat_t0, self.hat_t1, self.hat_t2))
+        """Samples of ``T1* T0 T2*``, ``T1* T1`` and ``T2 T2*`` on ``grid``.
+
+        T0, T1 and T2 are the weighted blocks ``bold_t0/1/2``.  On the
+        axis the adjoint is the pointwise conjugate transpose, so all
+        three come from those blocks' responses.
+        """
+        t0, t1, t2 = (t.response(self.grid) for t in (self.bold_t0, self.bold_t1, self.bold_t2))
+        t1h, t2h = t1.conj().swapaxes(1, 2), t2.conj().swapaxes(1, 2)
+        return t1h @ t0 @ t2h, t1h @ t1, t2 @ t2h
 
     @cached_property
     def cd_samples(self):
@@ -248,9 +240,10 @@ def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_to
             "both affine factors keep feedthrough "
             f"({d1:.3e}, {d2:.3e}); parameter directions would not stay H2"
         )
-    if cd.phi.shape != sp.parameter_shape:
+    if (cd.width, cd.width) != sp.parameter_shape:
         raise DimensionMismatch(
-            f"constraint blocks are {cd.phi.shape}, parameter slots are {sp.parameter_shape}"
+            f"constraint blocks are {(cd.width, cd.width)}, "
+            f"parameter slots are {sp.parameter_shape}"
         )
     for blk, size in zip(blocks, (d0, d1, d2)):
         if size <= properness_tol:
@@ -271,25 +264,8 @@ def cost(sp, q):
     return h2_norm_sq(sp.loop(q))
 
 
-def cost_quadrature(sp, q, grid=None):
-    """The same cost through its quadratic expansion and quadrature.
-
-    ``E = ||bold_t0||^2 + 2 Re<hat_t0, Q> + <Q, hat_t1 Q hat_t2>`` with
-    every term integrated over a wide two-sided frequency grid.  This is
-    an independent cross-check of :func:`cost`; accuracy is set by the
-    quadrature grid, not by the Lyapunov solver.
-    """
-    qss = parameter_statespace(q)
-    if grid is None:
-        grid = quad_grid(sp.bold_t0, sp.hat_t0, sp.hat_t1, sp.hat_t2, qss)
-    base = h2_norm_sq_quadrature(sp.bold_t0, grid)
-    cross = h2_inner_quadrature(sp.hat_t0, qss, grid)
-    square = h2_inner_quadrature(qss, sp.hat_t1 @ qss @ sp.hat_t2, grid)
-    return float(base + 2.0 * cross.real + square.real)
-
-
 def gradient(sp, q):
-    """Cost-gradient samples ``2(hat_t0 + hat_t1 Q hat_t2)`` on ``sp.grid``.
+    """Cost-gradient samples ``2(T1* T0 T2* + T1* T1 Q T2 T2*)`` on ``sp.grid``.
 
     Returned as an ``(n_omega, rows, cols)`` array; pairing a coefficient
     direction against these samples (real trace inner product per point,

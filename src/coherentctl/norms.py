@@ -16,7 +16,6 @@ __all__ = [
     "is_spectrally_generic",
     "h2_norm_sq",
     "h2_norm_sq_quadrature",
-    "h2_inner_quadrature",
     "quad_grid",
     "peak_frobenius",
     "sigma_max_profile",
@@ -122,17 +121,6 @@ def h2_norm_sq_quadrature(sys, grid=None):
     resp = sys.response(grid)
     vals = np.sum(np.abs(resp) ** 2, axis=(1, 2))
     return float(np.trapezoid(vals, grid) / (2.0 * np.pi))
-
-
-def h2_inner_quadrature(g, h, grid=None):
-    """Quadrature pairing ``(1/2pi) * integral trace(G(iw)* H(iw)) dw``."""
-    if grid is None:
-        grid = quad_grid(g, h)
-    grid = np.asarray(grid, dtype=np.float64)
-    rg = g.response(grid)
-    rh = h.response(grid)
-    vals = np.einsum("kij,kij->k", rg.conj(), rh)
-    return complex(np.trapezoid(vals, grid) / (2.0 * np.pi))
 
 
 def peak_frobenius(samples):

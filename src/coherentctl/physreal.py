@@ -29,6 +29,7 @@ from .norms import is_spectrally_generic, peak_frobenius
 from .statespace import (
     StateSpace,
     doubled,
+    j_form,
     log_grid,
     minimal_realization,
     signature_matrix,
@@ -164,12 +165,11 @@ def slh_to_statespace(model):
     return StateSpace(a, b, lmat, dmat)
 
 
-def j_unitarity_residual(sys, grid=None, form="left"):
+def j_unitarity_residual(sys, grid=None):
     """Peak deviation from (J, J)-unitarity on a frequency grid.
 
-    ``form="left"`` measures ``max_w ||G(iw)* J G(iw) - J||_F`` and
-    ``form="right"`` the dual ``max_w ||G(iw) J G(iw)* - J||_F``.
-    The model must be square with an even number of channels.
+    Measures ``max_w ||G(iw)* J G(iw) - J||_F``; the model must be
+    square with an even number of channels.
     """
     p, m = sys.shape
     if p != m or p % 2:
@@ -178,14 +178,7 @@ def j_unitarity_residual(sys, grid=None, form="left"):
     if grid is None:
         grid = default_pr_grid()
     grid = validate_grid(grid)
-    resp = sys.response(grid)
-    if form == "left":
-        gap = np.einsum("kij,il,klm->kjm", resp.conj(), j, resp) - j
-    elif form == "right":
-        gap = np.einsum("kij,jl,kml->kim", resp, j, resp.conj()) - j
-    else:
-        raise ValueError("form must be 'left' or 'right'")
-    return peak_frobenius(gap)
+    return peak_frobenius(j_form(sys.response(grid), j) - j)
 
 
 @dataclass

@@ -7,10 +7,12 @@ realness is assumed anywhere: quantum input-output models in doubled-up
 matrices, so every operation here is written for ``complex128``.
 
 Alongside the composition algebra (products, sums, stacking, feedback
-interconnection, inverse, adjoint conjugation) the module carries the
-structural helpers used by the quantum layers: doubled-up matrices
-``[[R1, R2], [conj(R2), conj(R1)]]`` and the signature (Krein) matrix
-``diag(I_r, -I_r)``.
+interconnection, inverse) the module carries the structural helpers used
+by the quantum layers: doubled-up matrices
+``[[R1, R2], [conj(R2), conj(R1)]]``, the signature (Krein) matrix
+``diag(I_r, -I_r)`` and the J-form ``G(iw)* J G(iw)`` of sampled
+responses, which evaluates the feasibility form and the
+(J, J)-unitarity residual without realizing an adjoint system.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ __all__ = [
     "hstack_systems",
     "vstack_systems",
     "blockdiag_systems",
-    "conjugate_system",
     "invert_system",
     "compose_lft",
     "minimal_realization",
     "doubled",
     "signature_matrix",
+    "j_form",
     "is_doubled",
     "log_grid",
     "validate_grid",
@@ -195,14 +197,6 @@ class StateSpace:
 
     __rmul__ = __mul__
 
-    def conjugate(self):
-        """Adjoint system ``G~(s) = G(-conj(s))*`` with realization
-        ``(-A*, -C*, B*, D*)``.  On the imaginary axis this is the
-        pointwise conjugate transpose: ``G~(iw) = G(iw)*``."""
-        return StateSpace(
-            -self.a.conj().T, -self.c.conj().T, self.b.conj().T, self.d.conj().T
-        )
-
     def select(self, rows=None, cols=None):
         """Subsystem keeping the given output rows / input columns."""
         rows = slice(None) if rows is None else rows
@@ -228,10 +222,6 @@ def identity_system(k):
 
 def zero_system(p, m):
     return static_gain(np.zeros((p, m)))
-
-
-def conjugate_system(sys):
-    return sys.conjugate()
 
 
 def hstack_systems(systems):
@@ -423,6 +413,16 @@ def signature_matrix(r):
     j = np.eye(2 * r, dtype=np.complex128)
     j[r:, r:] *= -1.0
     return j
+
+
+def j_form(samples, j):
+    """Pointwise J-form ``G(iw)* J G(iw)`` of an ``(n_omega, p, m)`` stack.
+
+    On the imaginary axis the adjoint ``G~(iw)`` is ``G(iw)*``, so this
+    samples the para-Hermitian product ``G~ J G`` from the stable
+    factor's responses alone; the result is ``(n_omega, m, m)``.
+    """
+    return np.einsum("kij,il,klm->kjm", samples.conj(), j, samples)
 
 
 def is_doubled(mat, tol=1e-10):

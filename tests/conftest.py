@@ -134,8 +134,9 @@ def zero_constraints(d):
     from coherentctl.statespace import zero_system
     from coherentctl.youla_constraint import ConstraintData
 
-    z = zero_system(d, d)
-    return ConstraintData(phi=z, lam=z, pi=z, mu=d // 2)
+    return ConstraintData(
+        family=zero_system(2 * d, 2 * d), signature=np.eye(2 * d), mu=d // 2
+    )
 
 
 def scalar_demo_loop():

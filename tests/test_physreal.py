@@ -97,14 +97,6 @@ class TestJUnitarity:
         sys = slh_to_statespace(random_slh(make_rng(1000 + seed)))
         assert j_unitarity_residual(sys) < 1e-8
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_dual_form_same_order(self, seed):
-        sys = slh_to_statespace(random_slh(make_rng(2000 + seed)))
-        left = j_unitarity_residual(sys, form="left")
-        right = j_unitarity_residual(sys, form="right")
-        assert right <= 10 * max(left, 1e-12)
-        assert left <= 10 * max(right, 1e-12)
-
     def test_nontrivial_mode_basis(self):
         rng = make_rng(42)
         base = random_slh(rng, n=2, m=2)

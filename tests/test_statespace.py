@@ -13,7 +13,6 @@ from coherentctl.statespace import (
     StateSpace,
     blockdiag_systems,
     compose_lft,
-    conjugate_system,
     doubled,
     hstack_systems,
     identity_system,
@@ -28,7 +27,7 @@ from coherentctl.statespace import (
     zero_system,
 )
 
-from conftest import make_rng, pointwise, random_complex, random_statespace
+from conftest import make_rng, pointwise, random_statespace
 
 GRID = log_grid(1e-2, 1e2, 17)
 
@@ -151,33 +150,6 @@ class TestAlgebra:
         top = np.hstack([pointwise(g, w), np.zeros((2, 2))])
         bot = np.hstack([np.zeros((2, 3)), pointwise(h, w)])
         np.testing.assert_allclose(pointwise(bd, w), np.vstack([top, bot]), atol=1e-12)
-
-
-class TestConjugation:
-    def test_static(self):
-        d = random_complex(make_rng(6), (2, 3))
-        np.testing.assert_allclose(conjugate_system(static_gain(d)).d, d.conj().T)
-
-    def test_axis_value_is_conjugate_transpose(self):
-        g = random_statespace(make_rng(8), 4, 2, 3)
-        gc = conjugate_system(g)
-        for w in (0.0, 0.5, 12.0):
-            np.testing.assert_allclose(
-                pointwise(gc, w), pointwise(g, w).conj().T, atol=1e-12
-            )
-
-    def test_involution(self):
-        g = random_statespace(make_rng(9), 3, 2, 2)
-        gcc = conjugate_system(conjugate_system(g))
-        for w in (0.2, 3.0):
-            np.testing.assert_allclose(pointwise(gcc, w), pointwise(g, w), atol=1e-12)
-
-    def test_allpass_cancellation(self):
-        # (s-1)/(s+1): conjugate times itself is the identity on the axis
-        g = StateSpace([[-1.0]], [[1.0]], [[-2.0]], [[1.0]])
-        prod = conjugate_system(g) @ g
-        resp = prod.response(GRID)
-        np.testing.assert_allclose(resp, np.ones((GRID.size, 1, 1)), atol=1e-12)
 
 
 class TestInverse:

@@ -151,12 +151,10 @@ class TestBuildConstraintData:
     def test_trivial_factors_give_signature_blocks(self):
         cd = build_constraint_data(trivial_cf())
         assert cd.mu == 1
-        for w in (0.0, 0.7, 13.0):
-            np.testing.assert_allclose(cd.phi.freq_response(w), -J2, atol=1e-12)
-            np.testing.assert_allclose(
-                cd.lam.freq_response(w), np.zeros((2, 2)), atol=1e-12
-            )
-            np.testing.assert_allclose(cd.pi.freq_response(w), J2, atol=1e-12)
+        for phi, lam, pi in zip(*cd.samples(np.array([0.0, 0.7, 13.0]))):
+            np.testing.assert_allclose(phi, -J2, atol=1e-12)
+            np.testing.assert_allclose(lam, np.zeros((2, 2)), atol=1e-12)
+            np.testing.assert_allclose(pi, J2, atol=1e-12)
 
     def test_blocks_hermitian_on_axis(self):
         _, cf = coupled_cavity_loop()
@@ -179,7 +177,7 @@ class TestBuildConstraintData:
         mp = ModifiedPlant(full=cavity, in_exo=0, in_ctrl=2, out_perf=0, out_meas=2)
         cf = coprime_factorization(mp, stabilizing_gains(mp))
         cd = build_constraint_data(cf)
-        pi_w = cd.pi.response(log_grid(1e-2, 1e2, 33))
+        _, _, pi_w = cd.samples(log_grid(1e-2, 1e2, 33))
         assert np.abs(pi_w).max() < 1e-8
 
     def test_mu_mismatch_rejected(self):
@@ -209,12 +207,10 @@ class TestConstraintResidual:
         assert constraint_residual(cd, q) < 1e-12
 
     def test_doubled_quadratic_block_breaks_it(self):
-        cd = ConstraintData(
-            phi=static_gain(-J2),
-            lam=static_gain(np.zeros((2, 2))),
-            pi=static_gain(2.0 * J2),
-            mu=1,
-        )
+        # the static family diag(sqrt2 I, I) under diag(J, -J) gives
+        # phi = -J, lam = 0 and pi = 2J
+        family = static_gain(np.diag([np.sqrt(2.0)] * 2 + [1.0] * 2))
+        cd = ConstraintData(family=family, signature=np.diag([1.0, -1.0, -1.0, 1.0]), mu=1)
         q = YoulaParameter(1.0, np.eye(2)[None])
         got = constraint_residual(cd, q, np.array([0.0, 1.0]))
         assert got == pytest.approx(np.sqrt(2.0), rel=1e-12)
@@ -223,6 +219,13 @@ class TestConstraintResidual:
         _, cf = coupled_cavity_loop()
         cd = build_constraint_data(cf)
         assert constraint_residual(cd, exact_cavity_parameter()) < 1e-10
+
+    def test_exact_cavity_parameter_feasible_on_two_sided_grid(self):
+        _, cf = coupled_cavity_loop()
+        cd = build_constraint_data(cf)
+        pos = log_grid(1e-2, 1e2, 33)
+        grid = np.concatenate([-pos[::-1], [0.0], pos])
+        assert constraint_residual(cd, exact_cavity_parameter(), grid) < 1e-10
 
     def test_statespace_parameter_agrees(self):
         _, cf = coupled_cavity_loop()

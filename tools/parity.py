@@ -1,0 +1,190 @@
+"""CLI parity harness: run every command in-process and digest its output.
+
+    python tools/parity.py --out DIGEST.json [--src SRC] [DOC ...]
+    python tools/parity.py --compare A.json B.json
+
+The first form imports ``coherentctl.cli`` from SRC (default: this
+checkout's ``src``) and calls ``cli.main`` on
+
+- every ``tests/fixtures/*.json`` with ``check-pr``, ``factorize``,
+  ``synthesize-h2`` and ``eval-hinf``;
+- ``eval-hinf`` and ``closed-loop`` on every fixture with each
+  ``tests/fixtures/q_*.json`` as ``--q-from``;
+- every extra document DOC with the four commands of the first item;
+
+each case once with ``--json`` and once without.  For every case it
+records the exit code, stdout, stderr and the text of every file the
+command wrote.  Output paths are replaced by ``<out>``, so digests of two
+checkouts made with the same documents compare byte for byte.
+
+The second form lists the cases whose records differ.  Where two texts
+differ only in their numbers, it prints how many numbers changed, the
+largest absolute and relative change, and the first SHOWN changed pairs.
+It exits 1 when any case differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import sys
+import tempfile
+import traceback
+import warnings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURES = os.path.join(ROOT, "tests", "fixtures")
+COMMANDS = ("check-pr", "factorize", "synthesize-h2", "eval-hinf")
+#: Changed number pairs printed per differing text.
+SHOWN = 20
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _load_cli(src):
+    sys.path.insert(0, os.path.abspath(src))
+    from coherentctl import cli
+
+    if not os.path.abspath(cli.__file__).startswith(os.path.abspath(src) + os.sep):
+        raise SystemExit(f"coherentctl imported from {cli.__file__}, not from {src}")
+    return cli
+
+
+def cases(extra_docs):
+    """Yield (key, argv) pairs; ``<out>`` in argv is the case's output directory."""
+    fixtures = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
+    q_files = [f for f in fixtures if f.startswith("q_")]
+    docs = [(f, os.path.join(FIXTURES, f)) for f in fixtures]
+    docs += [(os.path.abspath(d), os.path.abspath(d)) for d in extra_docs]
+    outputs = {"synthesize-h2": ["--out", "<out>/bundle"],
+               "eval-hinf": ["--out", "<out>/profile.csv"]}
+    for name, path in docs:
+        runs = [(cmd, [cmd, path, *outputs.get(cmd, [])]) for cmd in COMMANDS]
+        if path.startswith(FIXTURES):
+            for q in q_files:
+                q_arg = ["--q-from", os.path.join(FIXTURES, q)]
+                runs.append((f"eval-hinf --q-from {q}",
+                             ["eval-hinf", path, *q_arg, *outputs["eval-hinf"]]))
+                runs.append((f"closed-loop --q-from {q}", ["closed-loop", path, *q_arg]))
+        for label, argv in runs:
+            cmd, *rest = label.split(" ", 1)
+            for flag in ([], ["--json"]):
+                yield " ".join([cmd, name, *rest, *flag]), argv + flag
+
+
+def run_case(cli, argv):
+    """One in-process CLI call in a fresh output directory; returns its record."""
+    with tempfile.TemporaryDirectory() as out:
+        argv = [a.replace("<out>", out) for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # a fresh filter state per case, so each shows its warnings as a new process would
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except Exception:  # an escaped exception is part of the record
+                code = None
+                traceback.print_exc(file=stderr)
+        files = {}
+        for base, _, names in os.walk(out):
+            for name in names:
+                path = os.path.join(base, name)
+                with open(path, encoding="utf-8") as handle:
+                    files[os.path.relpath(path, out)] = handle.read().replace(out, "<out>")
+        return {"code": code, "stdout": stdout.getvalue().replace(out, "<out>"),
+                "stderr": stderr.getvalue().replace(out, "<out>"),
+                "files": dict(sorted(files.items()))}
+
+
+def digest(src, extra_docs, out_path):
+    cli = _load_cli(src)
+    records = {key: run_case(cli, argv) for key, argv in cases(extra_docs)}
+    with open(out_path, "w", encoding="utf-8") as handle:
+        json.dump(records, handle, indent=1, sort_keys=True)
+    print(f"{len(records)} cases written to {out_path}")
+
+
+def _fields(record):
+    yield "code", record["code"]
+    yield "stdout", record["stdout"]
+    yield "stderr", record["stderr"]
+    for name, text in record["files"].items():
+        yield f"file {name}", text
+
+
+def _number_changes(a, b):
+    """Changed (old, new) number pairs when the texts differ only in numbers, else None."""
+    pa, pb = NUMBER.split(a), NUMBER.split(b)
+    if len(pa) != len(pb) or pa[0::2] != pb[0::2]:
+        return None
+    return [(x, y) for x, y in zip(pa[1::2], pb[1::2]) if x != y]
+
+
+def _describe(a, b):
+    if not (isinstance(a, str) and isinstance(b, str)):
+        return [f"{a!r} -> {b!r}"]
+    changes = _number_changes(a, b)
+    if changes is None:
+        la, lb = a.splitlines(), b.splitlines()
+        first = next((k for k, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+        return [f"text differs from line {first + 1}:",
+                f"  - {la[first] if first < len(la) else '<end>'}",
+                f"  + {lb[first] if first < len(lb) else '<end>'}"]
+    diffs = [(abs(float(y) - float(x)), abs(float(y) - float(x)) / max(abs(float(x)), 1e-300))
+             for x, y in changes]
+    big_abs = max((d for d, _ in diffs if math.isfinite(d)), default=math.inf)
+    big_rel = max((r for _, r in diffs if math.isfinite(r)), default=math.inf)
+    lines = [f"{len(changes)} number(s) changed, max |d| {big_abs:.3g}, max rel {big_rel:.3g}"]
+    lines += [f"  {x} -> {y}" for x, y in changes[:SHOWN]]
+    if len(changes) > SHOWN:
+        lines.append(f"  ... {len(changes) - SHOWN} more")
+    return lines
+
+
+def compare(path_a, path_b):
+    with open(path_a, encoding="utf-8") as handle:
+        rec_a = json.load(handle)
+    with open(path_b, encoding="utf-8") as handle:
+        rec_b = json.load(handle)
+    differing = 0
+    for key in sorted(set(rec_a) | set(rec_b)):
+        if key not in rec_a or key not in rec_b:
+            differing += 1
+            print(f"{key}: only in {path_a if key in rec_a else path_b}")
+            continue
+        if rec_a[key] == rec_b[key]:
+            continue
+        differing += 1
+        print(f"{key}:")
+        fa, fb = dict(_fields(rec_a[key])), dict(_fields(rec_b[key]))
+        for field in sorted(set(fa) | set(fb)):
+            if fa.get(field) != fb.get(field):
+                for line in _describe(fa.get(field), fb.get(field)):
+                    print(f"  {field}: {line}" if not line.startswith("  ") else f"    {line}")
+    total = len(set(rec_a) | set(rec_b))
+    print(f"{total - differing} of {total} cases identical, {differing} differ")
+    return 1 if differing else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("docs", nargs="*", metavar="DOC", help="extra problem documents")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the coherentctl package to run")
+    parser.add_argument("--out", metavar="DIGEST", help="digest file to write")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="digests to compare")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.out:
+        parser.error("--out is required unless --compare is given")
+    digest(args.src, args.docs, args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
