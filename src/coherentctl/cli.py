@@ -20,12 +20,7 @@ import tempfile
 import numpy as np
 
 from . import problemfile as pf
-from .errors import (
-    CoherentctlError,
-    DimensionMismatch,
-    FeedthroughSingular,
-    ProblemFileError,
-)
+from .errors import CoherentctlError, DimensionMismatch, ProblemFileError
 from .h2_synthesis import assemble_problem, cost, descend, validate_result
 from .hinf_eval import evaluation_problem, hinf_cost
 from .norms import sigma_max_profile, spectral_abscissa
@@ -45,7 +40,8 @@ from .stabilization import (
     controller_from_parameter,
     stabilizing_gains,
 )
-from .statespace import compose_lft, log_grid, minimal_realization
+from .statespace import compose_lft, log_grid
+from .statespace import minimal_realization  # noqa: F401  (traced per layer by pipebench)
 from .youla_constraint import YoulaParameter, build_constraint_data
 
 __all__ = ["main"]
@@ -140,6 +136,19 @@ def _factorized(prob, command):
     mp = _modified_plant(prob, command)
     gains = stabilizing_gains(mp)
     return mp, coprime_factorization(mp, gains)
+
+
+def _weighted_grid(prob, args, command):
+    """The document's grid, resized by --grid-points; None spans the weights.
+
+    Without a grid section the grid follows the weights' bandwidth at a
+    fixed size, so a point count alone is refused rather than ignored.
+    """
+    if prob.grid is None and args.grid_points:
+        raise ProblemFileError(
+            "", f"--grid-points needs a 'grid' section in the document for {command}"
+        )
+    return prob.build_grid(args.grid_points)
 
 
 def _youla_section_from(args, prob):
@@ -242,7 +251,7 @@ def _matrix_lines(name, mat, indent="    "):
 def cmd_factorize(args):
     prob = pf.load_problem_file(args.file)
     mp = _modified_plant(prob, "factorize")
-    gains = stabilizing_gains(mp, policy=args.policy)
+    gains = stabilizing_gains(mp)
     cf = coprime_factorization(mp, gains, check=False)
 
     grid = prob.build_grid(args.grid_points)
@@ -267,8 +276,7 @@ def cmd_factorize(args):
         "mhat": cf.mhat_factor(),
     }
     human = [
-        f"coprime factorization: loop widths ctrl={cf.ctrl} meas={cf.meas}, "
-        f"policy={args.policy}",
+        f"coprime factorization: loop widths ctrl={cf.ctrl} meas={cf.meas}",
     ]
     for name, factor in factors.items():
         human.append(f"  factor {name}: states={factor.n_states} shape={factor.shape}")
@@ -283,7 +291,6 @@ def cmd_factorize(args):
         "passed": passed,
         "bezout_residual": residual,
         "tol": tol,
-        "policy": args.policy,
         "grid_points": int(grid.size),
         "gains": {
             "f": pf.encode_matrix(gains.f),
@@ -305,10 +312,6 @@ def _membership_block(membership):
         "feedthrough_ok": membership.feedthrough_ok,
         "residual": membership.residual,
         "residual_ok": membership.residual_ok,
-        "generic_ok": membership.generic_ok,
-        "structure_gap": membership.structure_gap,
-        "scattering_gap": membership.scattering_gap,
-        "structure_ok": membership.structure_ok,
     }
 
 
@@ -333,7 +336,7 @@ def cmd_synthesize_h2(args):
         cd,
         w_in=prob.w_in,
         w_out=prob.w_out,
-        grid=prob.build_grid(args.grid_points),
+        grid=_weighted_grid(prob, args, "synthesize-h2"),
     )
 
     section = prob.youla
@@ -357,17 +360,9 @@ def cmd_synthesize_h2(args):
 
     tol = 1e-6 if args.tol is None else args.tol
     verdict = validate_result(sp, q_final, tol=tol)
-
-    # the synthesized controller is emitted (and graded) in minimal form:
-    # the factor-chain assembly carries cancelling states that the
-    # realizability check would otherwise flag as non-minimal
-    controller = None
-    controller_pr = None
-    try:
-        controller = minimal_realization(controller_from_parameter(cf, q_final))
-        controller_pr = check_physical_realizability(controller)
-    except (FeedthroughSingular, ValueError):
-        pass
+    # emitted in the minimal form the membership check graded it in
+    controller = verdict.membership.controller
+    controller_pr = verdict.membership.controller_pr
 
     profile = sigma_max_profile(sp.loop(q_final), sp.grid)
 
@@ -430,7 +425,7 @@ def cmd_eval_hinf(args):
         cf,
         w_in=prob.w_in,
         w_out=prob.w_out,
-        grid=prob.build_grid(args.grid_points),
+        grid=_weighted_grid(prob, args, "eval-hinf"),
     )
     q = _parameter_for_evaluation(_youla_section_from(args, prob), cf, sp.parameter_shape[0])
     rel_tol = 1e-6 if args.tol is None else args.tol
@@ -493,22 +488,24 @@ def _positive_int(text):
     return value
 
 
-def _add_common(sub):
+def _add_common(sub, tuning=True):
+    """The document argument and --json; with ``tuning``, --grid-points and --tol."""
     sub.add_argument("file", help="problem document (JSON)")
-    sub.add_argument(
-        "--grid-points",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="override the number of frequency-grid points",
-    )
-    sub.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        metavar="X",
-        help="override the command's pass/fail tolerance",
-    )
+    if tuning:
+        sub.add_argument(
+            "--grid-points",
+            type=_positive_int,
+            default=None,
+            metavar="N",
+            help="override the number of frequency-grid points",
+        )
+        sub.add_argument(
+            "--tol",
+            type=float,
+            default=None,
+            metavar="X",
+            help="override the command's pass/fail tolerance",
+        )
     sub.add_argument(
         "--json", action="store_true", help="machine-readable report on stdout"
     )
@@ -527,13 +524,6 @@ def build_parser():
 
     p = sub.add_parser("factorize", help="doubly-coprime factor family")
     _add_common(p)
-    p.add_argument(
-        "--policy",
-        choices=("reflect", "zero"),
-        default="reflect",
-        help="stabilizing gains: reflect (mirror unstable modes into the left "
-        "half-plane) or zero (F = L = 0, stable plants only)",
-    )
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("synthesize-h2", help="quadratic-cost descent synthesis")
@@ -555,7 +545,7 @@ def build_parser():
     p.set_defaults(func=cmd_eval_hinf)
 
     p = sub.add_parser("closed-loop", help="assemble and grade the closed loop")
-    _add_common(p)
+    _add_common(p, tuning=False)
     p.add_argument(
         "--q-from",
         required=True,

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     DegenerateWeights,
     DimensionMismatch,
-    FeedthroughSingular,
     IllPosedInterconnection,
     InfeasibleStart,
     NotStable,
@@ -34,7 +33,8 @@ from .norms import (
     sigma_max_profile,
     spectral_abscissa,
 )
-from .stabilization import closed_loop_triple, controller_from_parameter, parameter_statespace
+from .stabilization import closed_loop_triple, parameter_statespace
+from .stabilization import controller_from_parameter  # noqa: F401  (traced per layer by pipebench)
 from .statespace import (
     StateSpace,
     blockdiag_systems,
@@ -152,8 +152,8 @@ def _prepare_weight(w, width, name):
     return w
 
 
-def default_descent_grid(w_out, w_in, points=DEFAULT_GRID_POINTS):
-    """Log grid spanning the -40 dB bandwidth of the combined weights.
+def default_descent_grid(w_out, w_in):
+    """Log grid of ``DEFAULT_GRID_POINTS`` over the -40 dB bandwidth of the weights.
 
     The bandwidth is measured on the scalar profile
     ``sigma_max(w_out) * sigma_max(w_in)`` over a wide probe range; flat
@@ -171,7 +171,7 @@ def default_descent_grid(w_out, w_in, points=DEFAULT_GRID_POINTS):
     lo, hi = probe[keep[0]], probe[keep[-1]]
     if hi <= lo:
         hi = lo * 10.0
-    return log_grid(lo, hi, points)
+    return log_grid(lo, hi, DEFAULT_GRID_POINTS)
 
 
 def evaluation_problem(mp, cf, w_in=None, w_out=None, grid=None, cd=None):
@@ -461,9 +461,10 @@ def descend(sp, q_init, cfg=None):
 class SynthesisVerdict:
     """Outcome of post-descent validation.
 
-    Bundles the full membership verdict for the final parameter with an
-    independent internal-stability re-check of the assembled control
-    loop (spectral abscissa of the interconnection).
+    Bundles the full membership verdict for the final parameter, whose
+    ``controller`` is the emitted controller, with an independent
+    internal-stability re-check of the physical loop that controller
+    closes (spectral abscissa of the interconnection).
     """
 
     membership: object
@@ -479,22 +480,21 @@ def validate_result(sp, q_final, grid=None, tol=1e-6, margin=1e-9):
     """Re-verify a descent result from scratch.
 
     Runs the full membership battery on ``q_final`` and, independently,
-    assembles the controller and closes the physical loop to confirm the
-    interconnection matrix is Hurwitz.
+    closes the physical loop with the controller it assembled to confirm
+    the interconnection matrix is Hurwitz.
     """
     verdict = membership_qhat(sp.cf, q_final, grid=grid, tol=tol)
-    try:
-        k = controller_from_parameter(sp.cf, q_final)
-        loop = compose_lft(
-            sp.mp.full, k, n_meas=sp.mp.out_meas, n_ctrl=sp.mp.in_ctrl
-        )
-        abscissa = spectral_abscissa(loop.a)
-        stable = bool(abscissa < -margin)
-    except (FeedthroughSingular, IllPosedInterconnection):
-        abscissa = np.inf
-        stable = False
+    abscissa = np.inf
+    if verdict.controller is not None:
+        try:
+            loop = compose_lft(
+                sp.mp.full, verdict.controller, n_meas=sp.mp.out_meas, n_ctrl=sp.mp.in_ctrl
+            )
+            abscissa = spectral_abscissa(loop.a)
+        except IllPosedInterconnection:
+            pass
     return SynthesisVerdict(
         membership=verdict,
-        closed_loop_stable=stable,
+        closed_loop_stable=bool(abscissa < -margin),
         closed_loop_abscissa=float(abscissa),
     )

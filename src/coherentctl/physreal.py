@@ -196,7 +196,6 @@ class PrVerdict:
     generic_ok: bool
     minimal_ok: bool
     n_states_minimal: int
-    scattering: np.ndarray
 
     @property
     def is_physically_realizable(self):
@@ -242,5 +241,4 @@ def check_physical_realizability(sys, grid=None, tol=DEFAULT_PR_TOL):
         generic_ok=generic_ok,
         minimal_ok=minimal_ok,
         n_states_minimal=reduced.n_states,
-        scattering=s_block.copy(),
     )

@@ -295,24 +295,18 @@ def _mirror_feedback(a, b, margin):
     return f
 
 
-def stabilizing_gains(mp, policy="reflect", margin=1e-9, pbh_tol=1e-8):
+def stabilizing_gains(mp, margin=1e-9, pbh_tol=1e-8):
     """Design (F, L) making A + B2 F and A + L C2 Hurwitz.
 
-    Policies
-    --------
-    ``"reflect"`` (default)
-        Keep eigenvalues with Re < -margin, mirror strictly unstable
-        ones across the imaginary axis (lam -> -conj(lam)), and push
-        near-axis modes to -1 + i Im(lam).  A stable plant therefore
-        gets F = 0, L = 0.  The moved modes get Bass's minimum-energy
-        gain (Armstrong 1975, IEEE TAC 20(1)): on the trailing block T
-        of an ordered Schur form, one Lyapunov solve of
-        (T + s I) Y + Y (T + s I)* = B2 B2* gives F2 = -B2* Y^-1, which
-        lands each mode on -conj(lam) - 2 s.  Strictly unstable modes
-        take s = 0, near-axis modes s = 1/2.  L is the same design on
-        the adjoint pair (A*, C2*).
-    ``"zero"``
-        F = 0, L = 0 (valid only for a stable plant).
+    Keeps eigenvalues with Re < -margin, mirrors strictly unstable ones
+    across the imaginary axis (lam -> -conj(lam)), and pushes near-axis
+    modes to -1 + i Im(lam).  A stable plant therefore gets F = 0,
+    L = 0.  The moved modes get Bass's minimum-energy gain (Armstrong
+    1975, IEEE TAC 20(1)): on the trailing block T of an ordered Schur
+    form, one Lyapunov solve of (T + s I) Y + Y (T + s I)* = B2 B2*
+    gives F2 = -B2* Y^-1, which lands each mode on -conj(lam) - 2 s.
+    Strictly unstable modes take s = 0, near-axis modes s = 1/2.  L is
+    the same design on the adjoint pair (A*, C2*).
 
     Raises
     ------
@@ -321,8 +315,7 @@ def stabilizing_gains(mp, policy="reflect", margin=1e-9, pbh_tol=1e-8):
     PlacementFailed
         When a moved mode cannot be moved (its Lyapunov solution is
         singular or not finite; the modes are named, for L as
-        eigenvalues of A*), or when a core is not Hurwitz afterwards,
-        e.g. an unstable plant under ``"zero"``.
+        eigenvalues of A*), or when a core is not Hurwitz afterwards.
     """
     a, b2, c2 = mp.full.a, mp.b2, mp.c2
     n = a.shape[0]
@@ -333,16 +326,10 @@ def stabilizing_gains(mp, policy="reflect", margin=1e-9, pbh_tol=1e-8):
     if bad:
         raise NotDetectable(f"undetectable modes at {np.conj(bad).tolist()}")
 
-    if policy == "zero":
-        f = np.zeros((mp.in_ctrl, n), dtype=np.complex128)
-        l = np.zeros((n, mp.out_meas), dtype=np.complex128)
-    elif policy == "reflect":
-        # The mirror map commutes with conjugation, so the adjoint
-        # problem gives L.
-        f = _mirror_feedback(a, b2, margin)
-        l = _mirror_feedback(a.conj().T, c2.conj().T, margin).conj().T
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    # The mirror map commutes with conjugation, so the adjoint problem
+    # gives L.
+    f = _mirror_feedback(a, b2, margin)
+    l = _mirror_feedback(a.conj().T, c2.conj().T, margin).conj().T
 
     gains = GainPair(f=f, l=l)
     for label, mat in (("A + B2*F", a + b2 @ f), ("A + L*C2", a + l @ c2)):

@@ -36,7 +36,6 @@ __all__ = [
     "doubled",
     "signature_matrix",
     "j_form",
-    "is_doubled",
     "log_grid",
     "validate_grid",
 ]
@@ -370,17 +369,8 @@ def _reachable_basis(a, b, tol, floor):
     return v
 
 
-def minimal_realization(sys, tol=1e-9):
-    """Remove unreachable and unobservable states.
-
-    Uses the orthogonal staircase construction: restrict to the smallest
-    A-invariant subspace containing range(B), then dualize for
-    observability.  ``tol`` is the relative SVD rank threshold, measured
-    against the realization's overall scale.
-
-    The returned model has the same transfer matrix (up to the rank
-    decisions) with ``n_states`` less than or equal to the original.
-    """
+def _staircase_pass(sys, tol):
+    """One reachability-then-observability restriction of ``sys``."""
     a, b, c, d = sys.a, sys.b, sys.c, sys.d
     scale = max(
         (float(np.abs(m).max()) for m in (a, b, c) if m.size),
@@ -394,6 +384,28 @@ def minimal_realization(sys, tol=1e-9):
         w = _reachable_basis(a.conj().T, c.conj().T, tol, scale)
         a, b, c = w.conj().T @ a @ w, w.conj().T @ b, c @ w
     return StateSpace(a, b, c, d)
+
+
+def minimal_realization(sys, tol=1e-9):
+    """Remove unreachable and unobservable states.
+
+    Uses the orthogonal staircase construction: restrict to the smallest
+    A-invariant subspace containing range(B), then dualize for
+    observability.  ``tol`` is the relative SVD rank threshold, measured
+    against the realization's overall scale.  Near that threshold a
+    second pass over a pass's output can find one more state to remove,
+    so a pass that removed states is followed by another until one
+    removes nothing, and the last realization such a pass kept whole is
+    returned.  A realization the first pass leaves whole is returned as
+    that pass made it.
+
+    The returned model has the same transfer matrix (up to the rank
+    decisions) with ``n_states`` less than or equal to the original.
+    """
+    prev, reduced = sys, _staircase_pass(sys, tol)
+    while reduced.n_states < prev.n_states:
+        prev, reduced = reduced, _staircase_pass(reduced, tol)
+    return reduced if prev is sys else prev
 
 
 # -- doubled-up structure ----------------------------------------------
@@ -423,19 +435,6 @@ def j_form(samples, j):
     factor's responses alone; the result is ``(n_omega, m, m)``.
     """
     return np.einsum("kij,il,klm->kjm", samples.conj(), j, samples)
-
-
-def is_doubled(mat, tol=1e-10):
-    """Check the doubled-up block symmetry of a ``2p x 2q`` matrix."""
-    mat = np.asarray(mat)
-    p, q = mat.shape[0] // 2, mat.shape[1] // 2
-    if mat.shape != (2 * p, 2 * q):
-        return False
-    scale = max(np.abs(mat).max(), 1.0)
-    return (
-        np.abs(mat[p:, q:] - mat[:p, :q].conj()).max() <= tol * scale
-        and np.abs(mat[p:, :q] - mat[:p, q:].conj()).max() <= tol * scale
-    )
 
 
 # -- frequency grids ---------------------------------------------------

@@ -31,11 +31,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DimensionMismatch, FeedthroughSingular, RankDeficientProjection
-from .norms import is_hurwitz, is_spectrally_generic, peak_frobenius
+from .norms import is_hurwitz, peak_frobenius
+from .physreal import PrVerdict, check_physical_realizability
 from .stabilization import controller_from_parameter, default_verification_grid
 from .statespace import (
     StateSpace,
-    doubled,
     j_form,
     minimal_realization,
     signature_matrix,
@@ -189,7 +189,6 @@ class ConstraintData:
 
     family: StateSpace
     signature: np.ndarray
-    mu: int
 
     @property
     def width(self):
@@ -204,28 +203,21 @@ class ConstraintData:
         return form[:, d:, d:], form[:, :d, d:], form[:, :d, :d]
 
 
-def build_constraint_data(cf, mu=None):
+def build_constraint_data(cf):
     """The right factor family of ``cf`` with its split signature diag(J, -J).
 
-    ``mu`` is the number of channel pairs of the doubled-up loop; it
-    defaults to half the loop width, which must then be even.
+    The loop must be square and doubled up: its width is twice the
+    number of channel pairs, which sets the order of J.
     """
     d = cf.ctrl
     if cf.meas != d:
         raise DimensionMismatch(
             f"square controller loop required, got {cf.ctrl} x {cf.meas}"
         )
-    if mu is None:
-        if d % 2:
-            raise DimensionMismatch(
-                f"loop width {d} is not doubled; pass mu explicitly for odd widths"
-            )
-        mu = d // 2
-    elif 2 * mu != d:
-        raise DimensionMismatch(f"mu = {mu} inconsistent with loop width {d}")
-
-    j = signature_matrix(mu)
-    return ConstraintData(family=cf.right_family, signature=sla.block_diag(j, -j), mu=mu)
+    if d % 2:
+        raise DimensionMismatch(f"loop width {d} is not doubled")
+    j = signature_matrix(d // 2)
+    return ConstraintData(family=cf.right_family, signature=sla.block_diag(j, -j))
 
 
 def quadratic_form(samples, q_w):
@@ -270,19 +262,19 @@ class MembershipVerdict:
 
     ``in_q`` collects the stabilizing-parameter requirements (stable,
     invertible feedthrough, quadratic residual within tolerance);
-    ``in_qhat`` additionally demands that the assembled controller has a
-    spectrally generic A-matrix and a scattering-type feedthrough, i.e.
-    that it is itself physically realizable.
+    ``in_qhat`` additionally demands that the assembled controller is
+    itself physically realizable.  ``controller`` is that controller in
+    minimal form and ``controller_pr`` its
+    :func:`~.physreal.check_physical_realizability` verdict; both are
+    None when V + N Q has no invertible feedthrough.
     """
 
     stable_ok: bool
     feedthrough_ok: bool
     residual: float
     residual_ok: bool
-    generic_ok: bool
-    structure_gap: float
-    scattering_gap: float
-    structure_ok: bool
+    controller: StateSpace | None
+    controller_pr: PrVerdict | None
 
     @property
     def in_q(self):
@@ -290,16 +282,17 @@ class MembershipVerdict:
 
     @property
     def in_qhat(self):
-        return self.in_q and self.generic_ok and self.structure_ok
+        return self.in_q and self.controller_pr.is_physically_realizable
 
 
 def membership_qhat(cf, q, grid=None, tol=1e-6):
     """Classify a parameter: stabilizing only, or physically realizable.
 
-    Checks run in order: parameter stability, feedthrough invertibility,
-    quadratic residual on the grid, spectral genericity of the assembled
-    controller (static controllers pass vacuously), and the doubled
-    scattering structure of the controller's feedthrough.
+    Checks run in order: parameter stability, feedthrough invertibility
+    and the quadratic residual on the grid (within ``tol``).  The
+    controller is then assembled once, reduced to minimal form and
+    graded by :func:`~.physreal.check_physical_realizability` at its
+    default grid and tolerance.
     """
     if grid is None:
         grid = default_verification_grid()
@@ -313,38 +306,23 @@ def membership_qhat(cf, q, grid=None, tol=1e-6):
 
     ft_ok = feedthrough_ok(cf, q)
     residual = constraint_residual(cd, q, grid)
-    residual_ok = residual <= tol
 
-    generic_ok = False
-    structure_gap = np.inf
-    scattering_gap = np.inf
+    controller = controller_pr = None
     if ft_ok:
         try:
-            k = controller_from_parameter(cf, q)
+            controller = minimal_realization(controller_from_parameter(cf, q))
         except FeedthroughSingular:
             ft_ok = False
         else:
-            k_min = minimal_realization(k)
-            generic_ok = k_min.n_states == 0 or is_spectrally_generic(k_min.a)
-            mu = cd.mu
-            s_block = k.d[:mu, :mu]
-            structure_gap = float(
-                np.linalg.norm(k.d - doubled(s_block, np.zeros_like(s_block)))
-            )
-            scattering_gap = float(
-                np.linalg.norm(s_block.conj().T @ s_block - np.eye(mu))
-            )
-    structure_ok = structure_gap <= tol and scattering_gap <= tol
+            controller_pr = check_physical_realizability(controller)
 
     return MembershipVerdict(
         stable_ok=stable_ok,
         feedthrough_ok=ft_ok,
         residual=residual,
-        residual_ok=residual_ok,
-        generic_ok=generic_ok,
-        structure_gap=structure_gap,
-        scattering_gap=scattering_gap,
-        structure_ok=structure_ok,
+        residual_ok=residual <= tol,
+        controller=controller,
+        controller_pr=controller_pr,
     )
 
 

@@ -135,7 +135,7 @@ def zero_constraints(d):
     from coherentctl.youla_constraint import ConstraintData
 
     return ConstraintData(
-        family=zero_system(2 * d, 2 * d), signature=np.eye(2 * d), mu=d // 2
+        family=zero_system(2 * d, 2 * d), signature=np.eye(2 * d)
     )
 
 

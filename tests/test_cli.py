@@ -112,7 +112,7 @@ class TestFactorize:
 
     def test_zero_policy_on_stable_plant_gives_trivial_factors(self, capsys):
         code, report = run_json(
-            capsys, ["factorize", fx("t1_zero.json"), "--policy", "zero"]
+            capsys, ["factorize", fx("t1_zero.json")]
         )
         assert code == 0
         om = log_grid(1e-1, 1e1, 7)
@@ -213,6 +213,48 @@ class TestSynthesizeH2:
         assert main(["synthesize-h2", str(strict), "--out", str(tmp_path / "o")]) == 1
         assert "InfeasibleStart" in capsys.readouterr().err
 
+    def test_loose_tolerance_keeps_controller_realizability(self, tmp_path, capsys):
+        # the channel-mixing output weight of the two-channel cavity leaves
+        # the order-4 descent short of the realizable set; --tol loosens
+        # only the parameter residual, so the controller's own
+        # realizability verdict still fails the run
+        doc = json.loads(Path(fx("coupled_h2.json")).read_text())
+        doc["weights"]["w_out"] = {
+            "a": [[[-10.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                  [[0.0, 0.0], [-3.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                  [[0.0, 0.0], [0.0, 0.0], [-3.0, 0.0], [0.0, 0.0]],
+                  [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-10.0, 0.0]]],
+            "b": [[[10.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]],
+                  [[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [10.0, 0.0]]],
+            "c": [[[0.7, 0.0], [0.3, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                  [[0.0, 0.0], [0.0, 0.0], [0.3, 0.0], [0.7, 0.0]]],
+            "d": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        }
+        zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        doc["youla"]["order"] = 4
+        doc["youla"]["q_init"] += [zero] * 3
+        doc["descent"] = {"max_iters": 40, "grad_tol": 1e-6, "constraint_tol": 1e-6,
+                          "correction_period": 5}
+        path = tmp_path / "mixing.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(
+            capsys, ["synthesize-h2", str(path), "--tol", "10", "--out", str(tmp_path / "o")]
+        )
+        verdicts = report["verdicts"]
+        assert verdicts["qhat_membership"]["in_q"] is True
+        assert verdicts["controller_pr"]["passed"] is False
+        assert verdicts["qhat_membership"]["in_qhat"] is False
+        assert code == 1 and report["passed"] is False
+
+    def test_grid_points_without_grid_section_is_input_error(self, tmp_path, capsys):
+        doc = json.loads(Path(fx("coupled_h2.json")).read_text())
+        del doc["grid"]
+        path = tmp_path / "gridless.json"
+        path.write_text(json.dumps(doc))
+        argv = ["synthesize-h2", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--grid-points", "5"]) == 2
+        assert "--grid-points needs a 'grid' section" in capsys.readouterr().err
+
     def test_missing_youla_section_is_input_error(self, tmp_path, capsys):
         code = main(
             ["synthesize-h2", fx("cavity_pr.json"), "--out", str(tmp_path / "o")]
@@ -279,6 +321,15 @@ class TestEvalHinf:
         )
         assert code == 0
         assert report["grid_points"] == 11
+
+    def test_grid_points_without_grid_section_is_input_error(self, tmp_path, capsys):
+        # without a grid section the grid spans the weights at a fixed size
+        argv = ["eval-hinf", fx("cavity_pr.json"), "--out", str(tmp_path / "p.csv")]
+        assert main(argv + ["--grid-points", "5"]) == 2
+        assert "--grid-points needs a 'grid' section" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+        code, report = run_json(capsys, argv)
+        assert code == 0 and report["grid_points"] == 33
 
     def test_q_file_without_parameter_is_input_error(self, tmp_path, capsys):
         code = main(
@@ -351,6 +402,12 @@ class TestClosedLoop:
         )
         assert code == 0
         assert "CLOSED-LOOP result=STABLE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--tol", "1"], ["--grid-points", "5"]])
+    def test_tuning_flags_are_usage_errors(self, capsys, flag):
+        # closed-loop has no tolerance and samples no grid
+        argv = ["closed-loop", fx("cavity_pr.json"), "--q-from", fx("q_from_controller.json")]
+        assert main(argv + flag) == 2
 
 
 class TestInvocation:

@@ -11,7 +11,7 @@ from coherentctl.physreal import (
     j_unitarity_residual,
     slh_to_statespace,
 )
-from coherentctl.statespace import StateSpace, is_doubled, signature_matrix, static_gain
+from coherentctl.statespace import StateSpace, doubled, signature_matrix, static_gain
 
 from conftest import cavity_response, make_rng, random_slh, random_unitary
 
@@ -72,7 +72,9 @@ class TestRealizationMap:
     def test_doubled_closure(self, seed):
         sys = slh_to_statespace(random_slh(make_rng(seed)))
         for mat in (sys.a, sys.b, sys.c, sys.d):
-            assert is_doubled(mat, tol=1e-9)
+            p, q = mat.shape[0] // 2, mat.shape[1] // 2
+            gap = np.abs(mat - doubled(mat[:p, :q], mat[:p, q:])).max()
+            assert gap <= 1e-9 * max(np.abs(mat).max(), 1.0)
 
 
 class TestJUnitarity:
@@ -114,7 +116,6 @@ class TestRealizabilityVerdict:
         v = check_physical_realizability(cavity_model)
         assert v.is_physically_realizable
         assert v.residual_ok and v.feedthrough_ok and v.generic_ok and v.minimal_ok
-        np.testing.assert_allclose(v.scattering, np.eye(1), atol=1e-12)
 
     def test_scaled_feedthrough_fails(self, cavity_model):
         bad = StateSpace(cavity_model.a, cavity_model.b, cavity_model.c,

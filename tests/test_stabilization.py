@@ -208,13 +208,8 @@ class TestStabilizingGains:
             out_perf=1,
             out_meas=1,
         )
-        gains = stabilizing_gains(mp, policy="zero")
+        gains = stabilizing_gains(mp)
         assert not gains.f.any() and not gains.l.any()
-
-    def test_zero_policy_rejects_unstable_plant(self):
-        mp = random_unstable_plant(0)
-        with pytest.raises(PlacementFailed):
-            stabilizing_gains(mp, policy="zero")
 
     def test_reflect_mirrors_spectrum(self):
         # eigenvalues {1, -1}: the unstable one reflects onto the stable
@@ -227,7 +222,7 @@ class TestStabilizingGains:
             out_perf=1,
             out_meas=1,
         )
-        gains = stabilizing_gains(mp, policy="reflect")
+        gains = stabilizing_gains(mp)
         for core in (a + mp.b2 @ gains.f, a + gains.l @ mp.c2):
             np.testing.assert_allclose(
                 np.sort_complex(np.linalg.eigvals(core)), [-1.0, -1.0], atol=1e-9
@@ -242,7 +237,7 @@ class TestStabilizingGains:
             out_perf=1,
             out_meas=1,
         )
-        gains = stabilizing_gains(mp, policy="reflect")
+        gains = stabilizing_gains(mp)
         assert not gains.f.any() and not gains.l.any()
 
     def test_reflect_preserves_imaginary_parts(self):
@@ -254,7 +249,7 @@ class TestStabilizingGains:
             out_perf=1,
             out_meas=1,
         )
-        gains = stabilizing_gains(mp, policy="reflect")
+        gains = stabilizing_gains(mp)
         got = np.linalg.eigvals(a + mp.b2 @ gains.f)
         want = np.array([-0.5 + 2.0j, -0.25 - 1.0j])
         np.testing.assert_allclose(
@@ -271,7 +266,7 @@ class TestStabilizingGains:
             out_perf=1,
             out_meas=1,
         )
-        gains = stabilizing_gains(mp, policy="reflect")
+        gains = stabilizing_gains(mp)
         got = np.linalg.eigvals(a + mp.b2 @ gains.f)
         np.testing.assert_allclose(got, [-1.0 + 3.0j], atol=1e-9)
 
@@ -332,10 +327,6 @@ class TestStabilizingGains:
         )
         with pytest.raises(NotDetectable):
             stabilizing_gains(mp)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            stabilizing_gains(random_unstable_plant(1), policy="assign")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reflect_stabilizes_random_plants(self, seed):

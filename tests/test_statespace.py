@@ -17,7 +17,6 @@ from coherentctl.statespace import (
     hstack_systems,
     identity_system,
     invert_system,
-    is_doubled,
     log_grid,
     minimal_realization,
     signature_matrix,
@@ -27,9 +26,24 @@ from coherentctl.statespace import (
     zero_system,
 )
 
-from conftest import make_rng, pointwise, random_statespace
+from conftest import coupled_cavity_loop, make_rng, pointwise, random_statespace
 
 GRID = log_grid(1e-2, 1e2, 17)
+
+#: Order-8 basis coefficients (pole 1) of a mixing-weight cavity descent
+#: result.  The staircase reduces its 40-state controller to 36 states in
+#: one pass, and a second pass over those 36 finds only 35.
+BORDERLINE_PARAMETER = [
+    [[(-0.5000000000025028-0.0038653895269236925j), (0.07900950609062456-2.01816970122804e-05j)], [(0.07900950609062243+2.0181697380131326e-05j), (-0.5000000000024789-0.00374577135383629j)]],
+    [[(-0.25622889654150016-0.0038653894337538587j), (0.07900966701211336+0.0005803521216410947j)], [(0.0790093451779457+0.0006207155161156883j), (-0.25622977933348834-0.003745771261363505j)]],
+    [[(-0.0062288980829968916-0.0010377418104085439j), (0.020242636945614772+0.0005953616744823087j)], [(0.02024231512308857+0.0006057030935537267j), (-0.006229780885221062-0.0010070954120616662j)]],
+    [[(-0.0015956822928762653-7.139247323036409e-05j), (0.0004901379278617429+0.00015747286934072105j)], [(0.0004900534971620353+0.0001577234477172713j), (-0.0015959140059602255-7.065060455033434e-05j)]],
+    [[(-3.84637359268404e-05-1.860945812884526e-05j), (0.00012554331889242656+7.440020777533574e-06j)], [(0.00012553933468151368+7.504189323101084e-06j), (-3.847469295955159e-05-1.841939188801406e-05j)]],
+    [[(-9.879325551110629e-06-7.345817385027441e-07j), (3.024639190379443e-06+1.930009577964261e-06j)], [(3.023582363402137e-06+1.9315511305136766e-06j), (-9.88215381315009e-06-7.300554249305704e-07j)]],
+    [[(-2.2292190831169298e-07-1.7507082334285976e-07j), (7.652492454356742e-07+6.324147138122445e-08j)], [(7.652193348773953e-07+6.364731645295016e-08j), (-2.2304644558083632e-07-1.7389430368972955e-07j)]],
+    [[(-5.838525224135541e-08-1.6475061176528214e-08j), (1.748909152181858e-08+2.270740255085391e-08j)], [(1.748028694904683e-08+2.2711687091006684e-08j), (-5.840436599278068e-08-1.644535043645584e-08j)]],
+    [[(-3.978730983559123e-09+6.370713042067917e-11j), (6.0829019742070774e-09+4.350260870865338e-12j)], [(6.081929715336199e-09+7.64253622577487e-12j), (-3.9804085396999e-09+7.082139150136602e-11j)]],
+]
 
 
 def first_order(pole, gain=1.0):
@@ -231,6 +245,17 @@ class TestMinimalRealization:
         assert red.n_states == 0
         np.testing.assert_allclose(red.d, np.eye(1), atol=1e-12)
 
+    def test_second_reduction_keeps_states(self):
+        from coherentctl.stabilization import controller_from_parameter
+        from coherentctl.youla_constraint import YoulaParameter
+
+        _, cf = coupled_cavity_loop()
+        k = controller_from_parameter(cf, YoulaParameter(1.0, BORDERLINE_PARAMETER))
+        red = minimal_realization(k)
+        assert red.n_states < k.n_states
+        assert minimal_realization(red).n_states == red.n_states
+        np.testing.assert_allclose(red.response(GRID), k.response(GRID), atol=1e-9)
+
     @pytest.mark.parametrize("seed", [20, 21])
     def test_padding_removed_and_response_kept(self, seed):
         rng = make_rng(seed)
@@ -259,8 +284,8 @@ class TestDoubledStructure:
         np.testing.assert_allclose(
             m, np.array([[1 + 1j, 2 - 1j], [2 + 1j, 1 - 1j]])
         )
-        assert is_doubled(m)
-        assert not is_doubled(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        plain = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert not np.allclose(plain, doubled(plain[:1, :1], plain[:1, 1:]))
 
     def test_signature(self):
         j = signature_matrix(2)

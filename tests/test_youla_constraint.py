@@ -150,7 +150,7 @@ class TestYoulaParameter:
 class TestBuildConstraintData:
     def test_trivial_factors_give_signature_blocks(self):
         cd = build_constraint_data(trivial_cf())
-        assert cd.mu == 1
+        assert cd.width == 2
         for phi, lam, pi in zip(*cd.samples(np.array([0.0, 0.7, 13.0]))):
             np.testing.assert_allclose(phi, -J2, atol=1e-12)
             np.testing.assert_allclose(lam, np.zeros((2, 2)), atol=1e-12)
@@ -180,10 +180,6 @@ class TestBuildConstraintData:
         _, _, pi_w = cd.samples(log_grid(1e-2, 1e2, 33))
         assert np.abs(pi_w).max() < 1e-8
 
-    def test_mu_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            build_constraint_data(trivial_cf(), mu=2)
-
     def test_odd_width_needs_explicit_mu(self):
         with pytest.raises(DimensionMismatch, match="not doubled"):
             build_constraint_data(scalar_demo_cf())
@@ -210,7 +206,7 @@ class TestConstraintResidual:
         # the static family diag(sqrt2 I, I) under diag(J, -J) gives
         # phi = -J, lam = 0 and pi = 2J
         family = static_gain(np.diag([np.sqrt(2.0)] * 2 + [1.0] * 2))
-        cd = ConstraintData(family=family, signature=np.diag([1.0, -1.0, -1.0, 1.0]), mu=1)
+        cd = ConstraintData(family=family, signature=np.diag([1.0, -1.0, -1.0, 1.0]))
         q = YoulaParameter(1.0, np.eye(2)[None])
         got = constraint_residual(cd, q, np.array([0.0, 1.0]))
         assert got == pytest.approx(np.sqrt(2.0), rel=1e-12)
@@ -267,10 +263,24 @@ class TestMembership:
         assert verdict.stable_ok
         assert verdict.feedthrough_ok
         assert verdict.residual < 1e-10
-        assert verdict.generic_ok
-        assert verdict.structure_gap < 1e-12
-        assert verdict.scattering_gap < 1e-12
+        pr = verdict.controller_pr
+        assert pr.generic_ok and pr.minimal_ok
+        assert pr.feedthrough_gap < 1e-12
+        assert pr.n_states_minimal == verdict.controller.n_states
         assert verdict.in_q and verdict.in_qhat
+
+    def test_realizability_judged_on_controller_not_residual_tolerance(self):
+        # a perturbed exact parameter stays within a loose residual
+        # tolerance, but its controller misses (J, J)-unitarity at the
+        # realizability check's own tolerance
+        _, cf = coupled_cavity_loop()
+        q = exact_cavity_parameter(2)
+        q.coeffs[1] += 1e-4
+        verdict = membership_qhat(cf, q, tol=1e-3)
+        assert verdict.in_q
+        assert verdict.controller_pr.residual == pytest.approx(5.1e-4, rel=0.05)
+        assert not verdict.controller_pr.residual_ok
+        assert not verdict.in_qhat
 
     def test_static_unitary_on_trivial_fixture(self):
         # the assembled controller is the identity: static, so spectral
@@ -293,9 +303,8 @@ class TestMembership:
         _, cf = coupled_cavity_loop()
         q = YoulaParameter(1.0, (-9.0 / 19.0) * np.eye(2)[None])
         verdict = membership_qhat(cf, q)
-        assert verdict.structure_gap < 1e-12
-        assert verdict.scattering_gap == pytest.approx(0.19, rel=1e-10)
-        assert not verdict.structure_ok
+        assert verdict.controller_pr.feedthrough_gap == pytest.approx(0.19, rel=1e-10)
+        assert not verdict.controller_pr.feedthrough_ok
         assert not verdict.in_qhat
 
     def test_unstable_statespace_parameter(self):
@@ -315,8 +324,7 @@ class TestMembership:
         q = YoulaParameter(1.0, -np.eye(2)[None])
         verdict = membership_qhat(cf, q)
         assert not verdict.feedthrough_ok
-        assert not verdict.generic_ok
-        assert np.isinf(verdict.structure_gap)
+        assert verdict.controller is None and verdict.controller_pr is None
         assert not verdict.in_q and not verdict.in_qhat
 
 

@@ -7,7 +7,8 @@ The first form imports ``coherentctl.cli`` from SRC (default: this
 checkout's ``src``) and calls ``cli.main`` on
 
 - every ``tests/fixtures/*.json`` with ``check-pr``, ``factorize``,
-  ``synthesize-h2`` and ``eval-hinf``;
+  ``synthesize-h2`` and ``eval-hinf``, once as is, once with
+  ``--grid-points 9`` and once with ``--tol 1e-3``;
 - ``eval-hinf`` and ``closed-loop`` on every fixture with each
   ``tests/fixtures/q_*.json`` as ``--q-from``;
 - every extra document DOC with the four commands of the first item;
@@ -40,6 +41,8 @@ import warnings
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "tests", "fixtures")
 COMMANDS = ("check-pr", "factorize", "synthesize-h2", "eval-hinf")
+#: Flag sets each command is also run with on every fixture.
+FIXTURE_FLAGS = (("--grid-points", "9"), ("--tol", "1e-3"))
 #: Changed number pairs printed per differing text.
 SHOWN = 20
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -65,6 +68,9 @@ def cases(extra_docs):
     for name, path in docs:
         runs = [(cmd, [cmd, path, *outputs.get(cmd, [])]) for cmd in COMMANDS]
         if path.startswith(FIXTURES):
+            for flags in FIXTURE_FLAGS:
+                runs += [(" ".join([cmd, *flags]), [cmd, path, *flags, *outputs.get(cmd, [])])
+                         for cmd in COMMANDS]
             for q in q_files:
                 q_arg = ["--q-from", os.path.join(FIXTURES, q)]
                 runs.append((f"eval-hinf --q-from {q}",
