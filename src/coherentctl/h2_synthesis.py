@@ -411,7 +411,7 @@ def descend(sp, q_init, cfg=None):
     for k in range(cfg.max_iters):
         grad_w = gradient(sp, q_cur)
         grad_norm = _rms(grad_w)
-        ts = tangent_subspace(sp.cd, q_cur, grid, samples=cd_samples)
+        ts = tangent_subspace(cd_samples, q_cur, grid)
         direction = project_direction(ts, q_cur, grad_w)
         proj_norm = _rms(direction.evaluate(grid))
         if proj_norm <= cfg.grad_tol:
@@ -427,7 +427,7 @@ def descend(sp, q_init, cfg=None):
             cand_res = peak_frobenius(quadratic_form(cd_samples, cand.evaluate(grid)))
             if cand_res > safety:
                 cand, cand_res = restore_feasibility(
-                    sp.cd, cand, grid, tol=restore_tol
+                    cd_samples, cand, grid, tol=restore_tol
                 )
             e_cand = cost(sp, cand)
             if e_cand < e_cur:
@@ -443,7 +443,7 @@ def descend(sp, q_init, cfg=None):
         due = cfg.correction_period > 0 and (k + 1) % cfg.correction_period == 0
         if due and res_cur > restore_tol:
             q_tight, res_tight = restore_feasibility(
-                sp.cd, q_cur, grid, tol=restore_tol
+                cd_samples, q_cur, grid, tol=restore_tol
             )
             e_tight = cost(sp, q_tight)
             if e_tight <= e_cur:

@@ -15,8 +15,6 @@ __all__ = [
     "is_hurwitz",
     "is_spectrally_generic",
     "h2_norm_sq",
-    "h2_norm_sq_quadrature",
-    "quad_grid",
     "peak_frobenius",
     "sigma_max_profile",
     "hinf_norm",
@@ -84,43 +82,6 @@ def h2_norm_sq(sys, margin=1e-12):
         return 0.0
     p = sla.solve_continuous_lyapunov(sys.a, -sys.b @ sys.b.conj().T)
     return float(np.trace(sys.c @ p @ sys.c.conj().T).real)
-
-
-def quad_grid(*systems, points_per_decade=128, pad_decades=2.0):
-    """Two-sided frequency grid adapted to the systems' pole locations.
-
-    Spans from two decades below the slowest pole to two decades above
-    the fastest, covering negative frequencies as well (complex-matrix
-    models have no conjugate symmetry in omega).
-    """
-    radii = [1.0]
-    for g in systems:
-        if g.n_states:
-            eig = np.linalg.eigvals(g.a)
-            radii.extend(np.abs(eig[np.abs(eig) > 0]).tolist())
-    lo = min(radii) * 10.0 ** (-pad_decades) if radii else 1e-2
-    hi = max(radii) * 10.0 ** (pad_decades + 1.0)
-    lo = min(lo, 1e-2)
-    hi = max(hi, 1e4)
-    decades = np.log10(hi / lo)
-    n = max(int(decades * points_per_decade), 16)
-    pos = np.logspace(np.log10(lo), np.log10(hi), n)
-    return np.concatenate([-pos[::-1], [0.0], pos])
-
-
-def h2_norm_sq_quadrature(sys, grid=None):
-    """Squared H2 norm by trapezoidal quadrature of the response.
-
-    ``(1/2pi) * integral ||G(iw)||_F^2 dw`` over a wide two-sided grid.
-    Independent cross-check for :func:`h2_norm_sq`; accuracy is set by
-    the grid (defaults resolve to ~1e-4 relative on benign systems).
-    """
-    if grid is None:
-        grid = quad_grid(sys)
-    grid = np.asarray(grid, dtype=np.float64)
-    resp = sys.response(grid)
-    vals = np.sum(np.abs(resp) ** 2, axis=(1, 2))
-    return float(np.trapezoid(vals, grid) / (2.0 * np.pi))
 
 
 def peak_frobenius(samples):

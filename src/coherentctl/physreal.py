@@ -178,7 +178,7 @@ def j_unitarity_residual(sys, grid=None):
     if grid is None:
         grid = default_pr_grid()
     grid = validate_grid(grid)
-    return peak_frobenius(j_form(sys.response(grid), j) - j)
+    return peak_frobenius(j_form(sys.response(grid), np.diag(j).real) - j)
 
 
 @dataclass

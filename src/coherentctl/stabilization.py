@@ -50,12 +50,10 @@ __all__ = [
     "CoprimeFactorization",
     "default_verification_grid",
     "modify_plant",
-    "undo_modify",
     "pbh_unstabilizable_modes",
     "stabilizing_gains",
     "coprime_factorization",
     "bezout_residual",
-    "central_controller",
     "parameter_statespace",
     "controller_from_parameter",
     "parameter_from_controller",
@@ -186,9 +184,8 @@ def modify_plant(plant, part):
     The input plant must have ``2*(n_r + n_u)`` inputs ordered
     (exogenous, control, exogenous-conjugate, control-conjugate) and
     ``2*(n_z + n_y)`` outputs ordered analogously.  Only channel
-    permutations are applied; the state dynamics are untouched, and
-    applying the inverse permutation (:func:`undo_modify`) recovers the
-    plant entrywise.
+    permutations are applied and the state dynamics are untouched, so
+    the inverse permutations recover the plant entrywise.
     """
     p, m = plant.shape
     if m != 2 * (part.n_r + part.n_u) or p != 2 * (part.n_z + part.n_y):
@@ -207,14 +204,6 @@ def modify_plant(plant, part):
         out_perf=2 * part.n_z,
         out_meas=2 * part.n_y,
     )
-
-
-def undo_modify(mp, part):
-    """Invert :func:`modify_plant`, restoring the interleaved ordering."""
-    rows, cols = _regroup_permutations(part)
-    inv_rows, inv_cols = np.argsort(rows), np.argsort(cols)
-    f = mp.full
-    return StateSpace(f.a, f.b[:, inv_cols], f.c[inv_rows], f.d[inv_rows][:, inv_cols])
 
 
 # -- PBH tests ----------------------------------------------------------
@@ -465,13 +454,6 @@ def bezout_residual(cf, grid):
     rw = cf.right_family.response(grid)
     lw = cf.left_family.response(grid)
     return peak_frobenius(lw @ rw - np.eye(cf.ctrl + cf.meas)), rw, lw
-
-
-def central_controller(mp, cf):
-    """Observer-form stabilizing controller; equals U V^{-1}."""
-    a, b2, c2, d22 = mp.full.a, mp.b2, mp.c2, mp.d22
-    f, l = cf.gains.f, cf.gains.l
-    return StateSpace(a + b2 @ f + l @ (c2 + d22 @ f), -l, f, np.zeros((cf.ctrl, cf.meas)))
 
 
 def parameter_statespace(q):

@@ -6,9 +6,9 @@ realness is assumed anywhere: quantum input-output models in doubled-up
 (annihilation/creation) coordinates have genuinely complex coefficient
 matrices, so every operation here is written for ``complex128``.
 
-Alongside the composition algebra (products, sums, stacking, feedback
-interconnection, inverse) the module carries the structural helpers used
-by the quantum layers: doubled-up matrices
+Alongside the composition algebra (products, sums, block-diagonal
+stacking, feedback interconnection, inverse) the module carries the
+structural helpers used by the quantum layers: doubled-up matrices
 ``[[R1, R2], [conj(R2), conj(R1)]]``, the signature (Krein) matrix
 ``diag(I_r, -I_r)`` and the J-form ``G(iw)* J G(iw)`` of sampled
 responses, which evaluates the feasibility form and the
@@ -26,9 +26,6 @@ __all__ = [
     "StateSpace",
     "static_gain",
     "identity_system",
-    "zero_system",
-    "hstack_systems",
-    "vstack_systems",
     "blockdiag_systems",
     "invert_system",
     "compose_lft",
@@ -111,25 +108,6 @@ class StateSpace:
         )
 
     # -- evaluation ----------------------------------------------------
-
-    def freq_response(self, omega):
-        """Transfer matrix value at ``s = i*omega`` for one real frequency.
-
-        Raises
-        ------
-        SingularResolvent
-            If ``i*omega`` is (numerically) an eigenvalue of A.
-        """
-        if self.n_states == 0:
-            return self.d.copy()
-        t = 1j * float(omega) * np.eye(self.n_states) - self.a
-        sv = np.linalg.svd(t, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-            raise SingularResolvent(
-                f"resolvent singular at omega={omega!r} "
-                f"(sigma_min/sigma_max = {sv[-1] / max(sv[0], 1e-300):.2e})"
-            )
-        return self.c @ np.linalg.solve(t, self.b) + self.d
 
     def response(self, omegas):
         """Responses stacked over a grid: an ``(n_omega, p, m)`` array."""
@@ -217,42 +195,6 @@ def static_gain(d):
 
 def identity_system(k):
     return static_gain(np.eye(k))
-
-
-def zero_system(p, m):
-    return static_gain(np.zeros((p, m)))
-
-
-def hstack_systems(systems):
-    """Input concatenation ``[G1 G2 ...]`` (shared outputs)."""
-    systems = list(systems)
-    p = systems[0].n_outputs
-    for g in systems:
-        if g.n_outputs != p:
-            raise DimensionMismatch("hstack requires equal output counts")
-    import scipy.linalg as sla
-
-    a = sla.block_diag(*[g.a for g in systems]).astype(np.complex128)
-    b = sla.block_diag(*[g.b for g in systems]).astype(np.complex128)
-    c = np.hstack([g.c for g in systems])
-    d = np.hstack([g.d for g in systems])
-    return StateSpace(a, b, c, d)
-
-
-def vstack_systems(systems):
-    """Output concatenation ``[G1; G2; ...]`` (shared inputs)."""
-    systems = list(systems)
-    m = systems[0].n_inputs
-    for g in systems:
-        if g.n_inputs != m:
-            raise DimensionMismatch("vstack requires equal input counts")
-    import scipy.linalg as sla
-
-    a = sla.block_diag(*[g.a for g in systems]).astype(np.complex128)
-    b = np.vstack([g.b for g in systems])
-    c = sla.block_diag(*[g.c for g in systems]).astype(np.complex128)
-    d = np.vstack([g.d for g in systems])
-    return StateSpace(a, b, c, d)
 
 
 def blockdiag_systems(systems):
@@ -427,14 +369,16 @@ def signature_matrix(r):
     return j
 
 
-def j_form(samples, j):
+def j_form(samples, sign):
     """Pointwise J-form ``G(iw)* J G(iw)`` of an ``(n_omega, p, m)`` stack.
 
-    On the imaginary axis the adjoint ``G~(iw)`` is ``G(iw)*``, so this
+    ``J = diag(sign)`` is given by its real diagonal of length p, so the
+    product is one contraction over the p rows of the signed stack.  On
+    the imaginary axis the adjoint ``G~(iw)`` is ``G(iw)*``, so this
     samples the para-Hermitian product ``G~ J G`` from the stable
     factor's responses alone; the result is ``(n_omega, m, m)``.
     """
-    return np.einsum("kij,il,klm->kjm", samples.conj(), j, samples)
+    return np.einsum("kij,kim->kjm", samples.conj(), sign[:, None] * samples)
 
 
 # -- frequency grids ---------------------------------------------------

@@ -20,6 +20,12 @@ refinement.
 Parameters live in the fixed rational basis {1, (s+b)^-1, ..., (s+b)^-K}
 with matrix coefficients, so every subspace computation is a finite
 real-linear least-squares problem over stacked coefficient unknowns.
+The tangent map of the form at Q is X -> X* W + W* X with
+W = Lambda + Pi Q.  The unknown ``b_k E_pq`` (times 1 or i) puts
+``conj(b_k) W[p, :]`` into row q of X* W and nothing anywhere else, so
+the sampled Jacobian is filled row by row from the basis matrix and
+the samples of W.  Projection and restoration take the (phi, lam, pi)
+samples of the caller's grid; neither sweeps the factor family.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ __all__ = [
     "quadratic_form",
     "constraint_samples",
     "constraint_residual",
-    "feedthrough_ok",
     "membership_qhat",
     "tangent_subspace",
     "project_direction",
@@ -179,7 +184,8 @@ class ConstraintData:
     """The factor family whose J-form holds the quadratic feasibility form.
 
     With the right factor family G = [[M, U], [N, V]] and the split
-    signature diag(J, -J), the para-Hermitian product G~ diag(J, -J) G
+    signature diag(J, -J), held as its diagonal ``signature``, the
+    para-Hermitian product G~ diag(J, -J) G
     holds the quadratic block ``pi`` (top-left), the linear block ``lam``
     (top-right) and the constant block ``phi`` (bottom-right), each
     square of the loop width.  Only axis samples are needed, so the
@@ -204,7 +210,7 @@ class ConstraintData:
 
 
 def build_constraint_data(cf):
-    """The right factor family of ``cf`` with its split signature diag(J, -J).
+    """The right factor family of ``cf`` with the diagonal of diag(J, -J).
 
     The loop must be square and doubled up: its width is twice the
     number of channel pairs, which sets the order of J.
@@ -216,8 +222,8 @@ def build_constraint_data(cf):
         )
     if d % 2:
         raise DimensionMismatch(f"loop width {d} is not doubled")
-    j = signature_matrix(d // 2)
-    return ConstraintData(family=cf.right_family, signature=sla.block_diag(j, -j))
+    sign = np.diag(signature_matrix(d // 2)).real
+    return ConstraintData(family=cf.right_family, signature=np.concatenate([sign, -sign]))
 
 
 def quadratic_form(samples, q_w):
@@ -246,13 +252,6 @@ def constraint_residual(cd, q, omegas=None):
     return peak_frobenius(constraint_samples(cd, q, omegas))
 
 
-def feedthrough_ok(cf, q, tol=1e-9):
-    """Whether (V + N Q) keeps an invertible feedthrough."""
-    q_inf = q.coeffs[0] if isinstance(q, YoulaParameter) else q.d
-    dmat = cf.v_factor().d + cf.n_factor().d @ q_inf
-    return bool(abs(np.linalg.det(dmat)) > tol)
-
-
 # -- membership -----------------------------------------------------------
 
 
@@ -261,7 +260,11 @@ class MembershipVerdict:
     """Itemized classification of a candidate parameter.
 
     ``in_q`` collects the stabilizing-parameter requirements (stable,
-    invertible feedthrough, quadratic residual within tolerance);
+    invertible feedthrough, quadratic residual within tolerance).  The
+    feedthrough of V + N Q counts as invertible when
+    :func:`~.stabilization.controller_from_parameter` assembles the
+    controller: its smallest singular value must exceed
+    1e-9 * max(sigma_max, 1).
     ``in_qhat`` additionally demands that the assembled controller is
     itself physically realizable.  ``controller`` is that controller in
     minimal form and ``controller_pr`` its
@@ -288,11 +291,12 @@ class MembershipVerdict:
 def membership_qhat(cf, q, grid=None, tol=1e-6):
     """Classify a parameter: stabilizing only, or physically realizable.
 
-    Checks run in order: parameter stability, feedthrough invertibility
-    and the quadratic residual on the grid (within ``tol``).  The
-    controller is then assembled once, reduced to minimal form and
-    graded by :func:`~.physreal.check_physical_realizability` at its
-    default grid and tolerance.
+    Checks run in order: parameter stability and the quadratic residual
+    on the grid (within ``tol``).  The controller is then assembled
+    once; the assembly decides feedthrough invertibility.  An assembled
+    controller is reduced to minimal form and graded by
+    :func:`~.physreal.check_physical_realizability` at its default grid
+    and tolerance.
     """
     if grid is None:
         grid = default_verification_grid()
@@ -304,17 +308,16 @@ def membership_qhat(cf, q, grid=None, tol=1e-6):
         q_min = minimal_realization(q)
         stable_ok = q_min.n_states == 0 or is_hurwitz(q_min.a)
 
-    ft_ok = feedthrough_ok(cf, q)
     residual = constraint_residual(cd, q, grid)
 
     controller = controller_pr = None
-    if ft_ok:
-        try:
-            controller = minimal_realization(controller_from_parameter(cf, q))
-        except FeedthroughSingular:
-            ft_ok = False
-        else:
-            controller_pr = check_physical_realizability(controller)
+    try:
+        controller = minimal_realization(controller_from_parameter(cf, q))
+    except FeedthroughSingular:
+        ft_ok = False
+    else:
+        ft_ok = True
+        controller_pr = check_physical_realizability(controller)
 
     return MembershipVerdict(
         stable_ok=stable_ok,
@@ -340,7 +343,6 @@ class TangentSubspace:
     """
 
     grid: np.ndarray
-    base_point: object
     w_samples: np.ndarray
 
     def constraint_map(self, x_samples):
@@ -355,15 +357,17 @@ class TangentSubspace:
         return cross + cross.conj().swapaxes(1, 2)
 
 
-def tangent_subspace(cd, q, grid, samples=None):
-    """Linearize the quadratic form at ``q`` over ``grid``."""
+def tangent_subspace(samples, q, grid):
+    """Linearize the quadratic form at ``q`` over ``grid``.
+
+    ``samples`` is the ``(phi, lam, pi)`` triple of
+    :meth:`ConstraintData.samples` on ``grid``; the subspace holds
+    ``lam + pi Q`` there.
+    """
     grid = validate_grid(grid)
-    if samples is None:
-        _, lam_w, pi_w = cd.samples(grid)
-    else:
-        _, lam_w, pi_w = samples
+    _, lam_w, pi_w = samples
     q_w = parameter_samples(q, grid)
-    return TangentSubspace(grid=grid, base_point=q, w_samples=lam_w + pi_w @ q_w)
+    return TangentSubspace(grid=grid, w_samples=lam_w + pi_w @ q_w)
 
 
 def _pack(coeffs):
@@ -375,25 +379,6 @@ def _unpack(vec, order, shape):
     re = vec[:half].reshape(order + 1, *shape)
     im = vec[half:].reshape(order + 1, *shape)
     return re + 1j * im
-
-
-def _column_tensor(basis_mat, rows, cols):
-    """Samples of each real coefficient unknown, (n_vars, n_omega, rows, cols).
-
-    Variable order matches :func:`_pack`: all real parts first in
-    (k, row, col) C-order, then all imaginary parts.
-    """
-    nw, nb = basis_mat.shape
-    n_half = nb * rows * cols
-    tensor = np.zeros((2 * n_half, nw, rows, cols), dtype=np.complex128)
-    v = 0
-    for part in (1.0, 1j):
-        for k in range(nb):
-            for p in range(rows):
-                for q in range(cols):
-                    tensor[v, :, p, q] = part * basis_mat[:, k]
-                    v += 1
-    return tensor
 
 
 def _real_stack(block):
@@ -416,18 +401,61 @@ def _hermitian_stack(blocks):
     return comps.reshape(*blocks.shape[:-2], d * d)
 
 
-def _constraint_matrix(w_samples, col_tensor):
-    """Real matrix of the sampled tangent constraints, (n_rows, n_vars)."""
-    cross = np.einsum("vwca,wcb->vwab", col_tensor.conj(), w_samples)
-    herm = cross + cross.conj().swapaxes(2, 3)
-    rows = _hermitian_stack(herm)
-    return rows.reshape(col_tensor.shape[0], -1).T
+# The two matrices below match, bit for bit and signed zeros included, a
+# dense contraction of zero-padded unit samples (the tests keep that
+# reference).  While the tangent rank cut sits in roundoff, descent paths
+# depend on those bits, and two conditions keep them.  Every complex
+# product comes from einsum (or a factor of 1 or i): numpy's vectorized
+# complex multiply rounds differently from einsum's scalar loop, by up to
+# 4.6e-16 on the mixing descents.  And both matrices are filled as
+# (n_vars, n_rows) C-order arrays and returned transposed, so they reach
+# LAPACK and BLAS in Fortran order: a C-ordered ``a_obj`` sends
+# ``a_obj @ null`` down another BLAS path.
 
 
-def _objective_matrix(col_tensor):
-    n_vars = col_tensor.shape[0]
-    flat = col_tensor.reshape(n_vars, -1)
-    return np.concatenate([flat.real, flat.imag], axis=1).T
+def _constraint_matrix(w_samples, basis_mat):
+    """Real matrix of the sampled tangent constraints, (n_rows, n_vars).
+
+    Column v is the :func:`_hermitian_stack` of X* W + W* X for the unit
+    unknown v of :func:`_pack` (real parts, then imaginary parts, each
+    in (k, row, col) C-order); rows run over (omega, component).  That
+    unknown is ``part * b_k E_pq``, whose product X* W is
+    ``conj(part * b_k) W[p, :]`` in row q and zero elsewhere.
+    """
+    nw, nb = basis_mat.shape
+    rows, cols = w_samples.shape[1:]
+    iu, ju = np.triu_indices(cols, 1)
+    n_up = iu.size
+    out = np.zeros((2, nb, rows, cols, nw, cols * cols))
+    for i, part in enumerate((1.0, 1j)):
+        # cross[k, p, w, b]: row q of X* W for the unknown (part, k, p, q)
+        cross = np.einsum("wk,wpb->kpwb", (part * basis_mat).conj(), w_samples)
+        for q in range(cols):
+            out[i, :, :, q, :, q] = 2.0 * cross[..., q].real
+        for j, (a, b) in enumerate(zip(iu, ju)):
+            out[i, :, :, a, :, cols + j] = cross[..., b].real
+            out[i, :, :, a, :, cols + n_up + j] = cross[..., b].imag
+            out[i, :, :, b, :, cols + j] = cross[..., a].real
+            out[i, :, :, b, :, cols + n_up + j] = -cross[..., a].imag
+    out += 0.0  # -0 -> +0: a zero-padded contraction sums from +0
+    return out.reshape(2 * nb * rows * cols, -1).T
+
+
+def _objective_matrix(basis_mat, rows, cols):
+    """Real matrix taking unknowns to :func:`_real_stack` samples.
+
+    With B the basis matrix and I of order rows*cols this is the block
+    ``[[Re B (x) I, -Im B (x) I], [Im B (x) I, Re B (x) I]]``.
+    """
+    nw, nb = basis_mat.shape
+    m = rows * cols
+    out = np.zeros((2, nb, m, 2, nw, m))
+    diag = np.arange(m)
+    for i, part in enumerate((1.0, 1j)):
+        col = (part * basis_mat).T
+        out[i, :, diag, 0, :, diag] = col.real
+        out[i, :, diag, 1, :, diag] = col.imag
+    return out.reshape(2 * nb * m, -1).T
 
 
 def _nullspace(mat):
@@ -464,9 +492,8 @@ def project_direction(ts, basis, direction_samples):
         )
 
     basis_mat = basis.basis(ts.grid)
-    col_tensor = _column_tensor(basis_mat, rows, cols)
-    a_con = _constraint_matrix(ts.w_samples, col_tensor)
-    a_obj = _objective_matrix(col_tensor)
+    a_con = _constraint_matrix(ts.w_samples, basis_mat)
+    a_obj = _objective_matrix(basis_mat, rows, cols)
     target = _real_stack(direction_samples)
 
     null = _nullspace(a_con)
@@ -488,11 +515,14 @@ def project_direction(ts, basis, direction_samples):
     return YoulaParameter(basis.basis_pole, _unpack(x, basis.order, (rows, cols)))
 
 
-def restore_feasibility(cd, q, grid, tol=1e-10, max_iter=12):
+def restore_feasibility(samples, q, grid, tol=1e-10, max_iter=12):
     """Gauss-Newton refinement of the quadratic residual over coefficients.
 
-    Repeatedly solves the Hermitian linearization of the quadratic form
-    for a minimum-norm coefficient correction.  Because the residual is
+    ``samples`` is the ``(phi, lam, pi)`` triple of
+    :meth:`ConstraintData.samples` on ``grid``, so a descent that holds
+    them restores without sweeping the factor family again.  Each step
+    solves the Hermitian linearization of the quadratic form for a
+    minimum-norm coefficient correction.  Because the residual is
     exactly quadratic in the parameter, each step drops it roughly to
     the square of its previous size near a feasible point.  Returns the
     best iterate seen and its residual; the caller decides whether that
@@ -501,9 +531,8 @@ def restore_feasibility(cd, q, grid, tol=1e-10, max_iter=12):
     if not isinstance(q, YoulaParameter):
         raise TypeError("feasibility restoration operates on basis coefficients")
     grid = validate_grid(grid)
-    samples = cd.samples(grid)
     _, lam_w, pi_w = samples
-    col_tensor = _column_tensor(q.basis(grid), *q.shape)
+    basis_mat = q.basis(grid)
 
     x = _pack(q.coeffs)
     best, best_res = q, np.inf
@@ -516,7 +545,7 @@ def restore_feasibility(cd, q, grid, tol=1e-10, max_iter=12):
             best, best_res = cand, res
         if res <= tol:
             break
-        a_con = _constraint_matrix(lam_w + pi_w @ q_w, col_tensor)
+        a_con = _constraint_matrix(lam_w + pi_w @ q_w, basis_mat)
         rvec = _hermitian_stack(resid).ravel()
         step, *_ = np.linalg.lstsq(a_con, -rvec, rcond=None)
         x = x + step

@@ -1,10 +1,14 @@
-"""Shared fixtures: canonical models and seeded random generators."""
+"""Shared fixtures: canonical models, seeded random generators and the
+reference helpers that only the tests use."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from coherentctl.errors import DimensionMismatch, SingularResolvent
 from coherentctl.physreal import SlhModel, slh_to_statespace
-from coherentctl.statespace import StateSpace
+from coherentctl.stabilization import _regroup_permutations
+from coherentctl.statespace import StateSpace, static_gain
 
 
 @pytest.fixture
@@ -72,12 +76,113 @@ def cavity_response(omega):
     return g * np.eye(2)
 
 
-def pointwise(sys, omega):
-    """Direct dense-solve oracle for the transfer value (no kernel path)."""
+# -- reference helpers -----------------------------------------------------
+
+
+def freq_response(sys, omega):
+    """Transfer matrix value at ``s = i*omega`` for one real frequency.
+
+    The per-point dense-solve reference for ``StateSpace.response``.
+
+    Raises
+    ------
+    SingularResolvent
+        If ``i*omega`` is (numerically) an eigenvalue of A.
+    """
     if sys.n_states == 0:
         return sys.d.copy()
-    t = 1j * omega * np.eye(sys.n_states) - sys.a
+    t = 1j * float(omega) * np.eye(sys.n_states) - sys.a
+    sv = np.linalg.svd(t, compute_uv=False)
+    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+        raise SingularResolvent(
+            f"resolvent singular at omega={omega!r} "
+            f"(sigma_min/sigma_max = {sv[-1] / max(sv[0], 1e-300):.2e})"
+        )
     return sys.c @ np.linalg.solve(t, sys.b) + sys.d
+
+
+def zero_system(p, m):
+    return static_gain(np.zeros((p, m)))
+
+
+def hstack_systems(systems):
+    """Input concatenation ``[G1 G2 ...]`` (shared outputs)."""
+    systems = list(systems)
+    p = systems[0].n_outputs
+    for g in systems:
+        if g.n_outputs != p:
+            raise DimensionMismatch("hstack requires equal output counts")
+    a = sla.block_diag(*[g.a for g in systems]).astype(np.complex128)
+    b = sla.block_diag(*[g.b for g in systems]).astype(np.complex128)
+    c = np.hstack([g.c for g in systems])
+    d = np.hstack([g.d for g in systems])
+    return StateSpace(a, b, c, d)
+
+
+def vstack_systems(systems):
+    """Output concatenation ``[G1; G2; ...]`` (shared inputs)."""
+    systems = list(systems)
+    m = systems[0].n_inputs
+    for g in systems:
+        if g.n_inputs != m:
+            raise DimensionMismatch("vstack requires equal input counts")
+    a = sla.block_diag(*[g.a for g in systems]).astype(np.complex128)
+    b = np.vstack([g.b for g in systems])
+    c = sla.block_diag(*[g.c for g in systems]).astype(np.complex128)
+    d = np.vstack([g.d for g in systems])
+    return StateSpace(a, b, c, d)
+
+
+def quad_grid(*systems, points_per_decade=128, pad_decades=2.0):
+    """Two-sided frequency grid adapted to the systems' pole locations.
+
+    Spans from two decades below the slowest pole to two decades above
+    the fastest, covering negative frequencies as well (complex-matrix
+    models have no conjugate symmetry in omega).
+    """
+    radii = [1.0]
+    for g in systems:
+        if g.n_states:
+            eig = np.linalg.eigvals(g.a)
+            radii.extend(np.abs(eig[np.abs(eig) > 0]).tolist())
+    lo = min(radii) * 10.0 ** (-pad_decades) if radii else 1e-2
+    hi = max(radii) * 10.0 ** (pad_decades + 1.0)
+    lo = min(lo, 1e-2)
+    hi = max(hi, 1e4)
+    decades = np.log10(hi / lo)
+    n = max(int(decades * points_per_decade), 16)
+    pos = np.logspace(np.log10(lo), np.log10(hi), n)
+    return np.concatenate([-pos[::-1], [0.0], pos])
+
+
+def h2_norm_sq_quadrature(sys, grid=None):
+    """Squared H2 norm by trapezoidal quadrature of the response.
+
+    ``(1/2pi) * integral ||G(iw)||_F^2 dw`` over a wide two-sided grid.
+    Independent cross-check for ``h2_norm_sq``; accuracy is set by
+    the grid (defaults resolve to ~1e-4 relative on benign systems).
+    """
+    if grid is None:
+        grid = quad_grid(sys)
+    grid = np.asarray(grid, dtype=np.float64)
+    resp = sys.response(grid)
+    vals = np.sum(np.abs(resp) ** 2, axis=(1, 2))
+    return float(np.trapezoid(vals, grid) / (2.0 * np.pi))
+
+
+def undo_modify(mp, part):
+    """Invert ``modify_plant``, restoring the interleaved ordering."""
+    rows, cols = _regroup_permutations(part)
+    inv_rows, inv_cols = np.argsort(rows), np.argsort(cols)
+    f = mp.full
+    return StateSpace(f.a, f.b[:, inv_cols], f.c[inv_rows], f.d[inv_rows][:, inv_cols])
+
+
+def central_controller(mp, cf):
+    """Observer-form stabilizing controller; equals U V^{-1}."""
+    a, b2, c2, d22 = mp.full.a, mp.b2, mp.c2, mp.d22
+    f, l = cf.gains.f, cf.gains.l
+    return StateSpace(a + b2 @ f + l @ (c2 + d22 @ f), -l, f, np.zeros((cf.ctrl, cf.meas)))
 
 
 def coupled_cavity_plant():
@@ -131,11 +236,10 @@ def zero_constraints(d):
     Every parameter is feasible and every direction is tangent, so
     descent against this data is plain (fitted) gradient descent.
     """
-    from coherentctl.statespace import zero_system
     from coherentctl.youla_constraint import ConstraintData
 
     return ConstraintData(
-        family=zero_system(2 * d, 2 * d), signature=np.eye(2 * d)
+        family=zero_system(2 * d, 2 * d), signature=np.ones(2 * d)
     )
 
 
@@ -168,7 +272,6 @@ def triple_problem(t0, t1, t2, grid, cd=None):
     those after it are exactly t2's.
     """
     from coherentctl.h2_synthesis import SynthesisProblem
-    from coherentctl.statespace import hstack_systems, vstack_systems, zero_system
 
     generator = vstack_systems([
         hstack_systems([t0, t1]),
@@ -223,7 +326,7 @@ def mixing_weight_cavity_problem(points=17):
     the exact parameter embedded in an order-4 basis.
     """
     from coherentctl.h2_synthesis import assemble_problem
-    from coherentctl.statespace import hstack_systems, log_grid, vstack_systems
+    from coherentctl.statespace import log_grid
     from coherentctl.youla_constraint import build_constraint_data
 
     mp, cf = coupled_cavity_loop()

@@ -25,7 +25,6 @@ from coherentctl.h2_synthesis import (
 from coherentctl.norms import (
     _imaginary_crossings,
     h2_norm_sq,
-    h2_norm_sq_quadrature,
     hinf_norm,
     sigma_max_profile,
     spectral_abscissa,
@@ -59,6 +58,7 @@ from conftest import (
     cavity_response,
     coupled_cavity_loop,
     exact_cavity_parameter,
+    h2_norm_sq_quadrature,
     lowpass_weight,
     make_rng,
     matched_target_problem,
@@ -246,7 +246,9 @@ def test_a05_feasibility_equivalence():
                 base.basis_pole,
                 base.coeffs + scale * random_complex(rng, base.coeffs.shape),
             )
-            q, res = restore_feasibility(cd_cavity, bumped, grid, max_iter=40)
+            q, res = restore_feasibility(
+                cd_cavity.samples(grid), bumped, grid, max_iter=40
+            )
             assert res < 1e-8
             instances.append((cf_cavity, cd_cavity, q))
     # clearly feasible: parameters recovered from static hyperbolic
@@ -390,7 +392,7 @@ def test_a08_tangent_projection_properties():
             base.basis_pole,
             base.coeffs + 0.01 * random_complex(rng, base.coeffs.shape),
         )
-        feasible, res = restore_feasibility(cd_cavity, bumped, grid)
+        feasible, res = restore_feasibility(cd_cavity.samples(grid), bumped, grid)
         assert res < 1e-8
         cases.append((cd_cavity, feasible, 8200 + i))
     for i in range(8):
@@ -402,7 +404,7 @@ def test_a08_tangent_projection_properties():
 
     assert len(cases) == 20
     for cd, base, seed in cases:
-        ts = tangent_subspace(cd, base, grid)
+        ts = tangent_subspace(cd.samples(grid), base, grid)
         rng = make_rng(seed)
         g = random_complex(rng, (grid.size, 2, 2))
 

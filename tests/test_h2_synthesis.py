@@ -23,7 +23,7 @@ from coherentctl.h2_synthesis import (
     gradient,
     validate_result,
 )
-from coherentctl.norms import h2_norm_sq, h2_norm_sq_quadrature, quad_grid
+from coherentctl.norms import h2_norm_sq
 from coherentctl.stabilization import (
     GainPair,
     ModifiedPlant,
@@ -49,10 +49,13 @@ from coherentctl.youla_constraint import (
 from conftest import (
     coupled_cavity_loop,
     exact_cavity_parameter,
+    freq_response,
+    h2_norm_sq_quadrature,
     lowpass_weight,
     make_rng,
     matched_target_problem,
     mixing_weight_cavity_problem,
+    quad_grid,
     random_complex,
     random_statespace,
     scalar_demo_loop,
@@ -298,7 +301,7 @@ class TestLoop:
         direct = w_out @ compose_lft(full, k, n_meas=2, n_ctrl=2) @ w_in
         for w in (0.0, 0.3, 1.7, 9.0):
             np.testing.assert_allclose(
-                loop.freq_response(w), direct.freq_response(w), rtol=1e-9, atol=1e-9
+                freq_response(loop, w), freq_response(direct, w), rtol=1e-9, atol=1e-9
             )
 
 

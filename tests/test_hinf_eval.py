@@ -9,7 +9,6 @@ from coherentctl.statespace import (
     StateSpace,
     log_grid,
     static_gain,
-    zero_system,
 )
 from coherentctl.youla_constraint import YoulaParameter
 
@@ -20,6 +19,7 @@ from conftest import (
     make_rng,
     random_statespace,
     triple_problem,
+    zero_system,
 )
 
 

@@ -7,7 +7,6 @@ from coherentctl import norms
 from coherentctl.errors import NotStable, NotStrictlyProper
 from coherentctl.norms import (
     h2_norm_sq,
-    h2_norm_sq_quadrature,
     hinf_norm,
     is_hurwitz,
     is_spectrally_generic,
@@ -16,7 +15,7 @@ from coherentctl.norms import (
 )
 from coherentctl.statespace import StateSpace, log_grid, static_gain
 
-from conftest import make_rng, random_statespace
+from conftest import h2_norm_sq_quadrature, make_rng, random_statespace
 
 
 def first_order(pole, gain=1.0):

@@ -18,7 +18,6 @@ from coherentctl.statespace import (
     compose_lft,
     minimal_realization,
     static_gain,
-    zero_system,
 )
 from coherentctl.norms import is_hurwitz, spectral_abscissa
 from coherentctl.physreal import slh_to_statespace
@@ -27,7 +26,6 @@ from coherentctl.stabilization import (
     GainPair,
     ModifiedPlant,
     PartitionSpec,
-    central_controller,
     closed_loop_triple,
     controller_from_parameter,
     coprime_factorization,
@@ -36,10 +34,17 @@ from coherentctl.stabilization import (
     parameter_from_controller,
     pbh_unstabilizable_modes,
     stabilizing_gains,
-    undo_modify,
 )
 
-from conftest import make_rng, random_slh, random_statespace
+from conftest import (
+    central_controller,
+    freq_response,
+    make_rng,
+    random_slh,
+    random_statespace,
+    undo_modify,
+    zero_system,
+)
 
 
 def scalar_demo_plant():
@@ -147,8 +152,8 @@ class TestModifyPlant:
         p22 = mp.p22()
         assert p22.shape == (2, 2)
         w = 0.73
-        full = mp.full.freq_response(w)
-        np.testing.assert_allclose(p22.freq_response(w), full[4:, 4:], atol=1e-13)
+        full = freq_response(mp.full, w)
+        np.testing.assert_allclose(freq_response(p22, w), full[4:, 4:], atol=1e-13)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -343,7 +348,7 @@ class TestStabilizingGains:
 
 
 def _eval(sys, w):
-    return sys.freq_response(w)
+    return freq_response(sys, w)
 
 
 class TestCoprimeFactorization:

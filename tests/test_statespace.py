@@ -14,19 +14,25 @@ from coherentctl.statespace import (
     blockdiag_systems,
     compose_lft,
     doubled,
-    hstack_systems,
     identity_system,
     invert_system,
+    j_form,
     log_grid,
     minimal_realization,
     signature_matrix,
     static_gain,
     validate_grid,
+)
+
+from conftest import (
+    coupled_cavity_loop,
+    freq_response,
+    hstack_systems,
+    make_rng,
+    random_statespace,
     vstack_systems,
     zero_system,
 )
-
-from conftest import coupled_cavity_loop, make_rng, pointwise, random_statespace
 
 GRID = log_grid(1e-2, 1e2, 17)
 
@@ -56,13 +62,13 @@ class TestFreqResponse:
         d = np.array([[1.0 + 2.0j, 0.5], [0.0, -1.0j]])
         g = static_gain(d)
         assert g.n_states == 0
-        np.testing.assert_allclose(g.freq_response(3.7), d)
+        np.testing.assert_allclose(freq_response(g, 3.7), d)
 
     def test_first_order_values(self):
         g = first_order(-1.0)
-        assert g.freq_response(0.0) == pytest.approx(1.0)
+        assert freq_response(g, 0.0) == pytest.approx(1.0)
         np.testing.assert_allclose(
-            g.freq_response(1.0), np.array([[1.0 / (1j + 1.0)]]), rtol=1e-14
+            freq_response(g, 1.0), np.array([[1.0 / (1j + 1.0)]]), rtol=1e-14
         )
 
     def test_grid_sweep_matches_single_point(self):
@@ -70,12 +76,12 @@ class TestFreqResponse:
         g = random_statespace(rng, 4, 2, 3)
         resp = g.response(GRID)
         for k in (0, 8, 16):
-            np.testing.assert_allclose(resp[k], g.freq_response(GRID[k]), atol=1e-12)
+            np.testing.assert_allclose(resp[k], freq_response(g, GRID[k]), atol=1e-12)
 
     def test_singular_resolvent_raises(self):
         g = StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]])
         with pytest.raises(SingularResolvent):
-            g.freq_response(0.0)
+            freq_response(g, 0.0)
 
     def test_blocked_sweep_equals_per_frequency_solves(self, monkeypatch):
         rng = make_rng(11)
@@ -99,7 +105,7 @@ class TestAlgebra:
         gh = g @ h
         for w in (0.0, 0.3, 5.0):
             np.testing.assert_allclose(
-                pointwise(gh, w), pointwise(g, w) @ pointwise(h, w), atol=1e-11
+                freq_response(gh, w), freq_response(g, w) @ freq_response(h, w), atol=1e-11
             )
 
     def test_series_signal_flow_order(self):
@@ -111,13 +117,13 @@ class TestAlgebra:
     def test_series_identity(self):
         g = first_order(-1.0)
         np.testing.assert_allclose(
-            pointwise(identity_system(1) @ g, 2.0), pointwise(g, 2.0)
+            freq_response(identity_system(1) @ g, 2.0), freq_response(g, 2.0)
         )
 
     def test_series_of_integrator_like_pair_at_zero(self):
         g = first_order(-1.0)
         gg = g @ g
-        assert gg.freq_response(0.0)[0, 0] == pytest.approx(1.0)
+        assert freq_response(gg, 0.0)[0, 0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_add_sub_neg_scalar(self, seed):
@@ -126,14 +132,14 @@ class TestAlgebra:
         h = random_statespace(rng, 2, 2, 2)
         for w in (0.0, 1.7):
             np.testing.assert_allclose(
-                pointwise(g + h, w), pointwise(g, w) + pointwise(h, w), atol=1e-12
+                freq_response(g + h, w), freq_response(g, w) + freq_response(h, w), atol=1e-12
             )
             np.testing.assert_allclose(
-                pointwise(g - h, w), pointwise(g, w) - pointwise(h, w), atol=1e-12
+                freq_response(g - h, w), freq_response(g, w) - freq_response(h, w), atol=1e-12
             )
-            np.testing.assert_allclose(pointwise(-g, w), -pointwise(g, w))
+            np.testing.assert_allclose(freq_response(-g, w), -freq_response(g, w))
             np.testing.assert_allclose(
-                pointwise((2.0 - 1.0j) * g, w), (2.0 - 1.0j) * pointwise(g, w)
+                freq_response((2.0 - 1.0j) * g, w), (2.0 - 1.0j) * freq_response(g, w)
             )
 
     def test_dimension_mismatch(self):
@@ -151,19 +157,19 @@ class TestAlgebra:
         k = random_statespace(rng, 2, 3, 3)
         w = 0.9
         np.testing.assert_allclose(
-            pointwise(hstack_systems([g, h]), w),
-            np.hstack([pointwise(g, w), pointwise(h, w)]),
+            freq_response(hstack_systems([g, h]), w),
+            np.hstack([freq_response(g, w), freq_response(h, w)]),
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            pointwise(vstack_systems([g, k]), w),
-            np.vstack([pointwise(g, w), pointwise(k, w)]),
+            freq_response(vstack_systems([g, k]), w),
+            np.vstack([freq_response(g, w), freq_response(k, w)]),
             atol=1e-12,
         )
         bd = blockdiag_systems([g, h])
-        top = np.hstack([pointwise(g, w), np.zeros((2, 2))])
-        bot = np.hstack([np.zeros((2, 3)), pointwise(h, w)])
-        np.testing.assert_allclose(pointwise(bd, w), np.vstack([top, bot]), atol=1e-12)
+        top = np.hstack([freq_response(g, w), np.zeros((2, 2))])
+        bot = np.hstack([np.zeros((2, 3)), freq_response(h, w)])
+        np.testing.assert_allclose(freq_response(bd, w), np.vstack([top, bot]), atol=1e-12)
 
 
 class TestInverse:
@@ -182,7 +188,7 @@ class TestInverse:
 class TestLft:
     def _split(self, plant, nz, nw):
         p, m = plant.shape
-        d = pointwise(plant, 0.3)
+        d = freq_response(plant, 0.3)
         return d[:nz, :nw], d[:nz, nw:], d[nz:, :nw], d[nz:, nw:]
 
     def test_zero_controller_gives_p11(self):
@@ -192,7 +198,7 @@ class TestLft:
         closed = compose_lft(plant, k, n_meas=2, n_ctrl=2)
         for w in (0.0, 1.1):
             np.testing.assert_allclose(
-                pointwise(closed, w), pointwise(plant, w)[:2, :2], atol=1e-12
+                freq_response(closed, w), freq_response(plant, w)[:2, :2], atol=1e-12
             )
 
     def test_static_passthrough_adds_controller(self):
@@ -202,7 +208,7 @@ class TestLft:
         k = first_order(-2.0, gain=3.0)
         closed = compose_lft(plant, k, n_meas=1, n_ctrl=1)
         for w in (0.0, 2.0):
-            np.testing.assert_allclose(pointwise(closed, w), pointwise(k, w), atol=1e-12)
+            np.testing.assert_allclose(freq_response(closed, w), freq_response(k, w), atol=1e-12)
 
     @pytest.mark.parametrize("seed", [12, 13, 14])
     def test_pointwise_formula(self, seed):
@@ -212,14 +218,14 @@ class TestLft:
         k = random_statespace(rng, 2, nu, ny)
         closed = compose_lft(plant, k, n_meas=ny, n_ctrl=nu)
         for w in (0.0, 0.7, 9.0):
-            pw = pointwise(plant, w)
+            pw = freq_response(plant, w)
             p11, p12 = pw[:nz, :nw], pw[:nz, nw:]
             p21, p22 = pw[nz:, :nw], pw[nz:, nw:]
-            kw = pointwise(k, w)
+            kw = freq_response(k, w)
             expected = p11 + p12 @ kw @ np.linalg.solve(
                 np.eye(ny) - p22 @ kw, p21
             )
-            np.testing.assert_allclose(pointwise(closed, w), expected, atol=1e-10)
+            np.testing.assert_allclose(freq_response(closed, w), expected, atol=1e-10)
 
     def test_algebraic_loop_rejected(self):
         plant = static_gain(np.ones((2, 2)))
@@ -236,7 +242,7 @@ class TestMinimalRealization:
         red = minimal_realization(g)
         assert red.n_states == 1
         for w in (0.0, 1.0):
-            np.testing.assert_allclose(pointwise(red, w), pointwise(g, w), atol=1e-12)
+            np.testing.assert_allclose(freq_response(red, w), freq_response(g, w), atol=1e-12)
 
     def test_cascade_cancellation_to_static(self):
         g = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[1.0]])  # (s+2)/(s+1)
@@ -290,6 +296,16 @@ class TestDoubledStructure:
     def test_signature(self):
         j = signature_matrix(2)
         np.testing.assert_allclose(j, np.diag([1.0, 1.0, -1.0, -1.0]))
+
+    @pytest.mark.parametrize("seed,shape", [(0, (9, 2, 2)), (1, (17, 4, 3)), (2, (5, 6, 6))])
+    def test_j_form_matches_dense_product(self, seed, shape):
+        rng = make_rng(seed)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        sign = rng.choice([-1.0, 1.0], size=shape[1])
+        want = g.conj().swapaxes(1, 2) @ np.diag(sign) @ g
+        got = j_form(g, sign)
+        assert got.shape == (shape[0], shape[2], shape[2])
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestGrids:

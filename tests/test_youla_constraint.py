@@ -10,7 +10,6 @@ from coherentctl.physreal import j_unitarity_residual
 from coherentctl.stabilization import (
     GainPair,
     ModifiedPlant,
-    central_controller,
     controller_from_parameter,
     coprime_factorization,
     parameter_from_controller,
@@ -22,10 +21,13 @@ from coherentctl.youla_constraint import (
     MembershipVerdict,
     TangentSubspace,
     YoulaParameter,
+    _constraint_matrix,
+    _hermitian_stack,
+    _objective_matrix,
+    _real_stack,
     build_constraint_data,
     constraint_residual,
     constraint_samples,
-    feedthrough_ok,
     membership_qhat,
     project_direction,
     restore_feasibility,
@@ -71,6 +73,23 @@ def scalar_demo_cf():
         f=np.array([[-2.0]], dtype=complex), l=np.array([[-2.0]], dtype=complex)
     )
     return coprime_factorization(mp, gains)
+
+
+def doubled_demo_cf():
+    """Two uncoupled copies of the scalar demo loop: width 2, N strictly proper.
+
+    Each copy has its pole at +1 and gains F = L = -2, so N = I/(s+1)
+    and V + N Q keeps V's identity feedthrough for every Q.
+    """
+    eye = np.eye(2, dtype=complex)
+    mp = ModifiedPlant(
+        full=StateSpace(eye, np.hstack([eye, eye]), np.vstack([eye, eye]), np.zeros((4, 4))),
+        in_exo=2,
+        in_ctrl=2,
+        out_perf=2,
+        out_meas=2,
+    )
+    return coprime_factorization(mp, GainPair(f=-2.0 * eye, l=-2.0 * eye))
 
 
 def random_doubled_cf(seed, n=3):
@@ -206,7 +225,7 @@ class TestConstraintResidual:
         # the static family diag(sqrt2 I, I) under diag(J, -J) gives
         # phi = -J, lam = 0 and pi = 2J
         family = static_gain(np.diag([np.sqrt(2.0)] * 2 + [1.0] * 2))
-        cd = ConstraintData(family=family, signature=np.diag([1.0, -1.0, -1.0, 1.0]))
+        cd = ConstraintData(family=family, signature=np.array([1.0, -1.0, -1.0, 1.0]))
         q = YoulaParameter(1.0, np.eye(2)[None])
         got = constraint_residual(cd, q, np.array([0.0, 1.0]))
         assert got == pytest.approx(np.sqrt(2.0), rel=1e-12)
@@ -234,25 +253,38 @@ class TestConstraintResidual:
 
 
 class TestFeedthroughOk:
+    """``membership_qhat``'s feedthrough verdict is the controller assembly's."""
+
     def test_scalar_demo_zero_parameter(self):
-        cf = scalar_demo_cf()
-        assert feedthrough_ok(cf, YoulaParameter.zero(1, order=1))
+        cf = doubled_demo_cf()
+        assert membership_qhat(cf, YoulaParameter.zero(2, order=1)).feedthrough_ok
 
     @pytest.mark.parametrize("seed", range(3))
     def test_zero_parameter_always_ok_for_built_factors(self, seed):
         # V carries an identity feedthrough by construction
         cf = random_doubled_cf(seed)
-        assert feedthrough_ok(cf, YoulaParameter.zero(2, order=1))
+        assert membership_qhat(cf, YoulaParameter.zero(2, order=1)).feedthrough_ok
 
     def test_strictly_proper_coupling_ignores_parameter_size(self):
-        cf = scalar_demo_cf()
-        big = YoulaParameter(1.0, 100.0 * np.ones((1, 1, 1)))
-        assert feedthrough_ok(cf, big)
+        cf = doubled_demo_cf()
+        big = YoulaParameter(1.0, 100.0 * np.ones((1, 2, 2)))
+        assert membership_qhat(cf, big).feedthrough_ok
 
     def test_singular_combination_detected(self):
         _, cf = coupled_cavity_loop()
         q = YoulaParameter(1.0, -np.eye(2)[None])
-        assert not feedthrough_ok(cf, q)
+        assert not membership_qhat(cf, q).feedthrough_ok
+
+    def test_small_but_invertible_feedthrough_is_judged_relative(self):
+        # V + N Q has feedthrough 1e-5 I: det 1e-10, but every singular
+        # value equals the largest, so the controller assembles (with a
+        # feedthrough near -1e5 I)
+        _, cf = coupled_cavity_loop()
+        q = YoulaParameter(1.0, (1e-5 - 1.0) * np.eye(2)[None])
+        verdict = membership_qhat(cf, q)
+        assert verdict.feedthrough_ok
+        assert verdict.controller is not None
+        assert np.abs(verdict.controller.d).max() == pytest.approx(1e5, rel=1e-3)
 
 
 class TestMembership:
@@ -336,7 +368,8 @@ class FeasibleCavity:
         self.cd = build_constraint_data(self.cf)
         self.grid = log_grid(1e-1, 1e1, 9)
         self.base = exact_cavity_parameter(order=4)
-        self.ts = tangent_subspace(self.cd, self.base, self.grid)
+        self.samples = self.cd.samples(self.grid)
+        self.ts = tangent_subspace(self.samples, self.base, self.grid)
 
     def random_direction(self, seed):
         rng = make_rng(seed)
@@ -354,13 +387,92 @@ class TestTangentSubspace(FeasibleCavity):
             self.ts.constraint_map(np.zeros((3, 2, 2)))
 
     def test_base_point_recorded(self):
-        assert self.ts.base_point is self.base
         assert self.ts.w_samples.shape == (self.grid.size, 2, 2)
 
-    def test_reuses_presampled_blocks(self):
-        samples = self.cd.samples(self.grid)
-        ts2 = tangent_subspace(self.cd, self.base, self.grid, samples=samples)
-        np.testing.assert_allclose(ts2.w_samples, self.ts.w_samples, atol=1e-14)
+
+def unit_directions(order, shape, pole):
+    """Unit coefficient directions in the unknown order of the Jacobians.
+
+    Real parts first, then imaginary parts, each in (k, row, col)
+    C-order.
+    """
+    n = (order + 1) * shape[0] * shape[1]
+    for v in range(2 * n):
+        flat = np.zeros(n, dtype=complex)
+        flat[v % n] = 1.0 if v < n else 1j
+        yield YoulaParameter(pole, flat.reshape(order + 1, *shape))
+
+
+def jacobian_case(name):
+    """Constraint data and a base parameter: the cavity or a random loop."""
+    if name == "cavity":
+        _, cf = coupled_cavity_loop()
+        return build_constraint_data(cf), exact_cavity_parameter(order=3)
+    cf = random_doubled_cf(2)
+    base = YoulaParameter(1.0, random_complex(make_rng(61), (3, 2, 2), scale=0.3))
+    return build_constraint_data(cf), base
+
+
+def dense_jacobians(w_samples, basis_mat):
+    """Reference: both Jacobians contracted from a dense tensor of unit samples.
+
+    The tensor holds the samples of every unknown, (n_vars, n_omega,
+    rows, cols), in the unknown order of :func:`unit_directions`.
+    """
+    nw, nb = basis_mat.shape
+    rows, cols = w_samples.shape[1:]
+    tensor = np.zeros((2 * nb * rows * cols, nw, rows, cols), dtype=complex)
+    v = 0
+    for part in (1.0, 1j):
+        for k in range(nb):
+            for p in range(rows):
+                for q in range(cols):
+                    tensor[v, :, p, q] = part * basis_mat[:, k]
+                    v += 1
+    cross = np.einsum("vwca,wcb->vwab", tensor.conj(), w_samples)
+    a_con = _hermitian_stack(cross + cross.conj().swapaxes(2, 3)).reshape(v, -1).T
+    flat = tensor.reshape(v, -1)
+    a_obj = np.concatenate([flat.real, flat.imag], axis=1).T
+    return a_con, a_obj
+
+
+class TestConstraintJacobian:
+    """The structured Jacobians against the maps they linearize, column by column."""
+
+    @pytest.mark.parametrize("name", ["cavity", "random"])
+    def test_matches_dense_reference_bit_for_bit(self, name):
+        # same products in the same order and layout: descent output
+        # stays byte-identical only while this holds
+        cd, base = jacobian_case(name)
+        w_samples = tangent_subspace(cd.samples(self.grid), base, self.grid).w_samples
+        basis_mat = base.basis(self.grid)
+        want_con, want_obj = dense_jacobians(w_samples, basis_mat)
+        a_con = _constraint_matrix(w_samples, basis_mat)
+        a_obj = _objective_matrix(basis_mat, *base.shape)
+        for got, want in ((a_con, want_con), (a_obj, want_obj)):
+            assert got.flags.f_contiguous
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    pos = log_grid(1e-1, 1e1, 5)
+    grid = np.concatenate([-pos[::-1], [0.0], pos])
+
+    @pytest.mark.parametrize("name", ["cavity", "random"])
+    def test_constraint_columns_match_constraint_map(self, name):
+        cd, base = jacobian_case(name)
+        ts = tangent_subspace(cd.samples(self.grid), base, self.grid)
+        a_con = _constraint_matrix(ts.w_samples, base.basis(self.grid))
+        units = list(unit_directions(base.order, base.shape, base.basis_pole))
+        assert a_con.shape == (self.grid.size * 4, len(units))
+        for v, e_v in enumerate(units):
+            want = _hermitian_stack(ts.constraint_map(e_v.evaluate(self.grid))).ravel()
+            np.testing.assert_allclose(a_con[:, v], want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["cavity", "random"])
+    def test_objective_columns_match_real_stack(self, name):
+        _, base = jacobian_case(name)
+        a_obj = _objective_matrix(base.basis(self.grid), *base.shape)
+        for v, e_v in enumerate(unit_directions(base.order, base.shape, base.basis_pole)):
+            np.testing.assert_array_equal(a_obj[:, v], _real_stack(e_v.evaluate(self.grid)))
 
 
 class TestProjectDirection(FeasibleCavity):
@@ -402,7 +514,6 @@ class TestProjectDirection(FeasibleCavity):
     def test_empty_constraint_reduces_to_basis_fit(self):
         free = TangentSubspace(
             grid=self.grid,
-            base_point=self.base,
             w_samples=np.zeros((self.grid.size, 2, 2), dtype=complex),
         )
         g = self.random_direction(21)
@@ -416,14 +527,14 @@ class TestProjectDirection(FeasibleCavity):
         # with only a constant and one decay term, the tangent space of
         # this fixture is trivial
         base = exact_cavity_parameter(order=1)
-        ts = tangent_subspace(self.cd, base, self.grid)
+        ts = tangent_subspace(self.samples, base, self.grid)
         proj = project_direction(ts, base, self.random_direction(2))
         assert not proj.coeffs.any()
 
     def test_underdetermined_fit_warns(self):
         grid = np.array([1.0])
         base = exact_cavity_parameter(order=3)
-        ts = tangent_subspace(self.cd, base, grid)
+        ts = tangent_subspace(self.cd.samples(grid), base, grid)
         rng = make_rng(9)
         with pytest.warns(RankDeficientProjection):
             proj = project_direction(ts, base, random_complex(rng, (1, 2, 2)))
@@ -442,7 +553,7 @@ class TestProjectDirection(FeasibleCavity):
 
 class TestRestoreFeasibility(FeasibleCavity):
     def test_noop_on_feasible_point(self):
-        q, res = restore_feasibility(self.cd, self.base, self.grid)
+        q, res = restore_feasibility(self.samples, self.base, self.grid)
         assert res < 1e-12
         np.testing.assert_array_equal(q.coeffs, self.base.coeffs)
 
@@ -455,14 +566,32 @@ class TestRestoreFeasibility(FeasibleCavity):
         )
         start = constraint_residual(self.cd, bumped, self.grid)
         assert start > 1e-4 * scale
-        q, res = restore_feasibility(self.cd, bumped, self.grid)
+        q, res = restore_feasibility(self.samples, bumped, self.grid)
         assert res < 1e-10
         drift = np.abs(q.coeffs - bumped.coeffs).max()
         assert drift < 10.0 * scale
 
     def test_requires_basis_parameter(self):
         with pytest.raises(TypeError):
-            restore_feasibility(self.cd, self.base.to_statespace(), self.grid)
+            restore_feasibility(self.samples, self.base.to_statespace(), self.grid)
+
+    def test_makes_no_sweep(self, monkeypatch):
+        calls = []
+        original = StateSpace.response
+
+        def counted(sys, omegas):
+            calls.append(sys)
+            return original(sys, omegas)
+
+        monkeypatch.setattr(StateSpace, "response", counted)
+        rng = make_rng(18)
+        bumped = YoulaParameter(
+            self.base.basis_pole,
+            self.base.coeffs + 1e-2 * random_complex(rng, self.base.coeffs.shape),
+        )
+        _, res = restore_feasibility(self.samples, bumped, self.grid)
+        assert res < 1e-10
+        assert calls == []
 
 
 class TestUnitarityEquivalence:
@@ -479,7 +608,7 @@ class TestUnitarityEquivalence:
         cd = build_constraint_data(cf)
         rng = make_rng(300 + seed)
         q = YoulaParameter(1.0, random_complex(rng, (3, 2, 2), scale=0.2))
-        assert feedthrough_ok(cf, q)
+        assert membership_qhat(cf, q).feedthrough_ok
 
         grid = np.concatenate([[0.0], log_grid(1e-2, 1e2, 33)])
         r_q = constraint_samples(cd, q, grid)

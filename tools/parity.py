@@ -11,12 +11,16 @@ checkout's ``src``) and calls ``cli.main`` on
   ``--grid-points 9`` and once with ``--tol 1e-3``;
 - ``eval-hinf`` and ``closed-loop`` on every fixture with each
   ``tests/fixtures/q_*.json`` as ``--q-from``;
-- every extra document DOC with the four commands of the first item;
+- the seed-1 documents of the three ``pipebench`` workloads that are
+  not fixtures, written to a temporary directory by
+  ``pipebench/workloads.py``, with the four commands of the first item;
+- every extra document DOC with the same four commands;
 
 each case once with ``--json`` and once without.  For every case it
 records the exit code, stdout, stderr and the text of every file the
-command wrote.  Output paths are replaced by ``<out>``, so digests of two
-checkouts made with the same documents compare byte for byte.
+command wrote.  Output paths are replaced by ``<out>`` and the directory
+of the generated documents by ``<docs>``, so digests of two checkouts
+made with the same documents compare byte for byte.
 
 The second form lists the cases whose records differ.  Where two texts
 differ only in their numbers, it prints how many numbers changed, the
@@ -40,6 +44,9 @@ import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "tests", "fixtures")
+PIPEBENCH = os.path.join(ROOT, "pipebench")
+#: Seed of the generated ``pipebench`` documents.
+PIPEBENCH_SEED = 1
 COMMANDS = ("check-pr", "factorize", "synthesize-h2", "eval-hinf")
 #: Flag sets each command is also run with on every fixture.
 FIXTURE_FLAGS = (("--grid-points", "9"), ("--tol", "1e-3"))
@@ -57,12 +64,29 @@ def _load_cli(src):
     return cli
 
 
-def cases(extra_docs):
-    """Yield (key, argv) pairs; ``<out>`` in argv is the case's output directory."""
+def pipebench_docs(work):
+    """Write the seed-1 workload documents into ``work``; return (name, path) pairs.
+
+    Documents the workloads take from the fixtures are left out, since
+    every fixture is a case already.
+    """
+    if PIPEBENCH not in sys.path:
+        sys.path.append(PIPEBENCH)
+    from workloads import WORKLOADS
+
+    paths = {op.argv[1] for make in WORKLOADS.values() for op in make(PIPEBENCH_SEED, work)}
+    return sorted((f"pipebench/{os.path.basename(p)}", p)
+                  for p in paths if not p.startswith(FIXTURES + os.sep))
+
+
+def cases(docs):
+    """Yield (key, argv) pairs; ``<out>`` in argv is the case's output directory.
+
+    ``docs`` are the (name, path) pairs of the documents besides the fixtures.
+    """
     fixtures = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
     q_files = [f for f in fixtures if f.startswith("q_")]
-    docs = [(f, os.path.join(FIXTURES, f)) for f in fixtures]
-    docs += [(os.path.abspath(d), os.path.abspath(d)) for d in extra_docs]
+    docs = [(f, os.path.join(FIXTURES, f)) for f in fixtures] + list(docs)
     outputs = {"synthesize-h2": ["--out", "<out>/bundle"],
                "eval-hinf": ["--out", "<out>/profile.csv"]}
     for name, path in docs:
@@ -82,10 +106,17 @@ def cases(extra_docs):
                 yield " ".join([cmd, name, *rest, *flag]), argv + flag
 
 
-def run_case(cli, argv):
-    """One in-process CLI call in a fresh output directory; returns its record."""
+def run_case(cli, argv, work):
+    """One in-process CLI call in a fresh output directory; returns its record.
+
+    ``work`` is the directory of the generated documents.
+    """
     with tempfile.TemporaryDirectory() as out:
         argv = [a.replace("<out>", out) for a in argv]
+
+        def scrub(text):
+            return text.replace(out, "<out>").replace(work, "<docs>")
+
         stdout, stderr = io.StringIO(), io.StringIO()
         # a fresh filter state per case, so each shows its warnings as a new process would
         with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
@@ -100,15 +131,18 @@ def run_case(cli, argv):
             for name in names:
                 path = os.path.join(base, name)
                 with open(path, encoding="utf-8") as handle:
-                    files[os.path.relpath(path, out)] = handle.read().replace(out, "<out>")
-        return {"code": code, "stdout": stdout.getvalue().replace(out, "<out>"),
-                "stderr": stderr.getvalue().replace(out, "<out>"),
+                    files[os.path.relpath(path, out)] = scrub(handle.read())
+        return {"code": code, "stdout": scrub(stdout.getvalue()),
+                "stderr": scrub(stderr.getvalue()),
                 "files": dict(sorted(files.items()))}
 
 
 def digest(src, extra_docs, out_path):
     cli = _load_cli(src)
-    records = {key: run_case(cli, argv) for key, argv in cases(extra_docs)}
+    with tempfile.TemporaryDirectory() as work:
+        docs = pipebench_docs(work) + [(os.path.abspath(d), os.path.abspath(d))
+                                       for d in extra_docs]
+        records = {key: run_case(cli, argv, work) for key, argv in cases(docs)}
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(records, handle, indent=1, sort_keys=True)
     print(f"{len(records)} cases written to {out_path}")
