@@ -213,7 +213,7 @@ def evaluation_problem(mp, cf, w_in=None, w_out=None, grid=None, cd=None):
     )
 
 
-def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_tol=1e-9):
+def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None):
     """The weighted loop of :func:`evaluation_problem`, gated for the H2 cost.
 
     The cost is finite only when the weighted loop is strictly proper for
@@ -221,7 +221,7 @@ def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_to
     of the weighted map itself to vanish and at least one of the two
     affine factors to lose its feedthrough.  Violations raise
     :class:`NotStrictlyProper` here, at assembly, rather than deep inside
-    a norm computation.  Feedthrough within ``properness_tol`` is
+    a norm computation.  Feedthrough blocks no larger than 1e-9 are
     stripped from the generator, and the constraint data must fit the
     parameter slots.
     """
@@ -230,12 +230,12 @@ def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_to
     d = sp.generator.d.copy()
     blocks = (np.s_[:nz, :nw], np.s_[:nz, nw:], np.s_[nz:, :nw])
     d0, d1, d2 = (float(np.abs(d[blk]).max(initial=0.0)) for blk in blocks)
-    if d0 > properness_tol:
+    if d0 > 1e-9:
         raise NotStrictlyProper(
             f"weighted map keeps feedthrough |D| = {d0:.3e}; "
             "use strictly proper weights"
         )
-    if min(d1, d2) > properness_tol:
+    if min(d1, d2) > 1e-9:
         raise NotStrictlyProper(
             "both affine factors keep feedthrough "
             f"({d1:.3e}, {d2:.3e}); parameter directions would not stay H2"
@@ -246,7 +246,7 @@ def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None, properness_to
             f"parameter slots are {sp.parameter_shape}"
         )
     for blk, size in zip(blocks, (d0, d1, d2)):
-        if size <= properness_tol:
+        if size <= 1e-9:
             d[blk] = 0.0
     g = sp.generator
     return replace(sp, generator=StateSpace(g.a, g.b, g.c, d))
@@ -361,7 +361,7 @@ def _rms(samples):
     return float(np.sqrt(np.mean(np.sum(np.abs(samples) ** 2, axis=(1, 2)))))
 
 
-def descend(sp, q_init, cfg=None):
+def descend(sp, q_init, cfg):
     """Projected-gradient descent of the weighted H2 cost.
 
     Each iteration projects the gradient samples onto the tangent
@@ -383,8 +383,6 @@ def descend(sp, q_init, cfg=None):
     StalledLineSearch
         When thirty halvings produce no decrease.
     """
-    if cfg is None:
-        cfg = DescentConfig()
     if not isinstance(q_init, YoulaParameter):
         raise TypeError("descent iterates over basis coefficients")
     if q_init.shape != sp.parameter_shape:
@@ -476,14 +474,14 @@ class SynthesisVerdict:
         return bool(self.membership.in_qhat and self.closed_loop_stable)
 
 
-def validate_result(sp, q_final, grid=None, tol=1e-6, margin=1e-9):
+def validate_result(sp, q_final, tol=1e-6):
     """Re-verify a descent result from scratch.
 
     Runs the full membership battery on ``q_final`` and, independently,
     closes the physical loop with the controller it assembled to confirm
-    the interconnection matrix is Hurwitz.
+    the interconnection matrix is Hurwitz with margin 1e-9.
     """
-    verdict = membership_qhat(sp.cf, q_final, grid=grid, tol=tol)
+    verdict = membership_qhat(sp.cf, q_final, tol=tol)
     abscissa = np.inf
     if verdict.controller is not None:
         try:
@@ -495,6 +493,6 @@ def validate_result(sp, q_final, grid=None, tol=1e-6, margin=1e-9):
             pass
     return SynthesisVerdict(
         membership=verdict,
-        closed_loop_stable=bool(abscissa < -margin),
+        closed_loop_stable=bool(abscissa < -1e-9),
         closed_loop_abscissa=float(abscissa),
     )

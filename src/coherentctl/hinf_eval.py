@@ -16,7 +16,6 @@ import numpy as np
 from .h2_synthesis import evaluation_problem
 from .norms import hinf_norm, sigma_max_profile
 from .stabilization import closed_loop_triple  # noqa: F401  (traced per layer by pipebench)
-from .statespace import validate_grid
 
 __all__ = ["HinfReport", "evaluation_problem", "hinf_cost"]
 
@@ -44,11 +43,12 @@ class HinfReport:
             )
 
 
-def hinf_cost(sp, q, grid=None, rel_tol=1e-6):
+def hinf_cost(sp, q, rel_tol=1e-6):
     """Worst-case gain of the weighted loop ``sp.loop(q)``.
 
     The certified value is the maximum of the level-set result and every
-    profile sample, so the report's norm is never below a sampled gain.
+    profile sample on ``sp.grid``, so the report's norm is never below a
+    sampled gain.
 
     Raises
     ------
@@ -58,9 +58,7 @@ def hinf_cost(sp, q, grid=None, rel_tol=1e-6):
     """
     loop = sp.loop(q)
     value, peak = hinf_norm(loop, rel_tol=rel_tol)
-    if grid is None:
-        grid = sp.grid
-    grid = validate_grid(np.asarray(grid, dtype=np.float64))
+    grid = sp.grid
     profile = sigma_max_profile(loop, grid)
     k = int(np.argmax(profile))
     if profile[k] > value:

@@ -20,6 +20,9 @@ __all__ = [
     "hinf_norm",
 ]
 
+#: Bound on the number of level tests :func:`hinf_norm` makes.
+HINF_MAX_LEVEL_TESTS = 80
+
 
 def _a_matrix(sys_or_a):
     if isinstance(sys_or_a, StateSpace):
@@ -42,26 +45,29 @@ def is_hurwitz(sys_or_a, margin=1e-9):
     return spectral_abscissa(sys_or_a) < -margin
 
 
-def is_spectrally_generic(sys_or_a, tol=None):
+def is_spectrally_generic(sys_or_a):
     """Check that no two eigenvalues are mirror-symmetric about the axis.
 
     The spectrum {lambda_i} is generic when ``lambda_i + conj(lambda_j)``
     is nonzero for every pair; equivalently no eigenvalue sits on the
     imaginary axis and no pair is an axis reflection.  An empty spectrum
-    is generic.  ``tol`` defaults to ``1e-8 * spectral radius``.
+    is generic.  Gaps at or below ``1e-8 * spectral radius`` count as zero.
     """
     a = _a_matrix(sys_or_a)
     if a.shape[0] == 0:
         return True
     eig = np.linalg.eigvals(a)
-    if tol is None:
-        tol = 1e-8 * float(np.abs(eig).max())
     gap = np.abs(eig[:, None] + eig[None, :].conj())
-    return bool(gap.min() > tol)
+    return bool(gap.min() > 1e-8 * float(np.abs(eig).max()))
 
 
-def _require_stable_strictly_proper(sys, margin):
-    if not is_hurwitz(sys.a, margin):
+def h2_norm_sq(sys):
+    """Squared H2 norm via the controllability Gramian.
+
+    Solves ``A P + P A* + B B* = 0`` and returns ``trace(C P C*)``.
+    Requires A Hurwitz with margin 1e-12 and zero feedthrough.
+    """
+    if not is_hurwitz(sys.a, 1e-12):
         raise NotStable(
             f"H2 norm undefined: spectral abscissa {spectral_abscissa(sys.a):.3e}"
         )
@@ -69,15 +75,6 @@ def _require_stable_strictly_proper(sys, margin):
     scale = max(1.0, np.abs(sys.b).max(initial=0.0), np.abs(sys.c).max(initial=0.0))
     if dmax > 1e-12 * scale:
         raise NotStrictlyProper(f"H2 norm undefined: |D| = {dmax:.3e}")
-
-
-def h2_norm_sq(sys, margin=1e-12):
-    """Squared H2 norm via the controllability Gramian.
-
-    Solves ``A P + P A* + B B* = 0`` and returns ``trace(C P C*)``.
-    Requires a Hurwitz A and zero feedthrough.
-    """
-    _require_stable_strictly_proper(sys, margin)
     if sys.n_states == 0:
         return 0.0
     p = sla.solve_continuous_lyapunov(sys.a, -sys.b @ sys.b.conj().T)
@@ -137,7 +134,7 @@ def _imaginary_crossings(sys, gamma):
     return np.sort(eig[on_axis].imag)
 
 
-def hinf_norm(sys, rel_tol=1e-6, grid=None, max_iter=80):
+def hinf_norm(sys, rel_tol=1e-6):
     """Hinf norm ``sup_w sigma_max(G(iw))`` of a stable model.
 
     Level-set iteration (Boyd and Balakrishnan 1990; Bruinsma and
@@ -147,15 +144,9 @@ def hinf_norm(sys, rel_tol=1e-6, grid=None, max_iter=80):
     frequencies; sampling sigma_max at them and at the midpoints between
     them raises ``lo``, quadratically near a peak.  A level with no axis
     eigenvalue is a certified upper bound within ``rel_tol`` of an
-    attained sample, and is returned.
-
-    Parameters
-    ----------
-    grid : array_like, optional
-        Start frequencies; defaults to zero, the imaginary parts of A's
-        eigenvalues and +-1e3 * max(1, spectral radius).
-    max_iter : int
-        Bound on the number of level tests.
+    attained sample, and is returned.  The start frequencies are those
+    of :func:`_default_hinf_grid`, and at most ``HINF_MAX_LEVEL_TESTS``
+    levels are tested.
 
     Returns
     -------
@@ -166,14 +157,12 @@ def hinf_norm(sys, rel_tol=1e-6, grid=None, max_iter=80):
     Raises
     ------
     NotStable
-        When the model is unstable, or when ``max_iter`` level tests find
-        no certified upper bound whose square is finite.
+        When the model is unstable, or when the level tests find no
+        certified upper bound whose square is finite.
     """
     if sys.n_states and not is_hurwitz(sys.a, 0.0):
         raise NotStable("Hinf norm on the axis undefined for an unstable model")
-    if grid is None:
-        grid = _default_hinf_grid(sys)
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = _default_hinf_grid(sys)
     prof = np.linalg.svd(sys.response(grid), compute_uv=False)[:, 0]
     k0 = int(np.argmax(prof))
     best, peak = float(prof[k0]), float(grid[k0])
@@ -184,7 +173,7 @@ def hinf_norm(sys, rel_tol=1e-6, grid=None, max_iter=80):
     # floored so that the test's level squared stays a normal float
     lo = max(best, sig_d * (1.0 + 1e-12), 1e-150)
     level = lo
-    for _ in range(max_iter):
+    for _ in range(HINF_MAX_LEVEL_TESTS):
         level = lo * (1.0 + 0.5 * rel_tol)
         # the crossing test squares its level
         if not math.isfinite(level * level):

@@ -35,7 +35,6 @@ __all__ = [
     "Problem",
     "YoulaSection",
     "build_slh_model",
-    "encode_complex",
     "encode_matrix",
     "encode_statespace",
     "fit_parameter",
@@ -114,16 +113,12 @@ def _decode_matrix(value, path, allow_empty=False):
     return np.array(rows, dtype=np.complex128)
 
 
-def encode_complex(z):
-    """Complex scalar -> ``[re, im]`` pair of floats."""
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def encode_matrix(arr):
-    """2-D array -> rectangular array-of-arrays of ``[re, im]`` pairs."""
-    arr = np.atleast_2d(np.asarray(arr))
-    return [[encode_complex(entry) for entry in row] for row in arr]
+    """2-D array -> rows of Python complex numbers.
+
+    :func:`dumps_17g` writes each entry as an ``[re, im]`` pair.
+    """
+    return np.atleast_2d(np.asarray(arr, dtype=np.complex128)).tolist()
 
 
 def encode_statespace(sys):
@@ -506,8 +501,9 @@ def _emit(value, indent, out):
         if not seq:
             out.append("[]")
             return
-        # scalar rows stay inline; nested structures get one line each
-        if all(not isinstance(v, (dict, list, tuple)) for v in seq):
+        # scalar rows stay inline; nested structures and complex
+        # entries (each a [re, im] pair) get one line each
+        if all(not isinstance(v, (dict, list, tuple, complex)) for v in seq):
             out.append("[" + ", ".join(_scalar(v) for v in seq) + "]")
             return
         out.append("[\n")
@@ -530,6 +526,8 @@ def _scalar(value):
             # JSON has no non-finite literals; encode as strings
             return json.dumps(str(value))
         return "%.17g" % value
+    if isinstance(value, complex):
+        return f"[{_scalar(value.real)}, {_scalar(value.imag)}]"
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot encode {type(value).__name__} in a problem document")

@@ -40,7 +40,6 @@ from .statespace import (
     invert_system,
     log_grid,
     minimal_realization,
-    validate_grid,
 )
 
 __all__ = [
@@ -59,6 +58,13 @@ __all__ = [
     "parameter_from_controller",
     "closed_loop_triple",
 ]
+
+#: Re(lambda) bound under which :func:`stabilizing_gains` keeps a mode.
+PLACEMENT_MARGIN = 1e-9
+
+#: Bound on the Bezout and factor-quotient residuals that
+#: :func:`coprime_factorization` accepts.
+BEZOUT_TOL = 1e-8
 
 
 def default_verification_grid():
@@ -209,7 +215,7 @@ def modify_plant(plant, part):
 # -- PBH tests ----------------------------------------------------------
 
 
-def pbh_unstabilizable_modes(a, b, tol=1e-8):
+def pbh_unstabilizable_modes(a, b):
     """Closed-right-half-plane eigenvalues failing rank [lambda*I - A, B]."""
     a = np.atleast_2d(np.asarray(a, dtype=np.complex128))
     if not a.size:
@@ -221,7 +227,7 @@ def pbh_unstabilizable_modes(a, b, tol=1e-8):
             continue
         pencil = np.hstack([lam * np.eye(a.shape[0]) - a, b])
         sv = np.linalg.svd(pencil, compute_uv=False)
-        if sv[-1] <= tol * max(sv[0], 1.0):
+        if sv[-1] <= 1e-8 * max(sv[0], 1.0):
             bad.append(complex(lam))
     return bad
 
@@ -260,16 +266,17 @@ def _lyapunov_gain(t, b, modes):
     )
 
 
-def _mirror_feedback(a, b, margin):
+def _mirror_feedback(a, b):
     """F with A + B F moving every mode at Re >= -margin and keeping the rest.
 
-    Each pass puts the modes it keeps first in an ordered complex Schur
-    form of A + B F, so a gain on the trailing Schur vectors leaves them
-    in place.  The first pass mirrors the strictly unstable modes
-    (s = 0); the second, run only when modes near the axis remain, moves
-    them to -1 + i Im(lam) (s = 1/2).  See :func:`stabilizing_gains`.
+    ``margin`` is ``PLACEMENT_MARGIN``.  Each pass puts the modes it
+    keeps first in an ordered complex Schur form of A + B F, so a gain on
+    the trailing Schur vectors leaves them in place.  The first pass
+    mirrors the strictly unstable modes (s = 0); the second, run only
+    when modes near the axis remain, moves them to -1 + i Im(lam)
+    (s = 1/2).  See :func:`stabilizing_gains`.
     """
-    n, m = a.shape[0], b.shape[1]
+    n, m, margin = a.shape[0], b.shape[1], PLACEMENT_MARGIN
     f = np.zeros((m, n), dtype=np.complex128)
     axis = max(margin, 1e-12)
     for sigma, keep in ((0.0, lambda lam: lam.real <= axis),
@@ -284,15 +291,16 @@ def _mirror_feedback(a, b, margin):
     return f
 
 
-def stabilizing_gains(mp, margin=1e-9, pbh_tol=1e-8):
+def stabilizing_gains(mp):
     """Design (F, L) making A + B2 F and A + L C2 Hurwitz.
 
-    Keeps eigenvalues with Re < -margin, mirrors strictly unstable ones
-    across the imaginary axis (lam -> -conj(lam)), and pushes near-axis
-    modes to -1 + i Im(lam).  A stable plant therefore gets F = 0,
-    L = 0.  The moved modes get Bass's minimum-energy gain (Armstrong
-    1975, IEEE TAC 20(1)): on the trailing block T of an ordered Schur
-    form, one Lyapunov solve of (T + s I) Y + Y (T + s I)* = B2 B2*
+    Keeps eigenvalues with Re < -margin (``PLACEMENT_MARGIN``), mirrors
+    strictly unstable ones across the imaginary axis (lam -> -conj(lam)),
+    and pushes near-axis modes to -1 + i Im(lam).  A stable plant
+    therefore gets F = 0, L = 0.  The moved modes get Bass's
+    minimum-energy gain (Armstrong 1975, IEEE TAC 20(1)): on the trailing
+    block T of an ordered Schur form, one Lyapunov solve of
+    (T + s I) Y + Y (T + s I)* = B2 B2*
     gives F2 = -B2* Y^-1, which lands each mode on -conj(lam) - 2 s.
     Strictly unstable modes take s = 0, near-axis modes s = 1/2.  L is
     the same design on the adjoint pair (A*, C2*).
@@ -308,22 +316,22 @@ def stabilizing_gains(mp, margin=1e-9, pbh_tol=1e-8):
     """
     a, b2, c2 = mp.full.a, mp.b2, mp.c2
     n = a.shape[0]
-    bad = pbh_unstabilizable_modes(a, b2, pbh_tol)
+    bad = pbh_unstabilizable_modes(a, b2)
     if bad:
         raise NotStabilizable(f"unstabilizable modes at {bad}")
-    bad = pbh_unstabilizable_modes(a.conj().T, c2.conj().T, pbh_tol)
+    bad = pbh_unstabilizable_modes(a.conj().T, c2.conj().T)
     if bad:
         raise NotDetectable(f"undetectable modes at {np.conj(bad).tolist()}")
 
     # The mirror map commutes with conjugation, so the adjoint problem
     # gives L.
-    f = _mirror_feedback(a, b2, margin)
-    l = _mirror_feedback(a.conj().T, c2.conj().T, margin).conj().T
+    f = _mirror_feedback(a, b2)
+    l = _mirror_feedback(a.conj().T, c2.conj().T).conj().T
 
     gains = GainPair(f=f, l=l)
     for label, mat in (("A + B2*F", a + b2 @ f), ("A + L*C2", a + l @ c2)):
         abscissa = spectral_abscissa(mat)
-        if not abscissa < -min(margin, 1e-12) and n:
+        if not abscissa < -min(PLACEMENT_MARGIN, 1e-12) and n:
             raise PlacementFailed(
                 f"{label} not Hurwitz after placement (abscissa {abscissa:.3e})"
             )
@@ -375,20 +383,15 @@ class CoprimeFactorization:
         return self.left_family.select(rows=slice(self.ctrl, None), cols=slice(self.ctrl, None))
 
 
-def coprime_factorization(
-    mp,
-    gains,
-    grid=None,
-    bezout_tol=1e-8,
-    check=True,
-):
+def coprime_factorization(mp, gains, check=True):
     """Assemble and verify the eight coprime factors for P22.
 
     Right family ``[[M, U], [N, V]]`` from the state-feedback core and
     left family ``[[Vhat, -Uhat], [-Nhat, Mhat]]`` from the injection
-    core.  With ``check=True`` (default) the product of the two families
-    is compared to the identity on the grid, both factor cores must be
-    Hurwitz, and ``N M^{-1}``/``Mhat^{-1} Nhat`` must reproduce P22.
+    core.  With ``check=True`` (default) both factor cores must be
+    Hurwitz, and on :func:`default_verification_grid` the product of the
+    two families must match the identity and ``N M^{-1}``/``Mhat^{-1}
+    Nhat`` must reproduce P22, each within ``BEZOUT_TOL``.
     """
     a, b2, c2, d22 = mp.full.a, mp.b2, mp.c2, mp.d22
     f, l = gains.f, gains.l
@@ -420,13 +423,11 @@ def coprime_factorization(
                 f"(abscissa {spectral_abscissa(mat):.3e})"
             )
 
-    if grid is None:
-        grid = default_verification_grid()
-    grid = validate_grid(grid)
+    grid = default_verification_grid()
     residual, rw, lw = bezout_residual(cf, grid)
-    if residual > bezout_tol:
+    if residual > BEZOUT_TOL:
         raise BezoutResidualTooLarge(
-            f"factor-family identity residual {residual:.3e} > {bezout_tol:.1e}"
+            f"factor-family identity residual {residual:.3e} > {BEZOUT_TOL:.1e}"
         )
 
     p22w = mp.p22().response(grid)
@@ -438,7 +439,7 @@ def coprime_factorization(
         np.linalg.solve(m_w.swapaxes(1, 2), n_w.swapaxes(1, 2)).swapaxes(1, 2) - p22w
     ).max()
     res_left = np.abs(np.linalg.solve(mhat_w, nhat_w) - p22w).max()
-    if max(res_right, res_left) > bezout_tol * max(1.0, np.abs(p22w).max()):
+    if max(res_right, res_left) > BEZOUT_TOL * max(1.0, np.abs(p22w).max()):
         raise BezoutResidualTooLarge(
             f"factor quotients deviate from P22 by {max(res_right, res_left):.3e}"
         )
@@ -463,7 +464,7 @@ def parameter_statespace(q):
     return q.to_statespace()
 
 
-def controller_from_parameter(cf, q, feed_tol=1e-9):
+def controller_from_parameter(cf, q):
     """Controller ``K = (U + M Q)(V + N Q)^{-1}`` for a stable parameter.
 
     Raises
@@ -480,14 +481,14 @@ def controller_from_parameter(cf, q, feed_tol=1e-9):
     num = cf.u_factor() + cf.m_factor() @ qss
     den = cf.v_factor() + cf.n_factor() @ qss
     sv = np.linalg.svd(den.d, compute_uv=False)
-    if sv[-1] <= feed_tol * max(sv[0], 1.0):
+    if sv[-1] <= 1e-9 * max(sv[0], 1.0):
         raise FeedthroughSingular(
             f"(V + N Q) feedthrough singular (sigma_min = {sv[-1]:.3e})"
         )
     return num @ invert_system(den)
 
 
-def parameter_from_controller(cf, k, stability_margin=1e-9, feed_tol=1e-9):
+def parameter_from_controller(cf, k):
     """Invert the controller map: ``Q = (M - K N)^{-1} (K V - U)``.
 
     Returns a minimal realization of Q.  Raises ``NotInYoulaRange`` when
@@ -501,13 +502,13 @@ def parameter_from_controller(cf, k, stability_margin=1e-9, feed_tol=1e-9):
         )
     den = cf.m_factor() - k @ cf.n_factor()
     sv = np.linalg.svd(den.d, compute_uv=False)
-    if sv[-1] <= feed_tol * max(sv[0], 1.0):
+    if sv[-1] <= 1e-9 * max(sv[0], 1.0):
         raise FeedthroughSingular(
             f"(M - K N) feedthrough singular (sigma_min = {sv[-1]:.3e})"
         )
     num = k @ cf.v_factor() - cf.u_factor()
     q = minimal_realization(invert_system(den) @ num, tol=1e-8)
-    if q.n_states and not is_hurwitz(q.a, stability_margin):
+    if q.n_states and not is_hurwitz(q.a):
         raise NotInYoulaRange(
             f"recovered parameter unstable (abscissa {spectral_abscissa(q.a):.3e})"
         )

@@ -209,7 +209,7 @@ def blockdiag_systems(systems):
     return StateSpace(a, b, c, d)
 
 
-def invert_system(sys, tol=1e-12):
+def invert_system(sys):
     """Inverse system ``G(s)^{-1}``; requires an invertible feedthrough."""
     if sys.n_inputs != sys.n_outputs:
         raise DimensionMismatch("only square systems can be inverted")
@@ -217,7 +217,7 @@ def invert_system(sys, tol=1e-12):
     sv = np.linalg.svd(d, compute_uv=False) if d.size else np.array([0.0])
     if d.shape[0] == 0:
         return static_gain(np.zeros((0, 0)))
-    if sv[-1] <= tol * max(sv[0], 1.0):
+    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
         raise IllPosedInterconnection(
             f"feedthrough is singular (sigma_min = {sv[-1]:.2e}); inverse is improper"
         )

@@ -68,6 +68,9 @@ __all__ = [
 DEFAULT_BASIS_POLE = 1.0
 DEFAULT_BASIS_ORDER = 8
 
+#: Bound on the Gauss-Newton steps of :func:`restore_feasibility`.
+RESTORE_MAX_STEPS = 12
+
 
 # -- parameter basis -------------------------------------------------------
 
@@ -245,10 +248,8 @@ def constraint_samples(cd, q, omegas):
     return quadratic_form(cd.samples(omegas), parameter_samples(q, omegas))
 
 
-def constraint_residual(cd, q, omegas=None):
+def constraint_residual(cd, q, omegas):
     """Worst-case Frobenius norm of the quadratic form over the grid."""
-    if omegas is None:
-        omegas = default_verification_grid()
     return peak_frobenius(constraint_samples(cd, q, omegas))
 
 
@@ -288,18 +289,17 @@ class MembershipVerdict:
         return self.in_q and self.controller_pr.is_physically_realizable
 
 
-def membership_qhat(cf, q, grid=None, tol=1e-6):
+def membership_qhat(cf, q, tol=1e-6):
     """Classify a parameter: stabilizing only, or physically realizable.
 
     Checks run in order: parameter stability and the quadratic residual
-    on the grid (within ``tol``).  The controller is then assembled
-    once; the assembly decides feedthrough invertibility.  An assembled
-    controller is reduced to minimal form and graded by
+    on :func:`~.stabilization.default_verification_grid` (within
+    ``tol``).  The controller is then assembled once; the assembly
+    decides feedthrough invertibility.  An assembled controller is
+    reduced to minimal form and graded by
     :func:`~.physreal.check_physical_realizability` at its default grid
     and tolerance.
     """
-    if grid is None:
-        grid = default_verification_grid()
     cd = build_constraint_data(cf)
 
     if isinstance(q, YoulaParameter):
@@ -308,7 +308,7 @@ def membership_qhat(cf, q, grid=None, tol=1e-6):
         q_min = minimal_realization(q)
         stable_ok = q_min.n_states == 0 or is_hurwitz(q_min.a)
 
-    residual = constraint_residual(cd, q, grid)
+    residual = constraint_residual(cd, q, default_verification_grid())
 
     controller = controller_pr = None
     try:
@@ -337,24 +337,12 @@ class TangentSubspace:
     """Sampled linearization of the quadratic form at a base parameter.
 
     ``w_samples`` holds (linear + quadratic*Q)(iw) on the grid; a
-    direction X is tangent when X* w + w* X vanishes at every grid
-    point.  Only the Hermitian part of that product constrains, which is
-    exactly what :meth:`constraint_map` returns.
+    direction X is tangent when the Hermitian product X* w + w* X
+    vanishes at every grid point.
     """
 
     grid: np.ndarray
     w_samples: np.ndarray
-
-    def constraint_map(self, x_samples):
-        """Hermitian-valued map values per grid point, (n_omega, d, d)."""
-        x_samples = np.asarray(x_samples, dtype=np.complex128)
-        if x_samples.shape != self.w_samples.shape:
-            raise DimensionMismatch(
-                f"direction block {x_samples.shape} does not match "
-                f"subspace data {self.w_samples.shape}"
-            )
-        cross = x_samples.conj().swapaxes(1, 2) @ self.w_samples
-        return cross + cross.conj().swapaxes(1, 2)
 
 
 def tangent_subspace(samples, q, grid):
@@ -515,7 +503,7 @@ def project_direction(ts, basis, direction_samples):
     return YoulaParameter(basis.basis_pole, _unpack(x, basis.order, (rows, cols)))
 
 
-def restore_feasibility(samples, q, grid, tol=1e-10, max_iter=12):
+def restore_feasibility(samples, q, grid, tol=1e-10):
     """Gauss-Newton refinement of the quadratic residual over coefficients.
 
     ``samples`` is the ``(phi, lam, pi)`` triple of
@@ -524,9 +512,9 @@ def restore_feasibility(samples, q, grid, tol=1e-10, max_iter=12):
     solves the Hermitian linearization of the quadratic form for a
     minimum-norm coefficient correction.  Because the residual is
     exactly quadratic in the parameter, each step drops it roughly to
-    the square of its previous size near a feasible point.  Returns the
-    best iterate seen and its residual; the caller decides whether that
-    is good enough.
+    the square of its previous size near a feasible point.  After at
+    most ``RESTORE_MAX_STEPS`` steps it returns the best iterate seen and
+    its residual; the caller decides whether that is good enough.
     """
     if not isinstance(q, YoulaParameter):
         raise TypeError("feasibility restoration operates on basis coefficients")
@@ -536,7 +524,7 @@ def restore_feasibility(samples, q, grid, tol=1e-10, max_iter=12):
 
     x = _pack(q.coeffs)
     best, best_res = q, np.inf
-    for _ in range(max_iter + 1):
+    for _ in range(RESTORE_MAX_STEPS + 1):
         cand = YoulaParameter(q.basis_pole, _unpack(x, q.order, q.shape))
         q_w = cand.evaluate(grid)
         resid = quadratic_form(samples, q_w)

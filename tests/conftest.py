@@ -170,6 +170,22 @@ def h2_norm_sq_quadrature(sys, grid=None):
     return float(np.trapezoid(vals, grid) / (2.0 * np.pi))
 
 
+def constraint_map(ts, x_samples):
+    """Hermitian tangent map ``X* W + W* X`` of ``ts`` per grid point.
+
+    ``x_samples`` are a direction's values on ``ts.grid``; the result is
+    (n_omega, d, d).  The sampled reference for the tangent Jacobian.
+    """
+    x_samples = np.asarray(x_samples, dtype=np.complex128)
+    if x_samples.shape != ts.w_samples.shape:
+        raise DimensionMismatch(
+            f"direction block {x_samples.shape} does not match "
+            f"subspace data {ts.w_samples.shape}"
+        )
+    cross = x_samples.conj().swapaxes(1, 2) @ ts.w_samples
+    return cross + cross.conj().swapaxes(1, 2)
+
+
 def undo_modify(mp, part):
     """Invert ``modify_plant``, restoring the interleaved ordering."""
     rows, cols = _regroup_permutations(part)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coherentctl import stabilization, youla_constraint
 from coherentctl.cli import main as cli_main
 from coherentctl.h2_synthesis import (
     DescentConfig,
@@ -56,6 +57,7 @@ from coherentctl.youla_constraint import (
 
 from conftest import (
     cavity_response,
+    constraint_map,
     coupled_cavity_loop,
     exact_cavity_parameter,
     h2_norm_sq_quadrature,
@@ -197,16 +199,17 @@ def test_a03_bezout_identity_and_worked_factors():
         assert np.abs(got - want).max() < 1e-9, name
 
 
-def test_a04_affine_loop_matches_lft():
+def test_a04_affine_loop_matches_lft(monkeypatch):
     """The Youla generator closed by Q (t0 + t1 Q t2) equals the closed
     loop of the assembled controller, and that loop is comfortably
     Hurwitz, for 50 random plants."""
     grid = default_verification_grid()
+    # modest feedthrough and a healthy placement margin keep the
+    # identity's evaluation chain away from near-singular inverses
+    monkeypatch.setattr(stabilization, "PLACEMENT_MARGIN", 0.05)
     for seed in range(50):
-        # modest feedthrough and a healthy placement margin keep the
-        # identity's evaluation chain away from near-singular inverses
         mp = random_partitioned_plant(4100 + seed, max_states=4, d_scale=0.2)
-        gains = stabilizing_gains(mp, margin=0.05)
+        gains = stabilizing_gains(mp)
         cf = coprime_factorization(mp, gains, check=False)
         rng = make_rng(4600 + seed)
         q = YoulaParameter(
@@ -226,9 +229,12 @@ def test_a04_affine_loop_matches_lft():
         assert spectral_abscissa(loop.a) < -1e-9
 
 
-def test_a05_feasibility_equivalence():
+def test_a05_feasibility_equivalence(monkeypatch):
     """Quadratic-constraint feasibility of the parameter and axis
     (J, J)-unitarity of the assembled controller agree on 50 instances."""
+    # the larger perturbations need more Gauss-Newton steps than descent's
+    # restores take to come back below 1e-8
+    monkeypatch.setattr(youla_constraint, "RESTORE_MAX_STEPS", 40)
     grid = np.concatenate([[0.0], log_grid(1e-2, 1e2, 33)])
     _, cf_cavity = coupled_cavity_loop()
     cd_cavity = build_constraint_data(cf_cavity)
@@ -246,9 +252,7 @@ def test_a05_feasibility_equivalence():
                 base.basis_pole,
                 base.coeffs + scale * random_complex(rng, base.coeffs.shape),
             )
-            q, res = restore_feasibility(
-                cd_cavity.samples(grid), bumped, grid, max_iter=40
-            )
+            q, res = restore_feasibility(cd_cavity.samples(grid), bumped, grid)
             assert res < 1e-8
             instances.append((cf_cavity, cd_cavity, q))
     # clearly feasible: parameters recovered from static hyperbolic
@@ -410,7 +414,7 @@ def test_a08_tangent_projection_properties():
 
         proj = project_direction(ts, base, g)
         proj_w = proj.evaluate(grid)
-        assert frob_max(ts.constraint_map(proj_w)) < 1e-8
+        assert frob_max(constraint_map(ts, proj_w)) < 1e-8
 
         again = project_direction(ts, base, proj_w)
         assert np.abs(again.evaluate(grid) - proj_w).max() < 1e-8
@@ -473,7 +477,7 @@ def test_a09_descent_reaches_minimizer():
     )
     assert np.all(np.diff(trace3.cost) <= 1e-12)
     assert constraint_residual(cd, q3, sp3.grid) < 1e-5
-    assert validate_result(sp3, q3, grid=sp3.grid).ok
+    assert validate_result(sp3, q3).ok
 
 
 def test_a10_hinf_certification():

@@ -481,7 +481,7 @@ class TestDescend:
         )
         assert len(trace) == 1
         assert trace.alpha[0] == 0.0
-        verdict = validate_result(sp, q_final, grid=sp.grid)
+        verdict = validate_result(sp, q_final)
         assert verdict.ok
         assert verdict.membership.in_qhat
         assert verdict.closed_loop_stable
@@ -531,9 +531,9 @@ class TestDescend:
     def test_rejects_wrong_shape_and_type(self):
         sp, _ = mixing_weight_cavity_problem()
         with pytest.raises(DimensionMismatch):
-            descend(sp, YoulaParameter.zero((1, 1), order=2))
-        with pytest.raises(TypeError):
-            descend(sp, identity_system(2))
+            descend(sp, YoulaParameter.zero((1, 1), order=2), DescentConfig())
+        with pytest.raises(TypeError, match="basis coefficients"):
+            descend(sp, identity_system(2), DescentConfig())
 
     @pytest.mark.parametrize(
         "bad",

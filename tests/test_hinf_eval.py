@@ -112,15 +112,6 @@ class TestHinfCost:
         with pytest.raises(NotStable):
             hinf_cost(sp, bad)
 
-    def test_explicit_grid_overrides_problem_grid(self):
-        sp = fixed_loop_problem(lowpass_weight(1.0, 10.0))
-        custom = log_grid(1e-1, 1e0, 5)
-        report = hinf_cost(
-            sp, YoulaParameter.zero((1, 1), order=1), grid=custom
-        )
-        assert report.grid_profile.shape == (5, 2)
-        assert np.allclose(report.grid_profile[:, 0], custom)
-
 
 class TestEvaluationProblem:
     def test_identity_weights_pass_through_feedthrough_loop(self):

@@ -157,14 +157,16 @@ class TestHinf:
         val, peak = hinf_norm(static_gain([[3.0, 0.0], [0.0, 1.0]]))
         assert val == pytest.approx(3.0)
 
-    def test_unbracketed_norm_is_not_certified(self):
+    def test_unbracketed_norm_is_not_certified(self, monkeypatch):
         # peak 1/(2 zeta) = 5e3, far above what three level tests from
         # the two-point grid's maximum reach
         zeta = 1e-4
         a = np.array([[0.0, 1.0], [-1.0, -2.0 * zeta]])
         sys = StateSpace(a, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        monkeypatch.setattr(norms, "_default_hinf_grid", lambda _: np.array([0.0, 10.0]))
+        monkeypatch.setattr(norms, "HINF_MAX_LEVEL_TESTS", 3)
         with pytest.raises(NotStable, match="no certified upper bound"):
-            hinf_norm(sys, grid=[0.0, 10.0], max_iter=3)
+            hinf_norm(sys)
 
     def test_bracket_past_float_range_is_not_stable(self):
         # |G(0)| = 1e300: doubling the bracket would overflow its square

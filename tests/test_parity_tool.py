@@ -1,0 +1,46 @@
+"""The digest comparison of ``tools/parity.py``, the CLI regression oracle."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+PARITY = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
+
+
+@pytest.fixture(scope="module")
+def parity():
+    spec = importlib.util.spec_from_file_location("parity", PARITY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def record(stdout):
+    return {"code": 0, "stdout": stdout, "stderr": "",
+            "files": {"bundle/result.json": '{\n  "cost": 1.25\n}\n'}}
+
+
+def write_digest(path, records):
+    path.write_text(json.dumps(records, indent=1, sort_keys=True), encoding="utf-8")
+    return str(path)
+
+
+def test_equal_digests_compare_clean(parity, tmp_path, capsys):
+    records = {"check-pr a.json": record("residual 1e-12 passed\n"),
+               "factorize a.json --json": record("{}\n")}
+    a = write_digest(tmp_path / "a.json", records)
+    b = write_digest(tmp_path / "b.json", records)
+    assert parity.compare(a, b) == 0
+    assert "2 of 2 cases identical, 0 differ" in capsys.readouterr().out
+
+
+def test_one_changed_number_is_reported(parity, tmp_path, capsys):
+    a = write_digest(tmp_path / "a.json", {"check-pr a.json": record("residual 1e-12 passed\n")})
+    b = write_digest(tmp_path / "b.json", {"check-pr a.json": record("residual 2e-12 passed\n")})
+    assert parity.compare(a, b) == 1
+    out = capsys.readouterr().out
+    assert "1 number(s) changed" in out
+    assert "1e-12 -> 2e-12" in out
+    assert "0 of 1 cases identical, 1 differ" in out

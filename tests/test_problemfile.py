@@ -8,7 +8,6 @@ import pytest
 from coherentctl.errors import ProblemFileError
 from coherentctl.problemfile import (
     dumps_17g,
-    encode_complex,
     encode_matrix,
     encode_statespace,
     fit_parameter,
@@ -26,7 +25,25 @@ def doc(text_obj):
 
 
 def abcd_doc(sys):
-    return {"plant": {"abcd": encode_statespace(sys)}}
+    return {"plant": {"abcd": json.loads(dumps_17g(encode_statespace(sys)))}}
+
+
+def pairs_reference(arr):
+    """The former matrix encoding: nested lists of ``[re, im]`` float pairs."""
+    arr = np.atleast_2d(np.asarray(arr))
+    return [[[float(complex(z).real), float(complex(z).imag)] for z in row] for row in arr]
+
+
+INF, NAN = float("inf"), float("nan")
+EMITTED_MATRICES = {
+    "signed zeros": np.array([[-0.0, complex(0.0, -0.0)], [complex(-0.0, -0.0), 0.0]]),
+    "non-finite": np.array([[complex(INF, -INF), complex(NAN, 1.0)], [-INF, NAN]]),
+    "tiny": np.array([[1e-300 - 1e-300j, 5e-324, 1.0 / 3.0 + 0.1j]]),
+    "real only": np.array([[1.5, -2.0], [0.1 + 0.2, 7.0]]),
+    "integer": np.array([[1, -2], [3, 0]]),
+    "empty rows": np.zeros((0, 3), dtype=complex),
+    "empty columns": np.zeros((2, 0), dtype=complex),
+}
 
 
 class TestDecoding:
@@ -202,9 +219,22 @@ class TestDecoding:
 
 class TestEncoding:
     def test_complex_and_matrix_pairs(self):
-        assert encode_complex(1.5 - 2.0j) == [1.5, -2.0]
         enc = encode_matrix(np.array([[1.0 + 1.0j, 0.0]]))
-        assert enc == [[[1.0, 1.0], [0.0, 0.0]]]
+        assert enc == [[1.0 + 1.0j, 0j]]
+        assert json.loads(dumps_17g(enc)) == [[[1.0, 1.0], [0.0, 0.0]]]
+
+    @pytest.mark.parametrize("name", sorted(EMITTED_MATRICES))
+    def test_matrix_bytes_match_pair_lists(self, name):
+        mat = EMITTED_MATRICES[name]
+        assert dumps_17g(encode_matrix(mat)) == dumps_17g(pairs_reference(mat))
+        nested = {"outer": {"m": encode_matrix(mat), "rows": [encode_matrix(mat)]}}
+        reference = {"outer": {"m": pairs_reference(mat), "rows": [pairs_reference(mat)]}}
+        assert dumps_17g(nested) == dumps_17g(reference)
+
+    def test_statespace_bytes_match_pair_lists(self):
+        sys = random_statespace(make_rng(4), 3, 2, 1)
+        reference = {key: pairs_reference(getattr(sys, key)) for key in "abcd"}
+        assert dumps_17g(encode_statespace(sys)) == dumps_17g(reference)
 
     def test_document_emission_is_deterministic_and_parseable(self):
         payload = {

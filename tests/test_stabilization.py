@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coherentctl import stabilization
 from coherentctl.errors import (
     BezoutResidualTooLarge,
     DimensionMismatch,
@@ -450,13 +451,14 @@ class TestCoprimeFactorization:
         with pytest.raises(FactorUnstable):
             coprime_factorization(mp, zero)
 
-    def test_identity_tolerance_guard(self):
+    def test_identity_tolerance_guard(self, monkeypatch):
         mp = scalar_demo_plant()
         gains = GainPair(
             f=np.array([[-2.0]], dtype=complex), l=np.array([[-2.0]], dtype=complex)
         )
+        monkeypatch.setattr(stabilization, "BEZOUT_TOL", 1e-20)
         with pytest.raises(BezoutResidualTooLarge):
-            coprime_factorization(mp, gains, bezout_tol=1e-20)
+            coprime_factorization(mp, gains)
 
     def test_check_can_be_skipped(self):
         mp = random_unstable_plant(2)
