@@ -7,174 +7,8 @@ controllers by a stable parameter, restrict that parameter to the
 quantum-admissible set, and optimize weighted closed-loop H2 performance
 with a projected line-search descent.  ``coherentctl.cli`` exposes the
 same pipeline as a command-line front end over JSON problem documents.
+Library names are imported from the submodules (``coherentctl.statespace``,
+``coherentctl.stabilization`` and so on); the package root exports none.
 """
 
-from coherentctl.errors import (
-    BezoutResidualTooLarge,
-    CoherentctlError,
-    DegenerateWeights,
-    DimensionMismatch,
-    FactorUnstable,
-    FeedthroughSingular,
-    IllPosedInterconnection,
-    InfeasibleStart,
-    InvalidSlh,
-    NonFiniteData,
-    NotDetectable,
-    NotInYoulaRange,
-    NotStabilizable,
-    NotStable,
-    NotStrictlyProper,
-    PlacementFailed,
-    ProblemFileError,
-    RankDeficientProjection,
-    SingularResolvent,
-    StalledLineSearch,
-)
-from coherentctl.h2_synthesis import (
-    DescentConfig,
-    DescentTrace,
-    SynthesisProblem,
-    SynthesisVerdict,
-    assemble_problem,
-    cost,
-    descend,
-    gradient,
-    validate_result,
-)
-from coherentctl.hinf_eval import HinfReport, evaluation_problem, hinf_cost
-from coherentctl.norms import (
-    h2_norm_sq,
-    hinf_norm,
-    is_hurwitz,
-    sigma_max_profile,
-    spectral_abscissa,
-)
-from coherentctl.physreal import (
-    PrVerdict,
-    SlhModel,
-    check_physical_realizability,
-    j_unitarity_residual,
-    slh_to_statespace,
-)
-from coherentctl.problemfile import (
-    Problem,
-    dumps_17g,
-    fit_parameter,
-    load_problem_file,
-    loads_problem,
-)
-from coherentctl.stabilization import (
-    CoprimeFactorization,
-    GainPair,
-    ModifiedPlant,
-    PartitionSpec,
-    closed_loop_triple,
-    controller_from_parameter,
-    coprime_factorization,
-    modify_plant,
-    parameter_from_controller,
-    stabilizing_gains,
-)
-from coherentctl.statespace import (
-    StateSpace,
-    compose_lft,
-    doubled,
-    identity_system,
-    j_form,
-    log_grid,
-    minimal_realization,
-    signature_matrix,
-    static_gain,
-)
-from coherentctl.youla_constraint import (
-    ConstraintData,
-    MembershipVerdict,
-    YoulaParameter,
-    build_constraint_data,
-    constraint_residual,
-    membership_qhat,
-    project_direction,
-    restore_feasibility,
-    tangent_subspace,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BezoutResidualTooLarge",
-    "CoherentctlError",
-    "ConstraintData",
-    "CoprimeFactorization",
-    "DegenerateWeights",
-    "DescentConfig",
-    "DescentTrace",
-    "DimensionMismatch",
-    "FactorUnstable",
-    "FeedthroughSingular",
-    "GainPair",
-    "HinfReport",
-    "IllPosedInterconnection",
-    "InfeasibleStart",
-    "InvalidSlh",
-    "MembershipVerdict",
-    "ModifiedPlant",
-    "NonFiniteData",
-    "NotDetectable",
-    "NotInYoulaRange",
-    "NotStabilizable",
-    "NotStable",
-    "NotStrictlyProper",
-    "PartitionSpec",
-    "PlacementFailed",
-    "Problem",
-    "ProblemFileError",
-    "PrVerdict",
-    "RankDeficientProjection",
-    "SingularResolvent",
-    "SlhModel",
-    "StalledLineSearch",
-    "StateSpace",
-    "SynthesisProblem",
-    "SynthesisVerdict",
-    "YoulaParameter",
-    "assemble_problem",
-    "build_constraint_data",
-    "check_physical_realizability",
-    "closed_loop_triple",
-    "compose_lft",
-    "constraint_residual",
-    "controller_from_parameter",
-    "coprime_factorization",
-    "cost",
-    "descend",
-    "doubled",
-    "dumps_17g",
-    "evaluation_problem",
-    "fit_parameter",
-    "gradient",
-    "h2_norm_sq",
-    "hinf_cost",
-    "hinf_norm",
-    "identity_system",
-    "is_hurwitz",
-    "j_form",
-    "j_unitarity_residual",
-    "load_problem_file",
-    "loads_problem",
-    "log_grid",
-    "membership_qhat",
-    "minimal_realization",
-    "modify_plant",
-    "parameter_from_controller",
-    "project_direction",
-    "restore_feasibility",
-    "signature_matrix",
-    "sigma_max_profile",
-    "slh_to_statespace",
-    "spectral_abscissa",
-    "stabilizing_gains",
-    "static_gain",
-    "tangent_subspace",
-    "validate_result",
-]

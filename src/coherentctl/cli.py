@@ -21,9 +21,9 @@ import numpy as np
 
 from . import problemfile as pf
 from .errors import CoherentctlError, DimensionMismatch, ProblemFileError
-from .h2_synthesis import assemble_problem, cost, descend, validate_result
-from .hinf_eval import evaluation_problem, hinf_cost
-from .norms import sigma_max_profile, spectral_abscissa
+from .h2_synthesis import assemble_problem, cost, descend, evaluation_problem, validate_result
+from .hinf_eval import hinf_cost
+from .norms import HINF_REL_TOL, sigma_max_profile, spectral_abscissa
 from .physreal import (
     DEFAULT_PR_TOL,
     check_physical_realizability,
@@ -31,6 +31,7 @@ from .physreal import (
     slh_to_statespace,
 )
 from .stabilization import (
+    BEZOUT_TOL,
     ModifiedPlant,
     bezout_residual,
     coprime_factorization,
@@ -42,7 +43,7 @@ from .stabilization import (
 )
 from .statespace import compose_lft, log_grid
 from .statespace import minimal_realization  # noqa: F401  (traced per layer by pipebench)
-from .youla_constraint import YoulaParameter, build_constraint_data
+from .youla_constraint import MEMBERSHIP_TOL, YoulaParameter, build_constraint_data
 
 __all__ = ["main"]
 
@@ -83,11 +84,12 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _emit_report(args, human_lines, machine):
+def _emit_report(args, human, machine):
+    """Write ``machine`` as JSON with --json, else print the lines ``human()`` renders."""
     if args.json:
         sys.stdout.write(pf.dumps_17g(machine))
     else:
-        for line in human_lines:
+        for line in human():
             print(line)
 
 
@@ -205,21 +207,23 @@ def cmd_check_pr(args):
     except ValueError as exc:
         raise ProblemFileError("plant", str(exc)) from exc
 
-    status = "PASS" if verdict.is_physically_realizable else "FAIL"
-    human = [
-        "physical-realizability check",
-        f"  j-unitarity residual   {_g17(verdict.residual)}  (tol {_g17(tol)})  "
-        + _flag(verdict.residual_ok),
-        f"  feedthrough gap        {_g17(verdict.feedthrough_gap)}  (tol {_g17(tol)})  "
-        + _flag(verdict.feedthrough_ok),
-        f"  spectral genericity    {'-':<21}  " + _flag(verdict.generic_ok),
-        f"  minimal realization    states={verdict.n_states_minimal:<14}  "
-        + _flag(verdict.minimal_ok),
-        f"PR-CHECK result={status} residual={_g17(verdict.residual)} "
-        f"feedthrough_gap={_g17(verdict.feedthrough_gap)} "
-        f"generic={str(verdict.generic_ok).lower()} "
-        f"minimal={str(verdict.minimal_ok).lower()} grid_points={grid.size}",
-    ]
+    def human():
+        status = "PASS" if verdict.is_physically_realizable else "FAIL"
+        return [
+            "physical-realizability check",
+            f"  j-unitarity residual   {_g17(verdict.residual)}  (tol {_g17(tol)})  "
+            + _flag(verdict.residual_ok),
+            f"  feedthrough gap        {_g17(verdict.feedthrough_gap)}  (tol {_g17(tol)})  "
+            + _flag(verdict.feedthrough_ok),
+            f"  spectral genericity    {'-':<21}  " + _flag(verdict.generic_ok),
+            f"  minimal realization    states={verdict.n_states_minimal:<14}  "
+            + _flag(verdict.minimal_ok),
+            f"PR-CHECK result={status} residual={_g17(verdict.residual)} "
+            f"feedthrough_gap={_g17(verdict.feedthrough_gap)} "
+            f"generic={str(verdict.generic_ok).lower()} "
+            f"minimal={str(verdict.minimal_ok).lower()} grid_points={grid.size}",
+        ]
+
     machine = {
         "command": "check-pr",
         "passed": verdict.is_physically_realizable,
@@ -262,7 +266,7 @@ def cmd_factorize(args):
             else default_verification_grid()
         )
     residual, _, _ = bezout_residual(cf, grid)
-    tol = 1e-8 if args.tol is None else args.tol
+    tol = BEZOUT_TOL if args.tol is None else args.tol
     passed = residual <= tol
 
     factors = {
@@ -275,17 +279,18 @@ def cmd_factorize(args):
         "nhat": cf.nhat_factor(),
         "mhat": cf.mhat_factor(),
     }
-    human = [
-        f"coprime factorization: loop widths ctrl={cf.ctrl} meas={cf.meas}",
-    ]
-    for name, factor in factors.items():
-        human.append(f"  factor {name}: states={factor.n_states} shape={factor.shape}")
-        for block in ("a", "b", "c", "d"):
-            human.extend(_matrix_lines(block, getattr(factor, block)))
-    human.append(
-        f"FACTORIZE result={'PASS' if passed else 'FAIL'} "
-        f"bezout_residual={_g17(residual)} tol={_g17(tol)} grid_points={grid.size}"
-    )
+    def human():
+        lines = [f"coprime factorization: loop widths ctrl={cf.ctrl} meas={cf.meas}"]
+        for name, factor in factors.items():
+            lines.append(f"  factor {name}: states={factor.n_states} shape={factor.shape}")
+            for block in ("a", "b", "c", "d"):
+                lines.extend(_matrix_lines(block, getattr(factor, block)))
+        lines.append(
+            f"FACTORIZE result={'PASS' if passed else 'FAIL'} "
+            f"bezout_residual={_g17(residual)} tol={_g17(tol)} grid_points={grid.size}"
+        )
+        return lines
+
     machine = {
         "command": "factorize",
         "passed": passed,
@@ -358,7 +363,7 @@ def cmd_synthesize_h2(args):
     initial_cost = cost(sp, q0)
     q_final, trace = descend(sp, q0, prob.descent)
 
-    tol = 1e-6 if args.tol is None else args.tol
+    tol = MEMBERSHIP_TOL if args.tol is None else args.tol
     verdict = validate_result(sp, q_final, tol=tol)
     # emitted in the minimal form the membership check graded it in
     controller = verdict.membership.controller
@@ -389,7 +394,7 @@ def cmd_synthesize_h2(args):
 
     trace_csv = _csv_text(
         ("iter", "E", "grad_norm", "step_norm", "constraint_residual", "alpha"),
-        ((int(r[0]), r[1], r[2], r[3], r[4], r[5]) for r in trace.rows()),
+        trace.rows(),
     )
     profile_csv = _csv_text(
         ("omega", "sigma_max"), zip(sp.grid.tolist(), profile.tolist())
@@ -399,18 +404,20 @@ def cmd_synthesize_h2(args):
     _write_text_atomic(os.path.join(out_dir, "trace.csv"), trace_csv)
     _write_text_atomic(os.path.join(out_dir, "profile.csv"), profile_csv)
 
-    human = [
-        f"quadratic synthesis: {len(trace)} iteration(s), "
-        f"E {_g17(initial_cost)} -> {_g17(trace.cost[-1])}",
-        f"  membership in_qhat     " + _flag(verdict.membership.in_qhat),
-        f"  closed-loop stable     " + _flag(verdict.closed_loop_stable)
-        + f" (abscissa {_g17(verdict.closed_loop_abscissa)})",
-        f"  controller PR          "
-        + ("-" if controller_pr is None else _flag(controller_pr.is_physically_realizable)),
-        f"  bundle written to      {out_dir}",
-        f"SYNTHESIZE-H2 result={'PASS' if verdict.ok else 'FAIL'} "
-        f"E_final={_g17(trace.cost[-1])} iterations={len(trace)}",
-    ]
+    def human():
+        return [
+            f"quadratic synthesis: {len(trace)} iteration(s), "
+            f"E {_g17(initial_cost)} -> {_g17(trace.cost[-1])}",
+            f"  membership in_qhat     " + _flag(verdict.membership.in_qhat),
+            f"  closed-loop stable     " + _flag(verdict.closed_loop_stable)
+            + f" (abscissa {_g17(verdict.closed_loop_abscissa)})",
+            f"  controller PR          "
+            + ("-" if controller_pr is None else _flag(controller_pr.is_physically_realizable)),
+            f"  bundle written to      {out_dir}",
+            f"SYNTHESIZE-H2 result={'PASS' if verdict.ok else 'FAIL'} "
+            f"E_final={_g17(trace.cost[-1])} iterations={len(trace)}",
+        ]
+
     machine = dict(bundle)
     machine["out_dir"] = out_dir
     _emit_report(args, human, machine)
@@ -428,16 +435,18 @@ def cmd_eval_hinf(args):
         grid=_weighted_grid(prob, args, "eval-hinf"),
     )
     q = _parameter_for_evaluation(_youla_section_from(args, prob), cf, sp.parameter_shape[0])
-    rel_tol = 1e-6 if args.tol is None else args.tol
+    rel_tol = HINF_REL_TOL if args.tol is None else args.tol
     report = hinf_cost(sp, q, rel_tol=rel_tol)
 
     profile_csv = _csv_text(("omega", "sigma_max"), report.rows())
     _write_text_atomic(args.out, profile_csv)
 
-    human = [
-        f"Hinf norm {_g17(report.norm)} at omega {_g17(report.peak_omega)}",
-        f"profile written to {args.out} ({report.grid_profile.shape[0]} points)",
-    ]
+    def human():
+        return [
+            f"Hinf norm {_g17(report.norm)} at omega {_g17(report.peak_omega)}",
+            f"profile written to {args.out} ({report.grid_profile.shape[0]} points)",
+        ]
+
     machine = {
         "command": "eval-hinf",
         "norm": report.norm,
@@ -461,12 +470,14 @@ def cmd_closed_loop(args):
     abscissa = float(spectral_abscissa(loop.a)) if loop.n_states else -math.inf
     stable = abscissa < 0.0
 
-    human = [
-        f"closed loop: {loop.n_states} states, shape {loop.shape}",
-        f"  spectral abscissa      {_g17(abscissa)}",
-        f"CLOSED-LOOP result={'STABLE' if stable else 'UNSTABLE'} "
-        f"abscissa={_g17(abscissa)}",
-    ]
+    def human():
+        return [
+            f"closed loop: {loop.n_states} states, shape {loop.shape}",
+            f"  spectral abscissa      {_g17(abscissa)}",
+            f"CLOSED-LOOP result={'STABLE' if stable else 'UNSTABLE'} "
+            f"abscissa={_g17(abscissa)}",
+        ]
+
     machine = {
         "command": "closed-loop",
         "stable": stable,
@@ -568,10 +579,7 @@ def main(argv=None):
         # non-finite checks, never as numpy warnings on stderr
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ProblemFileError, DimensionMismatch) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except OSError as exc:
+    except (ProblemFileError, DimensionMismatch, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except CoherentctlError as exc:

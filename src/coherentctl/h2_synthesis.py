@@ -44,6 +44,7 @@ from .statespace import (
     validate_grid,
 )
 from .youla_constraint import (
+    MEMBERSHIP_TOL,
     YoulaParameter,
     membership_qhat,
     parameter_samples,
@@ -474,7 +475,7 @@ class SynthesisVerdict:
         return bool(self.membership.in_qhat and self.closed_loop_stable)
 
 
-def validate_result(sp, q_final, tol=1e-6):
+def validate_result(sp, q_final, tol=MEMBERSHIP_TOL):
     """Re-verify a descent result from scratch.
 
     Runs the full membership battery on ``q_final`` and, independently,

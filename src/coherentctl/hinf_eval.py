@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .h2_synthesis import evaluation_problem
-from .norms import hinf_norm, sigma_max_profile
+from .norms import HINF_REL_TOL, hinf_norm, sigma_max_profile
 from .stabilization import closed_loop_triple  # noqa: F401  (traced per layer by pipebench)
 
-__all__ = ["HinfReport", "evaluation_problem", "hinf_cost"]
+__all__ = ["HinfReport", "hinf_cost"]
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class HinfReport:
             )
 
 
-def hinf_cost(sp, q, rel_tol=1e-6):
+def hinf_cost(sp, q, rel_tol=HINF_REL_TOL):
     """Worst-case gain of the weighted loop ``sp.loop(q)``.
 
     The certified value is the maximum of the level-set result and every

@@ -23,6 +23,9 @@ __all__ = [
 #: Bound on the number of level tests :func:`hinf_norm` makes.
 HINF_MAX_LEVEL_TESTS = 80
 
+#: Default relative gap at which :func:`hinf_norm` certifies its bracket.
+HINF_REL_TOL = 1e-6
+
 
 def _a_matrix(sys_or_a):
     if isinstance(sys_or_a, StateSpace):
@@ -134,7 +137,7 @@ def _imaginary_crossings(sys, gamma):
     return np.sort(eig[on_axis].imag)
 
 
-def hinf_norm(sys, rel_tol=1e-6):
+def hinf_norm(sys, rel_tol=HINF_REL_TOL):
     """Hinf norm ``sup_w sigma_max(G(iw))`` of a stable model.
 
     Level-set iteration (Boyd and Balakrishnan 1990; Bruinsma and

@@ -15,6 +15,13 @@ factor family for the controller-facing block
 with the eight factors realized from one (A + B2 F) core and one
 (A + L C2) core.  Every factorization is verified on a frequency grid
 before it is returned.
+
+The maps between a stable parameter Q and its controller
+K = (U + M Q)(V + N Q)^{-1}, in both directions, are each one
+``compose_lft`` on an observer-form generator built from the gains, as
+the weighted closed loop is on :func:`closed_loop_triple`.  So every
+result has structural order: no factor sums, products or system
+inverses are formed.
 """
 
 from __future__ import annotations
@@ -35,12 +42,7 @@ from .errors import (
     PlacementFailed,
 )
 from .norms import is_hurwitz, peak_frobenius, spectral_abscissa
-from .statespace import (
-    StateSpace,
-    invert_system,
-    log_grid,
-    minimal_realization,
-)
+from .statespace import StateSpace, compose_lft, log_grid, minimal_realization
 
 __all__ = [
     "PartitionSpec",
@@ -464,8 +466,38 @@ def parameter_statespace(q):
     return q.to_statespace()
 
 
+def _observer_generator(cf, a, b_ctrl, c_ctrl, c_meas, d22):
+    """``(a, [-L, b_ctrl], [c_ctrl; c_meas], [[0, I], [I, d22]])`` for one LFT.
+
+    Inputs are (exogenous, loop) and outputs (exogenous, loop), so
+    ``compose_lft(G, X, cf.meas, cf.ctrl)`` feeds the last ``cf.meas``
+    outputs to X and X's ``cf.ctrl`` outputs back to the last inputs.
+    """
+    nc, nm = cf.ctrl, cf.meas
+    return StateSpace(
+        a,
+        np.hstack([-cf.gains.l, b_ctrl]),
+        np.vstack([c_ctrl, c_meas]),
+        np.block([[np.zeros((nc, nm)), np.eye(nc)], [np.eye(nm), d22]]),
+    )
+
+
+def _feedback_blocks(cf):
+    """A_F = A + B2 F, B2, C_F = C2 + D22 F and D22 of the right family."""
+    r, nc = cf.right_family, cf.ctrl
+    return r.a, r.b[:, :nc], r.c[nc:], r.d[nc:, :nc]
+
+
 def controller_from_parameter(cf, q):
     """Controller ``K = (U + M Q)(V + N Q)^{-1}`` for a stable parameter.
+
+    K is one LFT of Q on the observer-form generator (Zhou, Doyle and
+    Glover 1996, ch. 12)
+
+        J = (A_F + L C_F, [-L, B2 + L D22], [F; -C_F], [[0, I], [I, -D22]])
+
+    with A_F = A + B2 F and C_F = C2 + D22 F, so K has the plant's
+    states plus Q's and no others.
 
     Raises
     ------
@@ -478,36 +510,43 @@ def controller_from_parameter(cf, q):
         raise DimensionMismatch(
             f"parameter shape {qss.shape} != loop shape {(cf.ctrl, cf.meas)}"
         )
-    num = cf.u_factor() + cf.m_factor() @ qss
-    den = cf.v_factor() + cf.n_factor() @ qss
-    sv = np.linalg.svd(den.d, compute_uv=False)
+    a_f, b2, c_f, d22 = _feedback_blocks(cf)
+    sv = np.linalg.svd(np.eye(cf.meas) + d22 @ qss.d, compute_uv=False)
     if sv[-1] <= 1e-9 * max(sv[0], 1.0):
         raise FeedthroughSingular(
             f"(V + N Q) feedthrough singular (sigma_min = {sv[-1]:.3e})"
         )
-    return num @ invert_system(den)
+    l = cf.gains.l
+    gen = _observer_generator(cf, a_f + l @ c_f, b2 + l @ d22, cf.gains.f, -c_f, -d22)
+    return compose_lft(gen, qss, n_meas=cf.meas, n_ctrl=cf.ctrl)
 
 
 def parameter_from_controller(cf, k):
     """Invert the controller map: ``Q = (M - K N)^{-1} (K V - U)``.
 
-    Returns a minimal realization of Q.  Raises ``NotInYoulaRange`` when
-    the resulting parameter is unstable (the controller is not a
-    stabilizing one for this factorization) and ``FeedthroughSingular``
-    when ``M - K N`` is improper-invertible.
+    Q is one LFT of K on the inverse generator
+
+        P_a = (A, [-L, B2], [-F; C2], [[0, I], [I, D22]])
+
+    with A = A_F - B2 F and C2 = C_F - D22 F; the loop has the plant's
+    states plus K's.  Returns a minimal realization of Q.  Raises
+    ``NotInYoulaRange`` when the resulting parameter is unstable (the
+    controller is not a stabilizing one for this factorization) and
+    ``FeedthroughSingular`` when ``M - K N`` is improper-invertible.
     """
     if k.shape != (cf.ctrl, cf.meas):
         raise DimensionMismatch(
             f"controller shape {k.shape} != loop shape {(cf.ctrl, cf.meas)}"
         )
-    den = cf.m_factor() - k @ cf.n_factor()
-    sv = np.linalg.svd(den.d, compute_uv=False)
+    a_f, b2, c_f, d22 = _feedback_blocks(cf)
+    sv = np.linalg.svd(np.eye(cf.ctrl) - k.d @ d22, compute_uv=False)
     if sv[-1] <= 1e-9 * max(sv[0], 1.0):
         raise FeedthroughSingular(
             f"(M - K N) feedthrough singular (sigma_min = {sv[-1]:.3e})"
         )
-    num = k @ cf.v_factor() - cf.u_factor()
-    q = minimal_realization(invert_system(den) @ num, tol=1e-8)
+    f = cf.gains.f
+    gen = _observer_generator(cf, a_f - b2 @ f, b2, -f, c_f - d22 @ f, d22)
+    q = minimal_realization(compose_lft(gen, k, n_meas=cf.meas, n_ctrl=cf.ctrl), tol=1e-8)
     if q.n_states and not is_hurwitz(q.a):
         raise NotInYoulaRange(
             f"recovered parameter unstable (abscissa {spectral_abscissa(q.a):.3e})"

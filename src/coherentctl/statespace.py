@@ -7,7 +7,7 @@ realness is assumed anywhere: quantum input-output models in doubled-up
 matrices, so every operation here is written for ``complex128``.
 
 Alongside the composition algebra (products, sums, block-diagonal
-stacking, feedback interconnection, inverse) the module carries the
+stacking, feedback interconnection) the module carries the
 structural helpers used by the quantum layers: doubled-up matrices
 ``[[R1, R2], [conj(R2), conj(R1)]]``, the signature (Krein) matrix
 ``diag(I_r, -I_r)`` and the J-form ``G(iw)* J G(iw)`` of sampled
@@ -27,7 +27,6 @@ __all__ = [
     "static_gain",
     "identity_system",
     "blockdiag_systems",
-    "invert_system",
     "compose_lft",
     "minimal_realization",
     "doubled",
@@ -207,27 +206,6 @@ def blockdiag_systems(systems):
     c = sla.block_diag(*[g.c for g in systems]).astype(np.complex128)
     d = sla.block_diag(*[g.d for g in systems]).astype(np.complex128)
     return StateSpace(a, b, c, d)
-
-
-def invert_system(sys):
-    """Inverse system ``G(s)^{-1}``; requires an invertible feedthrough."""
-    if sys.n_inputs != sys.n_outputs:
-        raise DimensionMismatch("only square systems can be inverted")
-    d = sys.d
-    sv = np.linalg.svd(d, compute_uv=False) if d.size else np.array([0.0])
-    if d.shape[0] == 0:
-        return static_gain(np.zeros((0, 0)))
-    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-        raise IllPosedInterconnection(
-            f"feedthrough is singular (sigma_min = {sv[-1]:.2e}); inverse is improper"
-        )
-    dinv = np.linalg.inv(d)
-    return StateSpace(
-        sys.a - sys.b @ dinv @ sys.c,
-        sys.b @ dinv,
-        -dinv @ sys.c,
-        dinv,
-    )
 
 
 def compose_lft(plant, controller, n_meas, n_ctrl):

@@ -71,6 +71,9 @@ DEFAULT_BASIS_ORDER = 8
 #: Bound on the Gauss-Newton steps of :func:`restore_feasibility`.
 RESTORE_MAX_STEPS = 12
 
+#: Default bound on the quadratic residual :func:`membership_qhat` accepts.
+MEMBERSHIP_TOL = 1e-6
+
 
 # -- parameter basis -------------------------------------------------------
 
@@ -289,7 +292,7 @@ class MembershipVerdict:
         return self.in_q and self.controller_pr.is_physically_realizable
 
 
-def membership_qhat(cf, q, tol=1e-6):
+def membership_qhat(cf, q, tol=MEMBERSHIP_TOL):
     """Classify a parameter: stabilizing only, or physically realizable.
 
     Checks run in order: parameter stability and the quadratic residual
@@ -358,8 +361,13 @@ def tangent_subspace(samples, q, grid):
     return TangentSubspace(grid=grid, w_samples=lam_w + pi_w @ q_w)
 
 
-def _pack(coeffs):
-    return np.concatenate([coeffs.real.ravel(), coeffs.imag.ravel()])
+def _real_stack(block):
+    """Flatten complex values to one real vector (Frobenius-faithful).
+
+    Real parts come first, then imaginary parts; :func:`_unpack` takes a
+    stack of basis coefficients back.
+    """
+    return np.concatenate([block.real.ravel(), block.imag.ravel()])
 
 
 def _unpack(vec, order, shape):
@@ -367,11 +375,6 @@ def _unpack(vec, order, shape):
     re = vec[:half].reshape(order + 1, *shape)
     im = vec[half:].reshape(order + 1, *shape)
     return re + 1j * im
-
-
-def _real_stack(block):
-    """Flatten complex samples to one real vector (Frobenius-faithful)."""
-    return np.concatenate([block.real.ravel(), block.imag.ravel()])
 
 
 def _hermitian_stack(blocks):
@@ -405,7 +408,7 @@ def _constraint_matrix(w_samples, basis_mat):
     """Real matrix of the sampled tangent constraints, (n_rows, n_vars).
 
     Column v is the :func:`_hermitian_stack` of X* W + W* X for the unit
-    unknown v of :func:`_pack` (real parts, then imaginary parts, each
+    unknown v of :func:`_real_stack` (real parts, then imaginary parts, each
     in (k, row, col) C-order); rows run over (omega, component).  That
     unknown is ``part * b_k E_pq``, whose product X* W is
     ``conj(part * b_k) W[p, :]`` in row q and zero elsewhere.
@@ -522,7 +525,7 @@ def restore_feasibility(samples, q, grid, tol=1e-10):
     _, lam_w, pi_w = samples
     basis_mat = q.basis(grid)
 
-    x = _pack(q.coeffs)
+    x = _real_stack(q.coeffs)
     best, best_res = q, np.inf
     for _ in range(RESTORE_MAX_STEPS + 1):
         cand = YoulaParameter(q.basis_pole, _unpack(x, q.order, q.shape))

@@ -201,6 +201,21 @@ def central_controller(mp, cf):
     return StateSpace(a + b2 @ f + l @ (c2 + d22 @ f), -l, f, np.zeros((cf.ctrl, cf.meas)))
 
 
+def sum_product_controller(cf, q):
+    """``(U + M Q)(V + N Q)^{-1}`` built from factor sums, products and an inverse.
+
+    A reference realization with 4n + 2 n_Q states, most of them
+    unreachable or unobservable, for checks of the structural-order
+    controller and of the staircase reduction.
+    """
+    qss = q.to_statespace()
+    num = cf.u_factor() + cf.m_factor() @ qss
+    den = cf.v_factor() + cf.n_factor() @ qss
+    dinv = np.linalg.inv(den.d)
+    den_inv = StateSpace(den.a - den.b @ dinv @ den.c, den.b @ dinv, -dinv @ den.c, dinv)
+    return num @ den_inv
+
+
 def coupled_cavity_plant():
     """One mode with two field channels: rate-2 exogenous, rate-1 control."""
     model = SlhModel(

@@ -379,6 +379,15 @@ class TestClosedLoop:
         emitted = decode_realization(report["controller"])
         assert emitted.shape == (2, 2)
 
+    def test_loop_at_structural_order(self, capsys):
+        # plant (2 states) + controller (2 plant states + 2 parameter states)
+        code, report = run_json(
+            capsys,
+            ["closed-loop", fx("cavity_pr.json"), "--q-from", fx("q_from_controller.json")],
+        )
+        assert code == 0
+        assert report["loop_states"] == 6
+
     def test_non_stabilizing_controller_is_domain_failure(self, capsys):
         code = main(
             [

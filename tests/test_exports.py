@@ -1,0 +1,50 @@
+"""Each public name has one home module, and the package root re-exports none."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import coherentctl
+
+MODULES = sorted(
+    info.name
+    for info in pkgutil.iter_modules(coherentctl.__path__)
+    if not info.name.startswith("_")
+)
+
+
+def _exports(name):
+    """A submodule's ``__all__``, else the public classes and functions it defines."""
+    module = importlib.import_module(f"coherentctl.{name}")
+    if hasattr(module, "__all__"):
+        return module.__all__
+    return [
+        attr
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_is_bound(name):
+    module = importlib.import_module(f"coherentctl.{name}")
+    missing = [attr for attr in _exports(name) if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_no_name_exported_twice():
+    homes = {}
+    for name in MODULES:
+        for attr in _exports(name):
+            homes.setdefault(attr, []).append(name)
+    shared = {attr: owners for attr, owners in homes.items() if len(owners) > 1}
+    assert not shared
+
+
+def test_root_exports_only_the_version():
+    # imported submodules become attributes of the package; nothing else may
+    public = {attr for attr in vars(coherentctl) if not attr.startswith("_")}
+    assert public <= set(MODULES)
+    assert isinstance(coherentctl.__version__, str)
+    assert not hasattr(coherentctl, "__all__")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from coherentctl.errors import DimensionMismatch, NotStable
-from coherentctl.hinf_eval import HinfReport, evaluation_problem, hinf_cost
+from coherentctl.h2_synthesis import evaluation_problem
+from coherentctl.hinf_eval import HinfReport, hinf_cost
 from coherentctl.statespace import (
     StateSpace,
     log_grid,

@@ -37,10 +37,14 @@ from coherentctl.stabilization import (
     stabilizing_gains,
 )
 
+from coherentctl.youla_constraint import YoulaParameter
+
 from conftest import (
     central_controller,
+    coupled_cavity_loop,
     freq_response,
     make_rng,
+    random_complex,
     random_slh,
     random_statespace,
     undo_modify,
@@ -470,7 +474,52 @@ class TestCoprimeFactorization:
         assert cf.right_family.n_states == 4
 
 
+#: The two-channel cavity loop and (seed, modes) of regrouped squeezing
+#: networks: (100, 2) is stable (F = L = 0), (103, 3) and (105, 3) are not.
+DOUBLED_LOOPS = ("cavity", (100, 2), (103, 3), (105, 3))
+
+
+def doubled_loop(case):
+    if case == "cavity":
+        return coupled_cavity_loop()
+    mp = squeezing_plant(*case)
+    return mp, coprime_factorization(mp, stabilizing_gains(mp))
+
+
+def random_parameter(cf, seed, order=2):
+    coeffs = 0.3 * random_complex(make_rng(seed), (order + 1, cf.ctrl, cf.meas))
+    return YoulaParameter(1.0, coeffs)
+
+
 class TestParameterMaps:
+    @pytest.mark.parametrize("case", DOUBLED_LOOPS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_controller_matches_pointwise_formula(self, case, seed):
+        _, cf = doubled_loop(case)
+        q = random_parameter(cf, seed)
+        k = controller_from_parameter(cf, q)
+        assert k.n_states == cf.right_family.n_states + q.to_statespace().n_states
+
+        grid = default_verification_grid()
+        rw, qw = cf.right_family.response(grid), q.to_statespace().response(grid)
+        nc = cf.ctrl
+        m_w, u_w = rw[:, :nc, :nc], rw[:, :nc, nc:]
+        n_w, v_w = rw[:, nc:, :nc], rw[:, nc:, nc:]
+        num, den = u_w + m_w @ qw, v_w + n_w @ qw
+        # K = num den^{-1}, i.e. K^T = den^{-T} num^T
+        expected = np.linalg.solve(den.swapaxes(1, 2), num.swapaxes(1, 2)).swapaxes(1, 2)
+        assert np.abs(k.response(grid) - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("case", DOUBLED_LOOPS)
+    def test_parameter_round_trip_on_doubled_loops(self, case):
+        _, cf = doubled_loop(case)
+        q = random_parameter(cf, 7)
+        q2 = parameter_from_controller(cf, controller_from_parameter(cf, q))
+        assert q2.n_states == q.to_statespace().n_states
+        grid = default_verification_grid()
+        expected = q.to_statespace().response(grid)
+        assert np.abs(q2.response(grid) - expected).max() <= 1e-9 * np.abs(expected).max()
+
     def test_round_trip_through_controller(self):
         mp, cf = scalar_demo_factors()
         rng = make_rng(5)
