@@ -2,24 +2,49 @@
 
 Evaluating a transfer matrix over a grid is the single hottest operation
 in the toolkit (every residual check and every descent iteration is one
-or more sweeps), so it gets a dedicated kernel: one batched LAPACK solve
-per block of frequencies.  Blocking bounds the ``(n_omega, n, n)``
-resolvent stack to ``SWEEP_BLOCK_BYTES`` whatever the grid length; each
-frequency is still solved on its own, so the result does not depend on
-the block size.
+or more sweeps), so it gets a dedicated kernel with two paths, chosen by
+the size of the sweep.
+
+- **Batched LU** (small sweeps): one batched LAPACK solve of the full
+  resolvent per block of frequencies, O(n^3) per frequency.  Blocking
+  bounds the ``(n_omega, n, n)`` resolvent stack to ``SWEEP_BLOCK_BYTES``
+  whatever the grid length; each frequency is still solved on its own,
+  so the result does not depend on the block size.
+- **Schur-triangular** (``n * n_omega >= SCHUR_SWEEP_MIN``): one complex
+  Schur form ``A = Z T Z^H``, then per frequency a single triangular
+  solve ``(iw I - T) X = Z^H B``, O(n^2 m) (Laub 1981, IEEE TAC 26(2)).
+  Z is unitary, so the path is backward-stable; it forms no resolvent
+  stack.
+
+The Schur form costs a few dense factorizations and every frequency a
+LAPACK call of its own, so small models and short grids stay on the
+batched path, where they are faster.  The descent sweeps of H2
+synthesis are all below the threshold too: they stay on the batched
+path's roundoff.
 """
 
 import numpy as np
+import scipy.linalg as sla
+from scipy.linalg import lapack
 
 #: Upper bound on the bytes of one block's complex resolvent stack.
 SWEEP_BLOCK_BYTES = 16 * 2**20
 
+#: Sweeps with ``n_states * n_omega`` at least this take the Schur path.
+SCHUR_SWEEP_MIN = 8000
+
 
 def freq_sweep(a, b, c, d, omegas):
-    """Batched-solve sweep: returns an (n_omega, p, m) response array."""
+    """Sweep ``C (iw I - A)^-1 B + D``: returns an (n_omega, p, m) array.
+
+    Raises ``np.linalg.LinAlgError`` when the resolvent is exactly
+    singular at a grid frequency.
+    """
     n = a.shape[0]
     if n == 0:
         return np.broadcast_to(d, (omegas.size,) + d.shape).copy()
+    if n * omegas.size >= SCHUR_SWEEP_MIN:
+        return _schur_sweep(a, b, c, d, omegas)
     out = np.empty((omegas.size, c.shape[0], b.shape[1]), dtype=np.complex128)
     eye = np.eye(n, dtype=np.complex128)
     step = max(1, SWEEP_BLOCK_BYTES // (16 * n * n))
@@ -29,6 +54,21 @@ def freq_sweep(a, b, c, d, omegas):
         x = np.linalg.solve(t, np.broadcast_to(b, (w.size,) + b.shape))
         out[lo : lo + step] = c @ x + d
     return out
+
+
+def _schur_sweep(a, b, c, d, omegas):
+    t, z = sla.schur(a, output="complex")
+    b_t = z.conj().T @ b
+    shifted = np.asfortranarray(-t)
+    diag = np.diag(t)
+    on_diag = np.diag_indices(a.shape[0])
+    x = np.empty((omegas.size,) + b.shape, dtype=np.complex128)
+    for k, w in enumerate(omegas):
+        shifted[on_diag] = 1j * w - diag
+        x[k], info = lapack.ztrtrs(shifted, b_t)
+        if info:
+            raise np.linalg.LinAlgError(f"resolvent singular at omega={w!r}")
+    return (c @ z) @ x + d
 
 
 def backend_name():

@@ -17,6 +17,7 @@ not a parse failure.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -505,6 +506,12 @@ def _emit(value, indent, out):
         # entries (each a [re, im] pair) get one line each
         if all(not isinstance(v, (dict, list, tuple, complex)) for v in seq):
             out.append("[" + ", ".join(_scalar(v) for v in seq) + "]")
+            return
+        if all(isinstance(v, complex) and cmath.isfinite(v) for v in seq):
+            # the common row of finite entries, in one join
+            line = pad + "  [%.17g, %.17g]"
+            rows = ",\n".join([line % (v.real, v.imag) for v in seq])
+            out.append("[\n" + rows + "\n" + pad + "]")
             return
         out.append("[\n")
         for i, sub in enumerate(seq):

@@ -38,6 +38,9 @@ INF, NAN = float("inf"), float("nan")
 EMITTED_MATRICES = {
     "signed zeros": np.array([[-0.0, complex(0.0, -0.0)], [complex(-0.0, -0.0), 0.0]]),
     "non-finite": np.array([[complex(INF, -INF), complex(NAN, 1.0)], [-INF, NAN]]),
+    "mixed finite and non-finite": np.array(
+        [[1.0 + 2.0j, complex(NAN, 0.0), -0.0], [0.5, 0.25j, -3.0], [complex(1.0, INF), 2.5, 0.0]]
+    ),
     "tiny": np.array([[1e-300 - 1e-300j, 5e-324, 1.0 / 3.0 + 0.1j]]),
     "real only": np.array([[1.5, -2.0], [0.1 + 0.2, 7.0]]),
     "integer": np.array([[1, -2], [3, 0]]),

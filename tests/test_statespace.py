@@ -22,6 +22,7 @@ from coherentctl.statespace import (
     static_gain,
     validate_grid,
 )
+from coherentctl.youla_constraint import YoulaParameter
 
 from conftest import (
     coupled_cavity_loop,
@@ -87,6 +88,7 @@ class TestFreqResponse:
     def test_blocked_sweep_equals_per_frequency_solves(self, monkeypatch):
         rng = make_rng(11)
         g = random_statespace(rng, 5, 3, 2)
+        monkeypatch.setattr(_accel, "SCHUR_SWEEP_MIN", np.inf)
         # three frequencies per block: the 17-point grid spans six blocks
         monkeypatch.setattr(_accel, "SWEEP_BLOCK_BYTES", 3 * 16 * 5 * 5)
         swept = g.response(GRID)
@@ -95,6 +97,60 @@ class TestFreqResponse:
             [g.c @ np.linalg.solve(1j * w * eye - g.a, g.b) + g.d for w in GRID]
         )
         assert np.array_equal(swept, single)
+
+
+#: ``SCHUR_SWEEP_MIN`` values that force each path of ``_accel.freq_sweep``.
+SWEEP_PATHS = {"batched": np.inf, "schur": 0}
+
+
+def sweep_systems():
+    """Non-normal, defective and empty-state models for the sweep paths."""
+    rng = make_rng(23)
+    yield "random", random_statespace(rng, 12, 3, 2)
+    g = random_statespace(rng, 9, 2, 2)
+    # a large strictly upper part makes A far from normal
+    far = g.a + 20.0 * np.triu(rng.standard_normal((9, 9)), 1)
+    yield "far from normal", StateSpace(far, g.b, g.c, g.d)
+    # the (s + 1)^-k basis chain: A is one Jordan block per column
+    coeffs = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
+    yield "basis chain", YoulaParameter(1.0, coeffs).to_statespace()
+    yield "empty state", static_gain([[1.0 + 2.0j, -0.5], [0.0, 3.0j]])
+
+
+class TestSweepPaths:
+    """Both paths of the sweep kernel against the per-point reference."""
+
+    @pytest.mark.parametrize("path", sorted(SWEEP_PATHS))
+    @pytest.mark.parametrize("name", [name for name, _ in sweep_systems()])
+    def test_path_matches_per_point_solves(self, monkeypatch, path, name):
+        g = dict(sweep_systems())[name]
+        monkeypatch.setattr(_accel, "SCHUR_SWEEP_MIN", SWEEP_PATHS[path])
+        grid = np.concatenate([[0.0], GRID])
+        swept = g.response(grid)
+        reference = np.stack([freq_response(g, w) for w in grid])
+        assert swept.shape == reference.shape
+        assert np.abs(swept - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("path", sorted(SWEEP_PATHS))
+    def test_singular_resolvent_raises_on_each_path(self, monkeypatch, path):
+        g = StateSpace(np.diag([0.0, -1.0, -2.0]), np.ones((3, 1)), np.ones((1, 3)), [[0.0]])
+        monkeypatch.setattr(_accel, "SCHUR_SWEEP_MIN", SWEEP_PATHS[path])
+        with pytest.raises(SingularResolvent):
+            g.response([1.0, 0.0, 2.0])
+
+    def test_size_rule_picks_the_path(self, monkeypatch):
+        calls = []
+        schur_sweep = _accel._schur_sweep
+        monkeypatch.setattr(
+            _accel, "_schur_sweep", lambda *args: calls.append(args) or schur_sweep(*args)
+        )
+        g = random_statespace(make_rng(5), 4, 1, 1)
+        monkeypatch.setattr(_accel, "SCHUR_SWEEP_MIN", 4 * GRID.size + 1)
+        g.response(GRID)
+        assert not calls
+        monkeypatch.setattr(_accel, "SCHUR_SWEEP_MIN", 4 * GRID.size)
+        g.response(GRID)
+        assert len(calls) == 1
 
 
 class TestAlgebra:
