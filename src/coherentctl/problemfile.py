@@ -8,6 +8,13 @@ arrays-of-arrays, so every value round-trips through decimal text
 exactly.  Unknown keys are rejected at every level: a typo fails loudly
 instead of silently falling back to a default.
 
+Matrices stay NumPy arrays up to the emitter: :func:`encode_matrix`
+returns a 2-D complex array and :func:`dumps_17g` formats each distinct
+matrix once per document, so the state matrices that the coprime
+factors share are written from one text.  Decoding takes a block of
+finite ``[re, im]`` number pairs in one array conversion; only a block
+it refuses is walked entry by entry, to name the bad entry.
+
 Decoding is purely structural (shapes, types, key sets).  Semantic
 validation that depends on what a command is about to do — scattering
 unitarity, stabilizability, feasibility — happens in the command layer,
@@ -17,10 +24,10 @@ not a parse failure.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -89,6 +96,25 @@ def _decode_complex(value, path):
     return complex(_finite(value[0], path), _finite(value[1], path))
 
 
+def _matrix_block(value):
+    """A well-formed block of finite number pairs in one conversion, else None.
+
+    The type scan runs first, so booleans and strings never reach the
+    float conversion.  The complex matrix is a view of the ``(..., 2)``
+    floats, which keeps the sign of every zero bit for bit.
+    """
+    try:
+        numbers = chain.from_iterable(chain.from_iterable(value))
+        if not set(map(type, numbers)) <= {int, float}:
+            return None
+        pairs = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if pairs.ndim != 3 or pairs.shape[2] != 2 or not np.isfinite(pairs).all():
+        return None
+    return pairs.view(np.complex128)[..., 0]
+
+
 def _decode_matrix(value, path, allow_empty=False):
     if not isinstance(value, list):
         raise ProblemFileError(path, f"expected an array of rows, got {value!r}")
@@ -96,6 +122,10 @@ def _decode_matrix(value, path, allow_empty=False):
         if allow_empty:
             return np.zeros((0, 0), dtype=np.complex128)
         raise ProblemFileError(path, "matrix must have at least one row")
+    block = _matrix_block(value)
+    if block is not None:
+        return block
+    # the entry walk below only names the entry a block was refused for
     rows = []
     width = None
     for i, row in enumerate(value):
@@ -115,11 +145,11 @@ def _decode_matrix(value, path, allow_empty=False):
 
 
 def encode_matrix(arr):
-    """2-D array -> rows of Python complex numbers.
+    """2-D array -> 2-D complex array, a leaf of :func:`dumps_17g`.
 
     :func:`dumps_17g` writes each entry as an ``[re, im]`` pair.
     """
-    return np.atleast_2d(np.asarray(arr, dtype=np.complex128)).tolist()
+    return np.atleast_2d(np.asarray(arr, dtype=np.complex128))
 
 
 def encode_statespace(sys):
@@ -485,16 +515,18 @@ def fit_parameter(sys, omegas, basis_pole, order):
 # -- deterministic JSON emission ---------------------------------------------
 
 
-def _emit(value, indent, out):
+def _emit(value, indent, out, memo):
     pad = "  " * indent
-    if isinstance(value, dict):
+    if isinstance(value, np.ndarray):
+        out.append(_matrix_text(value, indent, memo))
+    elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
         out.append("{\n")
         for i, (key, sub) in enumerate(value.items()):
             out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _emit(sub, indent + 1, out)
+            _emit(sub, indent + 1, out, memo)
             out.append(",\n" if i + 1 < len(value) else "\n")
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -504,23 +536,43 @@ def _emit(value, indent, out):
             return
         # scalar rows stay inline; nested structures and complex
         # entries (each a [re, im] pair) get one line each
-        if all(not isinstance(v, (dict, list, tuple, complex)) for v in seq):
+        if all(not isinstance(v, (dict, list, tuple, complex, np.ndarray)) for v in seq):
             out.append("[" + ", ".join(_scalar(v) for v in seq) + "]")
-            return
-        if all(isinstance(v, complex) and cmath.isfinite(v) for v in seq):
-            # the common row of finite entries, in one join
-            line = pad + "  [%.17g, %.17g]"
-            rows = ",\n".join([line % (v.real, v.imag) for v in seq])
-            out.append("[\n" + rows + "\n" + pad + "]")
             return
         out.append("[\n")
         for i, sub in enumerate(seq):
             out.append(pad + "  ")
-            _emit(sub, indent + 1, out)
+            _emit(sub, indent + 1, out, memo)
             out.append(",\n" if i + 1 < len(seq) else "\n")
         out.append(pad + "]")
     else:
         out.append(_scalar(value))
+
+
+def _matrix_text(arr, indent, memo):
+    """A 2-D array as rows of ``[re, im]`` lines, formatted once per ``memo``.
+
+    The key is the complex bytes, not the object, so equal matrices held
+    by different objects share one text while ``-0.0`` and ``0.0`` do not.
+    """
+    arr = np.ascontiguousarray(arr, dtype=np.complex128)
+    key = (indent, arr.shape, arr.tobytes())
+    text = memo.get(key)
+    if text is None:
+        rows, cols = arr.shape
+        if arr.size and np.isfinite(arr).all():
+            pad = "  " * indent
+            entries = ",\n".join([pad + "    [%.17g, %.17g]"] * cols)
+            row = pad + "  [\n" + entries + "\n" + pad + "  ]"
+            template = "[\n" + ",\n".join([row] * rows) + "\n" + pad + "]"
+            text = template % tuple(arr.view(np.float64).ravel().tolist())
+        else:
+            # empty and non-finite matrices take the per-entry path
+            parts = []
+            _emit(arr.tolist(), indent, parts, memo)
+            text = "".join(parts)
+        memo[key] = text
+    return text
 
 
 def _scalar(value):
@@ -544,11 +596,14 @@ def dumps_17g(value):
     """Serialize to JSON text with floats at 17 significant digits.
 
     17 significant decimal digits uniquely identify every binary64
-    value, so documents emitted here re-parse to bit-identical numbers;
+    value, so documents emitted here re-parse to bit-identical numbers
+    (but for a negative zero: ``-0`` reads back as the integer 0);
     emission order follows dict insertion order, making equal inputs
-    produce byte-identical text.
+    produce byte-identical text.  Arrays are written as matrices of
+    ``[re, im]`` pairs; the memo of formatted matrices lives for this
+    one call.
     """
     out = []
-    _emit(value, 0, out)
+    _emit(value, 0, out, {})
     out.append("\n")
     return "".join(out)

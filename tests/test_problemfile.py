@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from coherentctl import problemfile
+from coherentctl.cli import main
 from coherentctl.errors import ProblemFileError
 from coherentctl.problemfile import (
     dumps_17g,
@@ -17,7 +19,7 @@ from coherentctl.problemfile import (
 from coherentctl.statespace import StateSpace, log_grid
 from coherentctl.youla_constraint import YoulaParameter
 
-from conftest import make_rng, random_statespace
+from conftest import make_rng, random_slh, random_statespace
 
 
 def doc(text_obj):
@@ -34,6 +36,26 @@ def pairs_reference(arr):
     return [[[float(complex(z).real), float(complex(z).imag)] for z in row] for row in arr]
 
 
+def as_pairs(value):
+    """``value`` with every array replaced by its :func:`pairs_reference` lists."""
+    if isinstance(value, np.ndarray):
+        return pairs_reference(value)
+    if isinstance(value, dict):
+        return {key: as_pairs(sub) for key, sub in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_pairs(sub) for sub in value]
+    return value
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(
+        np.asarray(x, dtype=np.complex128).view(np.uint64),
+        np.asarray(y, dtype=np.complex128).view(np.uint64),
+    )
+
+
+NOT_A_PAIR = "complex entries must be [re, im] number pairs, got "
+NOT_FINITE = "numbers must be finite in double precision"
 INF, NAN = float("inf"), float("nan")
 EMITTED_MATRICES = {
     "signed zeros": np.array([[-0.0, complex(0.0, -0.0)], [complex(-0.0, -0.0), 0.0]]),
@@ -46,6 +68,9 @@ EMITTED_MATRICES = {
     "integer": np.array([[1, -2], [3, 0]]),
     "empty rows": np.zeros((0, 3), dtype=complex),
     "empty columns": np.zeros((2, 0), dtype=complex),
+    "transposed": (np.arange(6.0) + 1j * np.arange(6.0)[::-1]).reshape(2, 3).T,
+    # StateSpace.select slices the input matrix as b[:, cols]
+    "column slice": (np.arange(12.0) - 0.5j).reshape(3, 4)[:, [0, 2]],
 }
 
 
@@ -117,6 +142,59 @@ class TestDecoding:
         }
         with pytest.raises(ProblemFileError, match="ragged"):
             doc(bad)
+
+    @pytest.mark.parametrize(
+        "entry, where, message",
+        [
+            ("[true, 0.0]", "[1][2]", f"{NOT_A_PAIR}[True, 0.0]"),
+            ('["1.5", 0.0]', "[1][2]", f"{NOT_A_PAIR}['1.5', 0.0]"),
+            ("[1.0, 0.0, 2.0]", "[1][2]", f"{NOT_A_PAIR}[1.0, 0.0, 2.0]"),
+            ("[1" + "0" * 400 + ", 0.0]", "[1][2]", NOT_FINITE),
+            ("[1e400, 0.0]", "[1][2]", NOT_FINITE),
+            ("RAGGED", "[1]", "ragged matrix: row has 2 entries, expected 3"),
+        ],
+        ids=["true", "string", "three-element", "huge-integer", "overflow", "ragged-row"],
+    )
+    def test_bad_entry_inside_valid_block_names_the_entry(self, monkeypatch, entry, where, message):
+        rows = [[f"[{i}.5, {j}.25]" for j in range(3)] for i in range(3)]
+        if entry == "RAGGED":
+            rows[1] = rows[1][:2]
+        else:
+            rows[1][2] = entry
+        d_text = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+        text = '{"plant": {"abcd": {"a": [], "b": [], "c": [], "d": %s}}}' % d_text
+        attempts = []
+        block = problemfile._matrix_block
+
+        def spy(value):
+            attempts.append(block(value))
+            return attempts[-1]
+
+        monkeypatch.setattr(problemfile, "_matrix_block", spy)
+        with pytest.raises(ProblemFileError) as info:
+            loads_problem(text)
+        # the one-conversion attempt ran on the block and refused it
+        assert attempts == [None]
+        assert info.value.path == "plant.abcd.d" + where
+        assert str(info.value) == f"plant.abcd.d{where}: {message}"
+
+    def test_emitted_documents_decode_bit_for_bit(self):
+        rng = make_rng(9)
+        sys = random_statespace(rng, 4, 3, 2)
+        d = sys.d.copy()
+        d[0, 0] = complex(5e-324, -1e-310)
+        d[1, 1] = complex(1.0 / 3.0, 1.7976931348623157e308)
+        d[2, 0] = complex(2.0**60 + 1.0, -0.1)
+        sys = StateSpace(sys.a, sys.b, sys.c, d)
+        prob = loads_problem(dumps_17g({"plant": {"abcd": encode_statespace(sys)}}))
+        for key in "abcd":
+            assert same_bits(getattr(prob.abcd, key), getattr(sys, key)), key
+
+    def test_signed_zero_real_part_keeps_its_sign(self):
+        # re + 1j*im would turn this -0.0 into +0.0 (the imaginary part is >= 0)
+        d = np.array([[complex(-0.0, 1.0), complex(-0.0, 0.0)], [complex(0.0, -0.0), 2.0]])
+        prob = doc({"plant": {"abcd": {"a": [], "b": [], "c": [], "d": pairs_reference(d)}}})
+        assert same_bits(prob.abcd.d, d)
 
     def test_slh_shape_consistency_enforced(self):
         base = {
@@ -223,7 +301,7 @@ class TestDecoding:
 class TestEncoding:
     def test_complex_and_matrix_pairs(self):
         enc = encode_matrix(np.array([[1.0 + 1.0j, 0.0]]))
-        assert enc == [[1.0 + 1.0j, 0j]]
+        assert enc.tolist() == [[1.0 + 1.0j, 0j]]
         assert json.loads(dumps_17g(enc)) == [[[1.0, 1.0], [0.0, 0.0]]]
 
     @pytest.mark.parametrize("name", sorted(EMITTED_MATRICES))
@@ -238,6 +316,16 @@ class TestEncoding:
         sys = random_statespace(make_rng(4), 3, 2, 1)
         reference = {key: pairs_reference(getattr(sys, key)) for key in "abcd"}
         assert dumps_17g(encode_statespace(sys)) == dumps_17g(reference)
+
+    def test_repeated_matrices_match_pair_lists(self):
+        a = encode_matrix(np.array([[1.0 - 2.0j, 0.5], [0.0, 3.0j]]))
+        equal = a.copy()
+        signed = a.copy()
+        signed[1, 0] = complex(-0.0, 0.0)
+        payload = {"a": a, "deep": {"a": a, "rows": [a, equal]}, "signed": [a, signed, a]}
+        text = dumps_17g(payload)
+        assert text == dumps_17g(as_pairs(payload))
+        assert dumps_17g(signed) != dumps_17g(a)
 
     def test_document_emission_is_deterministic_and_parseable(self):
         payload = {
@@ -288,3 +376,34 @@ class TestFitParameter:
         assert residual < 1e-14
         assert np.abs(fitted.coeffs[0] + np.eye(2)).max() < 1e-14
         assert np.abs(fitted.coeffs[1]).max() < 1e-14
+
+
+class TestDocumentOracle:
+    def test_factorize_report_matches_pair_lists(self, tmp_path, capsys, monkeypatch):
+        """``factorize --json`` writes what the former list encoding wrote."""
+        slh = random_slh(make_rng(0), n=8, m=4, squeeze=0.5)
+        plant = {"n": 8, "m": 4}
+        for key in ("S", "H1", "H2", "L1", "L2"):
+            plant[key] = pairs_reference(getattr(slh, key.lower()))
+        path = tmp_path / "net.json"
+        path.write_text(
+            json.dumps(
+                {"plant": {"slh": plant}, "partition": {"n_r": 2, "n_u": 2, "n_z": 2, "n_y": 2}}
+            )
+        )
+        reports = []
+        emit = problemfile.dumps_17g
+
+        def record(value):
+            reports.append(value)
+            return emit(value)
+
+        monkeypatch.setattr(problemfile, "dumps_17g", record)
+        assert main(["factorize", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        (report,) = reports
+        factors = report["factors"]
+        assert factors["m"]["a"].shape == (16, 16)
+        # the right and left families have different state matrices
+        assert len({factor["a"].tobytes() for factor in factors.values()}) == 2
+        assert out == emit(as_pairs(report))
