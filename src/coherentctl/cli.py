@@ -27,7 +27,6 @@ from .norms import HINF_REL_TOL, sigma_max_profile, spectral_abscissa
 from .physreal import (
     DEFAULT_PR_TOL,
     check_physical_realizability,
-    default_pr_grid,
     slh_to_statespace,
 )
 from .stabilization import (
@@ -194,16 +193,9 @@ def cmd_check_pr(args):
     # the checker and fail its verdict rather than die at parse time
     sys_ = _plant_statespace(prob, unitarity_tol=math.inf)
 
-    grid = prob.build_grid(args.grid_points)
-    if grid is None:
-        grid = (
-            log_grid(1e-3, 1e3, args.grid_points)
-            if args.grid_points
-            else default_pr_grid()
-        )
     tol = DEFAULT_PR_TOL if args.tol is None else args.tol
     try:
-        verdict = check_physical_realizability(sys_, grid=grid, tol=tol)
+        verdict = check_physical_realizability(sys_, tol=tol)
     except ValueError as exc:
         raise ProblemFileError("plant", str(exc)) from exc
 
@@ -221,7 +213,7 @@ def cmd_check_pr(args):
             f"PR-CHECK result={status} residual={_g17(verdict.residual)} "
             f"feedthrough_gap={_g17(verdict.feedthrough_gap)} "
             f"generic={str(verdict.generic_ok).lower()} "
-            f"minimal={str(verdict.minimal_ok).lower()} grid_points={grid.size}",
+            f"minimal={str(verdict.minimal_ok).lower()}",
         ]
 
     machine = {
@@ -235,7 +227,6 @@ def cmd_check_pr(args):
         "minimal_ok": verdict.minimal_ok,
         "n_states_minimal": verdict.n_states_minimal,
         "tol": tol,
-        "grid_points": int(grid.size),
     }
     _emit_report(args, human, machine)
     return PASS if verdict.is_physically_realizable else DOMAIN_FAILURE
@@ -499,24 +490,20 @@ def _positive_int(text):
     return value
 
 
-def _add_common(sub, tuning=True):
-    """The document argument and --json; with ``tuning``, --grid-points and --tol."""
+#: The tuning flags a command may take, with their argparse settings.
+TUNING = {
+    "--grid-points": dict(
+        type=_positive_int, metavar="N", help="override the number of frequency-grid points"
+    ),
+    "--tol": dict(type=float, metavar="X", help="override the command's pass/fail tolerance"),
+}
+
+
+def _add_common(sub, tuning=tuple(TUNING)):
+    """The document argument, the ``tuning`` flags and --json."""
     sub.add_argument("file", help="problem document (JSON)")
-    if tuning:
-        sub.add_argument(
-            "--grid-points",
-            type=_positive_int,
-            default=None,
-            metavar="N",
-            help="override the number of frequency-grid points",
-        )
-        sub.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            metavar="X",
-            help="override the command's pass/fail tolerance",
-        )
+    for flag in tuning:
+        sub.add_argument(flag, default=None, **TUNING[flag])
     sub.add_argument(
         "--json", action="store_true", help="machine-readable report on stdout"
     )
@@ -530,7 +517,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-pr", help="physical-realizability check")
-    _add_common(p)
+    _add_common(p, tuning=("--tol",))
     p.set_defaults(func=cmd_check_pr)
 
     p = sub.add_parser("factorize", help="doubly-coprime factor family")
@@ -556,7 +543,7 @@ def build_parser():
     p.set_defaults(func=cmd_eval_hinf)
 
     p = sub.add_parser("closed-loop", help="assemble and grade the closed loop")
-    _add_common(p, tuning=False)
+    _add_common(p, tuning=())
     p.add_argument(
         "--q-from",
         required=True,

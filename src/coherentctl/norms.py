@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import NotStable, NotStrictlyProper
-from .statespace import StateSpace, validate_grid
+from .statespace import validate_grid
 
 __all__ = [
     "spectral_abscissa",
@@ -27,28 +27,21 @@ HINF_MAX_LEVEL_TESTS = 80
 HINF_REL_TOL = 1e-6
 
 
-def _a_matrix(sys_or_a):
-    if isinstance(sys_or_a, StateSpace):
-        return sys_or_a.a
-    return np.atleast_2d(np.asarray(sys_or_a, dtype=np.complex128))
-
-
-def spectral_abscissa(sys_or_a):
-    a = _a_matrix(sys_or_a)
+def spectral_abscissa(a):
     if a.shape[0] == 0:
         return -np.inf
     return float(np.max(np.linalg.eigvals(a).real))
 
 
-def is_hurwitz(sys_or_a, margin=1e-9):
+def is_hurwitz(a, margin=1e-9):
     """True when every eigenvalue satisfies Re(lambda) < -margin.
 
     A static model (no states) is vacuously Hurwitz.
     """
-    return spectral_abscissa(sys_or_a) < -margin
+    return spectral_abscissa(a) < -margin
 
 
-def is_spectrally_generic(sys_or_a):
+def is_spectrally_generic(a):
     """Check that no two eigenvalues are mirror-symmetric about the axis.
 
     The spectrum {lambda_i} is generic when ``lambda_i + conj(lambda_j)``
@@ -56,7 +49,6 @@ def is_spectrally_generic(sys_or_a):
     imaginary axis and no pair is an axis reflection.  An empty spectrum
     is generic.  Gaps at or below ``1e-8 * spectral radius`` count as zero.
     """
-    a = _a_matrix(sys_or_a)
     if a.shape[0] == 0:
         return True
     eig = np.linalg.eigvals(a)

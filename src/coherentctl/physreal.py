@@ -16,6 +16,13 @@ with ``L = [[L1, L2], [conj(L2), conj(L1)]]``, ``H`` doubled likewise,
 Such models are exactly the (J, J)-unitary transfer matrices whose
 feedthrough is a doubled-up scattering unitary; ``check_physical_
 realizability`` measures how far an arbitrary model is from that class.
+It decides (J, J)-unitarity algebraically, with no frequency grid: on a
+minimal realization with a spectrally generic A, G is (J, J)-unitary
+exactly when the unique Hermitian solution X of
+``A X + X A* + B J B* = 0`` satisfies ``X C* + B J D* = 0`` and
+``D J D* = J`` (Gough, James and Nurdin 2010, Phys. Rev. A 81; Shaiju
+and Petersen 2012, IEEE TAC 57(8)).  For SLH data in its own
+coordinates X is the commutation kernel Theta.
 """
 
 from __future__ import annotations
@@ -23,34 +30,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import InvalidSlh
-from .norms import is_spectrally_generic, peak_frobenius
-from .statespace import (
-    StateSpace,
-    doubled,
-    j_form,
-    log_grid,
-    minimal_realization,
-    signature_matrix,
-    validate_grid,
-)
+from .norms import is_spectrally_generic
+from .statespace import StateSpace, doubled, minimal_realization, signature_matrix
 
 __all__ = [
     "SlhModel",
     "slh_to_statespace",
-    "default_pr_grid",
-    "j_unitarity_residual",
     "PrVerdict",
     "check_physical_realizability",
 ]
 
 DEFAULT_PR_TOL = 1e-7
-
-
-def default_pr_grid():
-    """64 log-spaced points per decade over [1e-3, 1e3]."""
-    return log_grid(1e-3, 1e3, 6 * 64 + 1)
 
 
 @dataclass
@@ -165,20 +159,23 @@ def slh_to_statespace(model):
     return StateSpace(a, b, lmat, dmat)
 
 
-def j_unitarity_residual(sys, grid=None):
-    """Peak deviation from (J, J)-unitarity on a frequency grid.
+def _lyapunov_residual(t, z, b, c, d, sign):
+    """``||X C* + B J D*||_F / (||X|| ||C|| + ||B|| ||D||)`` for ``A = Z T Z*``.
 
-    Measures ``max_w ||G(iw)* J G(iw) - J||_F``; the model must be
-    square with an even number of channels.
+    X solves ``A X + X A* + B J B* = 0``; T must have a generic spectrum,
+    which makes X unique.  The equation is solved in the Schur
+    coordinates and, every norm being Frobenius, the residual is taken
+    there too, so X itself is never formed.  The scale is floored at the
+    smallest normal float: a model with X = 0 and D = 0 gives 0, not NaN.
     """
-    p, m = sys.shape
-    if p != m or p % 2:
-        raise ValueError(f"need a square doubled-up model, got shape {(p, m)}")
-    j = signature_matrix(m // 2)
-    if grid is None:
-        grid = default_pr_grid()
-    grid = validate_grid(grid)
-    return peak_frobenius(j_form(sys.response(grid), np.diag(j).real) - j)
+    bz = z.conj().T @ b
+    cz = c @ z
+    bj = bz * sign
+    y, scale, _ = lapack.ztrsyl(t, t, -(bj @ bz.conj().T), tranb="C")
+    y = y / scale
+    norm = np.linalg.norm
+    size = norm(y) * norm(cz) + norm(bz) * norm(d)
+    return norm(y @ cz.conj().T + bj @ d.conj().T) / max(size, np.finfo(float).tiny)
 
 
 @dataclass
@@ -204,14 +201,17 @@ class PrVerdict:
         )
 
 
-def check_physical_realizability(sys, grid=None, tol=DEFAULT_PR_TOL):
+def check_physical_realizability(sys, tol=DEFAULT_PR_TOL):
     """Decide whether a model is realizable as a quantum network.
 
     Tests, on a minimal realization: (i) the (J, J)-unitarity residual
-    on the grid, (ii) that the feedthrough is a doubled-up scattering
-    unitary, (iii) spectral genericity of the minimal A, and (iv) that
-    the supplied realization was already minimal.  Non-generic or
-    non-minimal inputs are reported as such, never repaired.
+    ``max(||X C* + B J D*||_F / (||X|| ||C|| + ||B|| ||D||),
+    ||D J D* - J||_F)`` of the module docstring's conditions, (ii) that
+    the feedthrough is a doubled-up scattering unitary, (iii) spectral
+    genericity of the minimal A, and (iv) that the supplied realization
+    was already minimal.  Non-generic or non-minimal inputs are reported
+    as such, never repaired.  A non-generic A has no unique X, so its
+    residual is the feedthrough term alone; such a model fails on (iii).
     """
     p, m = sys.shape
     if p != m or p % 2:
@@ -220,18 +220,26 @@ def check_physical_realizability(sys, grid=None, tol=DEFAULT_PR_TOL):
     reduced = minimal_realization(sys)
     minimal_ok = reduced.n_states == sys.n_states
 
-    residual = j_unitarity_residual(reduced, grid=grid)
+    d = reduced.d
+    sign = np.diag(signature_matrix(half)).real
+    t, z = sla.schur(reduced.a, output="complex")
+    # T is unitarily similar to A, and its eigenvalues are its diagonal
+    generic_ok = is_spectrally_generic(t)
+    residual = np.linalg.norm((d * sign) @ d.conj().T - np.diag(sign))
+    if generic_ok and reduced.n_states:
+        # np.maximum, not max: a NaN from an overflowed solve must fail the check
+        residual = np.maximum(
+            residual, _lyapunov_residual(t, z, reduced.b, reduced.c, d, sign)
+        )
+    residual = float(residual)
     residual_ok = residual <= tol
 
-    d = reduced.d
     s_block = d[:half, :half]
     target = doubled(s_block, np.zeros_like(s_block))
     gap_structure = np.abs(d - target).max() if d.size else 0.0
     gap_unitary = np.abs(s_block.conj().T @ s_block - np.eye(half)).max() if half else 0.0
     feedthrough_gap = float(max(gap_structure, gap_unitary))
     feedthrough_ok = feedthrough_gap <= tol
-
-    generic_ok = is_spectrally_generic(reduced.a)
 
     return PrVerdict(
         residual=residual,

@@ -272,7 +272,8 @@ class MembershipVerdict:
     ``in_qhat`` additionally demands that the assembled controller is
     itself physically realizable.  ``controller`` is that controller in
     minimal form and ``controller_pr`` its
-    :func:`~.physreal.check_physical_realizability` verdict; both are
+    :func:`~.physreal.check_physical_realizability` verdict at the
+    default tolerance; both are
     None when V + N Q has no invertible feedthrough.
     """
 
@@ -300,8 +301,8 @@ def membership_qhat(cf, q, tol=MEMBERSHIP_TOL):
     ``tol``).  The controller is then assembled once; the assembly
     decides feedthrough invertibility.  An assembled controller is
     reduced to minimal form and graded by
-    :func:`~.physreal.check_physical_realizability` at its default grid
-    and tolerance.
+    :func:`~.physreal.check_physical_realizability` at its default
+    tolerance.
     """
     cd = build_constraint_data(cf)
 

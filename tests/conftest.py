@@ -6,9 +6,17 @@ import pytest
 import scipy.linalg as sla
 
 from coherentctl.errors import DimensionMismatch, SingularResolvent
+from coherentctl.norms import peak_frobenius
 from coherentctl.physreal import SlhModel, slh_to_statespace
 from coherentctl.stabilization import _regroup_permutations
-from coherentctl.statespace import StateSpace, static_gain
+from coherentctl.statespace import (
+    StateSpace,
+    j_form,
+    log_grid,
+    signature_matrix,
+    static_gain,
+    validate_grid,
+)
 
 
 @pytest.fixture
@@ -99,6 +107,29 @@ def freq_response(sys, omega):
             f"(sigma_min/sigma_max = {sv[-1] / max(sv[0], 1e-300):.2e})"
         )
     return sys.c @ np.linalg.solve(t, sys.b) + sys.d
+
+
+def default_pr_grid():
+    """64 log-spaced points per decade over [1e-3, 1e3]."""
+    return log_grid(1e-3, 1e3, 6 * 64 + 1)
+
+
+def j_unitarity_residual(sys, grid=None):
+    """Peak deviation from (J, J)-unitarity on a frequency grid.
+
+    Measures ``max_w ||G(iw)* J G(iw) - J||_F``; the model must be
+    square with an even number of channels.  The sampled reference for
+    the algebraic residual of ``check_physical_realizability``: it
+    cannot see between its grid points or at negative frequencies.
+    """
+    p, m = sys.shape
+    if p != m or p % 2:
+        raise ValueError(f"need a square doubled-up model, got shape {(p, m)}")
+    j = signature_matrix(m // 2)
+    if grid is None:
+        grid = default_pr_grid()
+    grid = validate_grid(grid)
+    return peak_frobenius(j_form(sys.response(grid), np.diag(j).real) - j)
 
 
 def zero_system(p, m):

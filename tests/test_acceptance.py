@@ -30,7 +30,7 @@ from coherentctl.norms import (
     sigma_max_profile,
     spectral_abscissa,
 )
-from coherentctl.physreal import j_unitarity_residual, slh_to_statespace
+from coherentctl.physreal import slh_to_statespace
 from coherentctl.stabilization import (
     ModifiedPlant,
     closed_loop_triple,
@@ -61,6 +61,7 @@ from conftest import (
     coupled_cavity_loop,
     exact_cavity_parameter,
     h2_norm_sq_quadrature,
+    j_unitarity_residual,
     lowpass_weight,
     make_rng,
     matched_target_problem,

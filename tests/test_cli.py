@@ -67,12 +67,11 @@ class TestCheckPr:
         assert report["residual"] < 1e-8
         assert report["n_states_minimal"] == 2
 
-    def test_grid_points_override(self, capsys):
-        code, report = run_json(
-            capsys, ["check-pr", fx("cavity_pr.json"), "--grid-points", "17"]
-        )
-        assert code == 0
-        assert report["grid_points"] == 17
+    def test_grid_points_is_usage_error(self, capsys):
+        # the check samples no grid
+        assert main(["check-pr", fx("cavity_pr.json"), "--grid-points", "17"]) == 2
+        code, report = run_json(capsys, ["check-pr", fx("cavity_pr.json")])
+        assert code == 0 and "grid_points" not in report
 
     def test_tol_override_can_force_failure(self, capsys):
         code, report = run_json(
@@ -430,7 +429,7 @@ class TestInvocation:
         assert main(["synthesize-h2", fx("coupled_h2.json")]) == 2
 
     def test_nonpositive_grid_points_rejected(self, capsys):
-        assert main(["check-pr", fx("cavity_pr.json"), "--grid-points", "0"]) == 2
+        assert main(["factorize", fx("cavity_pr.json"), "--grid-points", "0"]) == 2
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -247,8 +247,15 @@ def test_zero_response_weights_without_grid_name_the_weights():
 
 def test_overflow_raises_no_numpy_warnings():
     # pytest captures warnings before they reach stderr, so record them
-    text = _document("cavity_pr.json", HUGE_SCATTERING)
-    for command, errors in (("check-pr", []), ("factorize", ["InvalidSlh"])):
+    huge = _document("cavity_pr.json", HUGE_SCATTERING)
+    overflowing = _document(
+        "allpass_hinf.json", [("value", ("plant", "slh", "L1", 0, 0, 0), 1e200)]
+    )
+    for text, command, errors in (
+        (huge, "check-pr", []),
+        (huge, "factorize", ["InvalidSlh"]),
+        (overflowing, "check-pr", ["InvalidSlh"]),
+    ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, err = _run(command, text)

@@ -1,19 +1,32 @@
 """Quantum network models: structure of the induced realization and PR checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from coherentctl.errors import InvalidSlh
 from coherentctl.physreal import (
+    DEFAULT_PR_TOL,
     SlhModel,
     check_physical_realizability,
-    default_pr_grid,
-    j_unitarity_residual,
     slh_to_statespace,
 )
+from coherentctl.problemfile import build_slh_model, load_problem_file
 from coherentctl.statespace import StateSpace, doubled, signature_matrix, static_gain
 
-from conftest import cavity_response, freq_response, make_rng, random_slh, random_unitary
+from conftest import (
+    cavity_response,
+    default_pr_grid,
+    freq_response,
+    j_unitarity_residual,
+    make_rng,
+    random_complex,
+    random_slh,
+    random_unitary,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestSlhValidation:
@@ -165,14 +178,91 @@ class TestRealizabilityVerdict:
         assert not v.generic_ok
         assert not v.is_physically_realizable
 
-    def test_default_grid_shape(self):
-        g = default_pr_grid()
-        assert g[0] == pytest.approx(1e-3)
-        assert g[-1] == pytest.approx(1e3)
-        assert g.size == 385
-
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             j_unitarity_residual(static_gain(np.ones((2, 3))))
         with pytest.raises(ValueError):
             check_physical_realizability(static_gain(np.ones((3, 3))))
+
+
+def perturbed(sys, rng, rel=1e-3):
+    """Copy with B perturbed by ``rel`` of its scale; D stays a doubled unitary."""
+    noise = random_complex(rng, sys.b.shape)
+    return StateSpace(sys.a, sys.b + rel * np.abs(sys.b).max() * noise, sys.c, sys.d)
+
+
+def antistable_slh(rng, n, m):
+    """Creation-operator coupling only: every mode is amplified."""
+    x = random_complex(rng, (n, n))
+    return SlhModel(
+        s=random_unitary(rng, m), l1=np.zeros((m, n)), l2=random_complex(rng, (m, n)),
+        h1=0.5 * (x + x.conj().T),
+    )
+
+
+def oracle_networks():
+    """Passive, active and antistable networks, each with its perturbed copy."""
+    rng = make_rng(77)
+    for k in range(4):
+        n, m = 1 + k, 1 + k % 3
+        for kind, model in (
+            ("passive", random_slh(rng, n, m, squeeze=0.0)),
+            ("active", random_slh(rng, n, m, squeeze=0.5)),
+            ("antistable", antistable_slh(rng, n, m)),
+        ):
+            sys = slh_to_statespace(model)
+            yield f"{kind}-{n}x{m}", sys
+            yield f"{kind}-{n}x{m}-perturbed", perturbed(sys, rng)
+
+
+class TestAlgebraicResidual:
+    def test_narrow_resonance_between_grid_points_fails(self):
+        # a gamma = 1e-6 cavity tuned halfway between two grid points,
+        # with B scaled by 1.01: the sampled J-form misses the resonance
+        grid = default_pr_grid()
+        omega0 = np.sqrt(grid[192] * grid[193])
+        model = SlhModel(s=[[1.0]], l1=[[np.sqrt(1e-6)]], l2=[[0.0]], h1=[[omega0]])
+        sys = slh_to_statespace(model)
+        bad = StateSpace(sys.a, 1.01 * sys.b, sys.c, sys.d)
+        assert j_unitarity_residual(bad) <= DEFAULT_PR_TOL
+        assert j_unitarity_residual(bad, [omega0]) > 1e-2
+        v = check_physical_realizability(bad)
+        assert v.generic_ok and v.minimal_ok and v.feedthrough_ok
+        assert v.residual > 1e-3
+        assert not v.is_physically_realizable
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residual_is_similarity_invariant(self, seed):
+        rng = make_rng(300 + seed)
+        sys = slh_to_statespace(random_slh(rng, 3, 2))
+        bad = perturbed(sys, rng)
+        for _ in range(3):
+            t = np.eye(6) + 0.5 * random_complex(rng, (6, 6))
+            t_inv = np.linalg.inv(t)
+            for model, ok in ((sys, True), (bad, False)):
+                moved = StateSpace(t @ model.a @ t_inv, t @ model.b, model.c @ t_inv, model.d)
+                v = check_physical_realizability(moved)
+                assert v.minimal_ok and v.generic_ok
+                assert v.residual_ok is ok
+                assert (v.residual <= 1e-12) if ok else (v.residual > 1e-5)
+
+    @pytest.mark.parametrize("name", [name for name, _ in oracle_networks()])
+    def test_verdict_agrees_with_grid_oracle_on_networks(self, name):
+        sys = dict(oracle_networks())[name]
+        v = check_physical_realizability(sys)
+        assert v.generic_ok and v.minimal_ok and v.feedthrough_ok
+        assert v.residual_ok is (j_unitarity_residual(sys) <= DEFAULT_PR_TOL)
+        assert v.residual_ok is not name.endswith("perturbed")
+
+    @pytest.mark.parametrize(
+        "name",
+        [p.name for p in sorted(FIXTURES.glob("*.json")) if '"plant"' in p.read_text()
+         and "malformed" not in p.name],
+    )
+    def test_verdict_agrees_with_grid_oracle_on_fixtures(self, name):
+        prob = load_problem_file(FIXTURES / name)
+        sys = prob.abcd if prob.slh is None else slh_to_statespace(
+            build_slh_model(prob.slh, unitarity_tol=np.inf)
+        )
+        v = check_physical_realizability(sys)
+        assert v.residual_ok is (j_unitarity_residual(sys) <= DEFAULT_PR_TOL)

@@ -99,8 +99,16 @@ class TestFreqResponse:
         assert np.array_equal(swept, single)
 
 
-#: ``SCHUR_SWEEP_MIN`` values that force each path of ``_accel.freq_sweep``.
-SWEEP_PATHS = {"batched": np.inf, "schur": 0}
+#: Path of ``_accel.freq_sweep`` -> the thresholds that force it at any size.
+SWEEP_PATHS = {
+    "batched": {"SCHUR_SWEEP_MIN": np.inf},
+    "schur": {"SCHUR_SWEEP_MIN": 0, "SCHUR_MIN_STATES": 0},
+}
+
+
+def force_path(monkeypatch, path):
+    for name, value in SWEEP_PATHS[path].items():
+        monkeypatch.setattr(_accel, name, value)
 
 
 def sweep_systems():
@@ -124,7 +132,7 @@ class TestSweepPaths:
     @pytest.mark.parametrize("name", [name for name, _ in sweep_systems()])
     def test_path_matches_per_point_solves(self, monkeypatch, path, name):
         g = dict(sweep_systems())[name]
-        monkeypatch.setattr(_accel, "SCHUR_SWEEP_MIN", SWEEP_PATHS[path])
+        force_path(monkeypatch, path)
         grid = np.concatenate([[0.0], GRID])
         swept = g.response(grid)
         reference = np.stack([freq_response(g, w) for w in grid])
@@ -134,7 +142,7 @@ class TestSweepPaths:
     @pytest.mark.parametrize("path", sorted(SWEEP_PATHS))
     def test_singular_resolvent_raises_on_each_path(self, monkeypatch, path):
         g = StateSpace(np.diag([0.0, -1.0, -2.0]), np.ones((3, 1)), np.ones((1, 3)), [[0.0]])
-        monkeypatch.setattr(_accel, "SCHUR_SWEEP_MIN", SWEEP_PATHS[path])
+        force_path(monkeypatch, path)
         with pytest.raises(SingularResolvent):
             g.response([1.0, 0.0, 2.0])
 
@@ -144,12 +152,14 @@ class TestSweepPaths:
         monkeypatch.setattr(
             _accel, "_schur_sweep", lambda *args: calls.append(args) or schur_sweep(*args)
         )
-        g = random_statespace(make_rng(5), 4, 1, 1)
-        monkeypatch.setattr(_accel, "SCHUR_SWEEP_MIN", 4 * GRID.size + 1)
-        g.response(GRID)
+        # 4 x 2000 reaches SCHUR_SWEEP_MIN, but per-frequency calls cost
+        # more than a batched solve at 4 states
+        random_statespace(make_rng(5), 4, 1, 1).response(log_grid(1e-2, 1e2, 2000))
         assert not calls
-        monkeypatch.setattr(_accel, "SCHUR_SWEEP_MIN", 4 * GRID.size)
-        g.response(GRID)
+        g = random_statespace(make_rng(5), 16, 1, 1)
+        g.response(log_grid(1e-2, 1e2, 499))
+        assert not calls
+        g.response(log_grid(1e-2, 1e2, 500))
         assert len(calls) == 1
 
 
