@@ -3,7 +3,9 @@
 Evaluating a transfer matrix over a grid is the single hottest operation
 in the toolkit (every sampled residual and every descent iteration is
 one or more sweeps), so it gets a dedicated kernel with two paths,
-chosen by the size of the sweep.
+chosen by the size of the sweep.  Models that share their state matrix
+A are swept together: one resolvent solve (or one Schur form) per
+frequency serves all of their inputs.
 
 - **Batched LU** (small sweeps): one batched LAPACK solve of the full
   resolvent per block of frequencies, O(n^3) per frequency.  Blocking
@@ -42,41 +44,60 @@ SCHUR_SWEEP_MIN = 8000
 SCHUR_MIN_STATES = 16
 
 
-def freq_sweep(a, b, c, d, omegas):
-    """Sweep ``C (iw I - A)^-1 B + D``: returns an (n_omega, p, m) array.
+def freq_sweep(a, systems, omegas):
+    """Sweep ``C (iw I - A)^-1 B + D`` for each ``(B, C, D)`` in ``systems``.
 
-    Raises ``np.linalg.LinAlgError`` when the resolvent is exactly
-    singular at a grid frequency.
+    Returns one (n_omega, p, m) array per system.  The systems share A,
+    and so one resolvent (or one Schur form) per frequency: their inputs
+    are solved for as one right-hand side, and each output map is applied
+    to its own columns only, with the shapes a sweep of that system alone
+    would use.  Raises ``np.linalg.LinAlgError`` when the resolvent is
+    exactly singular at a grid frequency.
     """
     n = a.shape[0]
     if n == 0:
-        return np.broadcast_to(d, (omegas.size,) + d.shape).copy()
+        return [np.broadcast_to(d, (omegas.size,) + d.shape).copy() for _, _, d in systems]
     if n >= SCHUR_MIN_STATES and n * omegas.size >= SCHUR_SWEEP_MIN:
-        return _schur_sweep(a, b, c, d, omegas)
-    out = np.empty((omegas.size, c.shape[0], b.shape[1]), dtype=np.complex128)
+        return _schur_sweep(a, systems, omegas)
+    out = [np.empty((omegas.size, c.shape[0], b.shape[1]), dtype=np.complex128)
+           for b, c, _ in systems]
+    b = np.hstack([b for b, _, _ in systems])
     eye = np.eye(n, dtype=np.complex128)
     step = max(1, SWEEP_BLOCK_BYTES // (16 * n * n))
     for lo in range(0, omegas.size, step):
         w = omegas[lo : lo + step]
-        t = 1j * w[:, None, None] * eye - a
-        x = np.linalg.solve(t, np.broadcast_to(b, (w.size,) + b.shape))
-        out[lo : lo + step] = c @ x + d
+        # the resolvent stack is a temporary: freed before the outputs are formed
+        x = np.linalg.solve(1j * w[:, None, None] * eye - a,
+                            np.broadcast_to(b, (w.size,) + b.shape))
+        for block, response in zip(out, _outputs(x, systems)):
+            block[lo : lo + step] = response
     return out
 
 
-def _schur_sweep(a, b, c, d, omegas):
+def _schur_sweep(a, systems, omegas):
     t, z = sla.schur(a, output="complex")
-    b_t = z.conj().T @ b
+    b_t = np.hstack([z.conj().T @ b for b, _, _ in systems])
     shifted = np.asfortranarray(-t)
     diag = np.diag(t)
     on_diag = np.diag_indices(a.shape[0])
-    x = np.empty((omegas.size,) + b.shape, dtype=np.complex128)
+    x = np.empty((omegas.size,) + b_t.shape, dtype=np.complex128)
     for k, w in enumerate(omegas):
         shifted[on_diag] = 1j * w - diag
         x[k], info = lapack.ztrtrs(shifted, b_t)
         if info:
             raise np.linalg.LinAlgError(f"resolvent singular at omega={w!r}")
-    return (c @ z) @ x + d
+    return _outputs(x, [(b, c @ z, d) for b, c, d in systems])
+
+
+def _outputs(x, systems):
+    """``C x + D`` of each system on its own columns of the solved stack ``x``."""
+    out, lo = [], 0
+    for b, c, d in systems:
+        hi = lo + b.shape[1]
+        # a contiguous block takes the BLAS path a sweep of that system alone does
+        out.append(c @ np.ascontiguousarray(x[:, :, lo:hi]) + d)
+        lo = hi
+    return out
 
 
 def backend_name():

@@ -41,17 +41,18 @@ def is_hurwitz(a, margin=1e-9):
     return spectral_abscissa(a) < -margin
 
 
-def is_spectrally_generic(a):
-    """Check that no two eigenvalues are mirror-symmetric about the axis.
+def is_spectrally_generic(eig):
+    """Check that no two eigenvalues ``eig`` are mirror-symmetric about the axis.
 
     The spectrum {lambda_i} is generic when ``lambda_i + conj(lambda_j)``
     is nonzero for every pair; equivalently no eigenvalue sits on the
     imaginary axis and no pair is an axis reflection.  An empty spectrum
     is generic.  Gaps at or below ``1e-8 * spectral radius`` count as zero.
+    The caller passes the spectrum, e.g. the diagonal of a triangular
+    Schur factor, so no eigenvalue solve is repeated.
     """
-    if a.shape[0] == 0:
+    if eig.size == 0:
         return True
-    eig = np.linalg.eigvals(a)
     gap = np.abs(eig[:, None] + eig[None, :].conj())
     return bool(gap.min() > 1e-8 * float(np.abs(eig).max()))
 
@@ -88,14 +89,13 @@ def sigma_max_profile(sys, grid):
     return np.linalg.svd(resp, compute_uv=False)[:, 0]
 
 
-def _default_hinf_grid(sys):
-    """Start frequencies of the level-set iteration.
+def _default_hinf_grid(eig):
+    """Start frequencies of the level-set iteration, from A's eigenvalues ``eig``.
 
-    Zero, the imaginary parts of A's eigenvalues (where resonant peaks
+    Zero, the imaginary parts of the eigenvalues (where resonant peaks
     sit) and +-1e3 * max(1, spectral radius), where a supremum that is
     approached as omega -> infinity (feedthrough-dominated) shows.
     """
-    eig = np.linalg.eigvals(sys.a) if sys.n_states else np.zeros(0)
     top = 1e3 * max(1.0, float(np.abs(eig).max(initial=0.0)))
     return np.unique(np.concatenate([[-top, 0.0, top], eig.imag]))
 
@@ -155,9 +155,11 @@ def hinf_norm(sys, rel_tol=HINF_REL_TOL):
         When the model is unstable, or when the level tests find no
         certified upper bound whose square is finite.
     """
-    if sys.n_states and not is_hurwitz(sys.a, 0.0):
+    # one spectrum serves the stability test and the start frequencies
+    eig = np.linalg.eigvals(sys.a) if sys.n_states else np.zeros(0)
+    if eig.size and not eig.real.max() < 0.0:
         raise NotStable("Hinf norm on the axis undefined for an unstable model")
-    grid = _default_hinf_grid(sys)
+    grid = _default_hinf_grid(eig)
     prof = np.linalg.svd(sys.response(grid), compute_uv=False)[:, 0]
     k0 = int(np.argmax(prof))
     best, peak = float(prof[k0]), float(grid[k0])

@@ -224,7 +224,7 @@ def check_physical_realizability(sys, tol=DEFAULT_PR_TOL):
     sign = np.diag(signature_matrix(half)).real
     t, z = sla.schur(reduced.a, output="complex")
     # T is unitarily similar to A, and its eigenvalues are its diagonal
-    generic_ok = is_spectrally_generic(t)
+    generic_ok = is_spectrally_generic(np.diag(t))
     residual = np.linalg.norm((d * sign) @ d.conj().T - np.diag(sign))
     if generic_ok and reduced.n_states:
         # np.maximum, not max: a NaN from an overflowed solve must fail the check

@@ -16,6 +16,14 @@ with the eight factors realized from one (A + B2 F) core and one
 (A + L C2) core.  Every factorization is verified on a frequency grid
 before it is returned.
 
+A stable plant has the trivial factorization F = L = 0, M = I, N = P22,
+U = 0, V = I (Youla, Jabr and Bongiorno 1976; Vidyasagar 1985), and it
+is found from one eigenvalue solve of A: the gain design reads that
+one spectrum throughout and takes no Schur form.  Systems that share a
+core (with zero gains: both families and P22) are Hurwitz-tested once
+and swept as one system, one resolvent (or one Schur form) per
+frequency.
+
 The maps between a stable parameter Q and its controller
 K = (U + M Q)(V + N Q)^{-1}, in both directions, are each one
 ``compose_lft`` on an observer-form generator built from the gains, as
@@ -217,14 +225,17 @@ def modify_plant(plant, part):
 # -- PBH tests ----------------------------------------------------------
 
 
-def pbh_unstabilizable_modes(a, b):
-    """Closed-right-half-plane eigenvalues failing rank [lambda*I - A, B]."""
+def pbh_unstabilizable_modes(a, b, eig=None):
+    """Closed-right-half-plane eigenvalues failing rank [lambda*I - A, B].
+
+    ``eig`` is A's spectrum, when the caller has it already.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=np.complex128))
     if not a.size:
         return []
     b = np.asarray(b, dtype=np.complex128).reshape(a.shape[0], -1)
     bad = []
-    for lam in np.linalg.eigvals(a):
+    for lam in np.linalg.eigvals(a) if eig is None else eig:
         if lam.real < 0.0:
             continue
         pencil = np.hstack([lam * np.eye(a.shape[0]) - a, b])
@@ -268,18 +279,21 @@ def _lyapunov_gain(t, b, modes):
     )
 
 
-def _mirror_feedback(a, b):
+def _mirror_feedback(a, b, eig):
     """F with A + B F moving every mode at Re >= -margin and keeping the rest.
 
-    ``margin`` is ``PLACEMENT_MARGIN``.  Each pass puts the modes it
-    keeps first in an ordered complex Schur form of A + B F, so a gain on
-    the trailing Schur vectors leaves them in place.  The first pass
-    mirrors the strictly unstable modes (s = 0); the second, run only
-    when modes near the axis remain, moves them to -1 + i Im(lam)
-    (s = 1/2).  See :func:`stabilizing_gains`.
+    ``margin`` is ``PLACEMENT_MARGIN`` and ``eig`` is A's spectrum.  When
+    no mode needs moving, F = 0 without a Schur form.  Otherwise each
+    pass puts the modes it keeps first in an ordered complex Schur form
+    of A + B F, so a gain on the trailing Schur vectors leaves them in
+    place.  The first pass mirrors the strictly unstable modes (s = 0);
+    the second, run only when modes near the axis remain, moves them to
+    -1 + i Im(lam) (s = 1/2).  See :func:`stabilizing_gains`.
     """
     n, m, margin = a.shape[0], b.shape[1], PLACEMENT_MARGIN
     f = np.zeros((m, n), dtype=np.complex128)
+    if np.all(eig.real < -margin):
+        return f
     axis = max(margin, 1e-12)
     for sigma, keep in ((0.0, lambda lam: lam.real <= axis),
                         (0.5, lambda lam: lam.real < -margin)):
@@ -299,9 +313,13 @@ def stabilizing_gains(mp):
     Keeps eigenvalues with Re < -margin (``PLACEMENT_MARGIN``), mirrors
     strictly unstable ones across the imaginary axis (lam -> -conj(lam)),
     and pushes near-axis modes to -1 + i Im(lam).  A stable plant
-    therefore gets F = 0, L = 0.  The moved modes get Bass's
-    minimum-energy gain (Armstrong 1975, IEEE TAC 20(1)): on the trailing
-    block T of an ordered Schur form, one Lyapunov solve of
+    therefore gets F = 0, L = 0, and costs one eigenvalue solve: the
+    plant's spectrum is computed once, both PBH tests and both gains read
+    it (the adjoint pair its conjugate), and no Schur form is taken and
+    no core re-tested when every mode already has Re < -margin.  The
+    moved modes get Bass's minimum-energy gain (Armstrong 1975, IEEE TAC
+    20(1)): on the trailing block T of an ordered Schur form, one
+    Lyapunov solve of
     (T + s I) Y + Y (T + s I)* = B2 B2*
     gives F2 = -B2* Y^-1, which lands each mode on -conj(lam) - 2 s.
     Strictly unstable modes take s = 0, near-axis modes s = 1/2.  L is
@@ -317,23 +335,26 @@ def stabilizing_gains(mp):
         eigenvalues of A*), or when a core is not Hurwitz afterwards.
     """
     a, b2, c2 = mp.full.a, mp.b2, mp.c2
-    n = a.shape[0]
-    bad = pbh_unstabilizable_modes(a, b2)
+    eig = np.linalg.eigvals(a) if a.size else np.zeros(0, dtype=np.complex128)
+    bad = pbh_unstabilizable_modes(a, b2, eig)
     if bad:
         raise NotStabilizable(f"unstabilizable modes at {bad}")
-    bad = pbh_unstabilizable_modes(a.conj().T, c2.conj().T)
+    bad = pbh_unstabilizable_modes(a.conj().T, c2.conj().T, eig.conj())
     if bad:
         raise NotDetectable(f"undetectable modes at {np.conj(bad).tolist()}")
 
     # The mirror map commutes with conjugation, so the adjoint problem
     # gives L.
-    f = _mirror_feedback(a, b2)
-    l = _mirror_feedback(a.conj().T, c2.conj().T).conj().T
+    f = _mirror_feedback(a, b2, eig)
+    l = _mirror_feedback(a.conj().T, c2.conj().T, eig.conj()).conj().T
 
     gains = GainPair(f=f, l=l)
+    if np.all(eig.real < -PLACEMENT_MARGIN):
+        # nothing moved: both cores are A, whose spectrum passed already
+        return gains
     for label, mat in (("A + B2*F", a + b2 @ f), ("A + L*C2", a + l @ c2)):
         abscissa = spectral_abscissa(mat)
-        if not abscissa < -min(PLACEMENT_MARGIN, 1e-12) and n:
+        if not abscissa < -min(PLACEMENT_MARGIN, 1e-12):
             raise PlacementFailed(
                 f"{label} not Hurwitz after placement (abscissa {abscissa:.3e})"
             )
@@ -393,7 +414,10 @@ def coprime_factorization(mp, gains, check=True):
     core.  With ``check=True`` (default) both factor cores must be
     Hurwitz, and on :func:`default_verification_grid` the product of the
     two families must match the identity and ``N M^{-1}``/``Mhat^{-1}
-    Nhat`` must reproduce P22, each within ``BEZOUT_TOL``.
+    Nhat`` must reproduce P22, each within ``BEZOUT_TOL``.  Systems with
+    the same core are tested and swept once (see :func:`bezout_residual`):
+    with zero gains, both families and P22 take one Hurwitz test and one
+    resolvent (or Schur form) per frequency.
     """
     a, b2, c2, d22 = mp.full.a, mp.b2, mp.c2, mp.d22
     f, l = gains.f, gains.l
@@ -418,7 +442,10 @@ def coprime_factorization(mp, gains, check=True):
     if not check:
         return cf
 
-    for label, mat in (("right", right.a), ("left", left.a)):
+    cores = [("right", right.a)]
+    if not np.array_equal(left.a, right.a):
+        cores.append(("left", left.a))
+    for label, mat in cores:
         if mat.shape[0] and not is_hurwitz(mat, 1e-12):
             raise FactorUnstable(
                 f"{label} factor family core not Hurwitz "
@@ -426,13 +453,13 @@ def coprime_factorization(mp, gains, check=True):
             )
 
     grid = default_verification_grid()
-    residual, rw, lw = bezout_residual(cf, grid)
+    rw, lw, p22w = _shared_core_responses([right, left, mp.p22()], grid)
+    residual = peak_frobenius(lw @ rw - np.eye(nc + nm))
     if residual > BEZOUT_TOL:
         raise BezoutResidualTooLarge(
             f"factor-family identity residual {residual:.3e} > {BEZOUT_TOL:.1e}"
         )
 
-    p22w = mp.p22().response(grid)
     m_w = rw[:, :nc, :nc]
     n_w = rw[:, nc:, :nc]
     nhat_w = -lw[:, nc:, :nc]
@@ -452,11 +479,30 @@ def bezout_residual(cf, grid):
     """Peak Frobenius deviation of ``left_family * right_family`` from I.
 
     Returns the residual over ``grid`` together with the right and left
-    family responses it was computed from.
+    family responses it was computed from.  When the two families share
+    their core (zero gains, as for every stable plant), they are swept as
+    one system.
     """
-    rw = cf.right_family.response(grid)
-    lw = cf.left_family.response(grid)
+    rw, lw = _shared_core_responses([cf.right_family, cf.left_family], grid)
     return peak_frobenius(lw @ rw - np.eye(cf.ctrl + cf.meas)), rw, lw
+
+
+def _shared_core_responses(systems, grid):
+    """Responses of ``systems`` over ``grid``, one sweep per distinct core.
+
+    Systems whose state matrices are equal share one resolvent (or one
+    Schur form) per frequency; the others are swept on their own.
+    """
+    out = [None] * len(systems)
+    for k, lead in enumerate(systems):
+        if out[k] is not None:
+            continue
+        group = [j for j in range(k + 1, len(systems))
+                 if out[j] is None and np.array_equal(systems[j].a, lead.a)]
+        swept = lead.response(grid, *(systems[j] for j in group))
+        for j, resp in zip([k, *group], swept if group else [swept]):
+            out[j] = resp
+    return out
 
 
 def parameter_statespace(q):

@@ -108,18 +108,28 @@ class StateSpace:
 
     # -- evaluation ----------------------------------------------------
 
-    def response(self, omegas):
-        """Responses stacked over a grid: an ``(n_omega, p, m)`` array."""
+    def response(self, omegas, *shared):
+        """Responses stacked over a grid: an ``(n_omega, p, m)`` array.
+
+        Models in ``shared`` must have this model's state matrix.  They are
+        swept with it, one resolvent (or one Schur form) per frequency
+        serving all, and a list of the responses is returned, this
+        model's first.
+        """
         omegas = np.asarray(omegas, dtype=np.float64).ravel()
+        if any(not np.array_equal(other.a, self.a) for other in shared):
+            raise DimensionMismatch("models swept together must share their state matrix")
         try:
-            out = _accel.freq_sweep(self.a, self.b, self.c, self.d, omegas)
+            out = _accel.freq_sweep(
+                self.a, [(g.b, g.c, g.d) for g in (self, *shared)], omegas
+            )
         except np.linalg.LinAlgError as exc:
             raise SingularResolvent(
                 "resolvent singular at a grid frequency"
             ) from exc
-        if out.size and not np.all(np.isfinite(out)):
+        if any(r.size and not np.all(np.isfinite(r)) for r in out):
             raise SingularResolvent("non-finite response on grid (near-singular resolvent)")
-        return out
+        return out if shared else out[0]
 
     # -- algebra -------------------------------------------------------
 

@@ -4,7 +4,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from coherentctl.physreal import slh_to_statespace
+from coherentctl.problemfile import build_slh_model, load_problem_file
 
 PARITY = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
 
@@ -44,3 +48,16 @@ def test_one_changed_number_is_reported(parity, tmp_path, capsys):
     assert "1 number(s) changed" in out
     assert "1e-12 -> 2e-12" in out
     assert "0 of 1 cases identical, 1 differ" in out
+
+
+def test_unstable_network_is_among_the_documents(parity, tmp_path):
+    name, path = parity.unstable_network_doc(str(tmp_path))
+    prob = load_problem_file(path)
+    a = slh_to_statespace(build_slh_model(prob.slh)).a
+    modes, _ = parity.UNSTABLE_NETWORK
+    assert (name, a.shape) == (f"unstable-{2 * modes}.json", (2 * modes, 2 * modes))
+    assert np.linalg.eigvals(a).real.max() > 0.0
+    # the same seed gives the same document
+    (tmp_path / "again").mkdir()
+    _, again = parity.unstable_network_doc(str(tmp_path / "again"))
+    assert Path(again).read_text() == Path(path).read_text()

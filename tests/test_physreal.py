@@ -130,6 +130,12 @@ class TestRealizabilityVerdict:
         assert v.is_physically_realizable
         assert v.residual_ok and v.feedthrough_ok and v.generic_ok and v.minimal_ok
 
+    def test_genericity_reads_the_schur_diagonal(self, monkeypatch):
+        # the Schur form's diagonal is the spectrum: no eigenvalue solve
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: pytest.fail("eigvals called"))
+        sys = slh_to_statespace(random_slh(make_rng(1000), n=3, m=2))
+        assert check_physical_realizability(sys).generic_ok
+
     def test_scaled_feedthrough_fails(self, cavity_model):
         bad = StateSpace(cavity_model.a, cavity_model.b, cavity_model.c,
                          1.1 * cavity_model.d)

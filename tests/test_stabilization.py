@@ -1,9 +1,13 @@
 """Plant regrouping, gain design, and coprime factorizations."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from coherentctl import stabilization
+from coherentctl import _accel, stabilization
+from coherentctl.cli import main
 from coherentctl.errors import (
     BezoutResidualTooLarge,
     DimensionMismatch,
@@ -20,11 +24,13 @@ from coherentctl.statespace import (
     minimal_realization,
     static_gain,
 )
-from coherentctl.norms import is_hurwitz, spectral_abscissa
+from coherentctl.norms import is_hurwitz, peak_frobenius, spectral_abscissa
 from coherentctl.physreal import slh_to_statespace
+from coherentctl.problemfile import dumps_17g, encode_matrix
 from coherentctl.stabilization import (
     CoprimeFactorization,
     GainPair,
+    bezout_residual,
     ModifiedPlant,
     PartitionSpec,
     closed_loop_triple,
@@ -472,6 +478,116 @@ class TestCoprimeFactorization:
         )
         cf = coprime_factorization(mp, zero, check=False)
         assert cf.right_family.n_states == 4
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts of eigenvalue solves and Schur forms made while a test runs."""
+    counts = {"eigvals": 0, "schur": 0}
+    for owner, name in ((np.linalg, "eigvals"), (sla, "schur")):
+        def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The systems lists passed to ``_accel.freq_sweep``, and the Schur-path calls."""
+    calls = {"sweep": [], "schur": 0}
+    freq_sweep, schur_sweep = _accel.freq_sweep, _accel._schur_sweep
+
+    def sweep(a, systems, omegas):
+        calls["sweep"].append(systems)
+        return freq_sweep(a, systems, omegas)
+
+    def schur(*args):
+        calls["schur"] += 1
+        return schur_sweep(*args)
+
+    monkeypatch.setattr(_accel, "freq_sweep", sweep)
+    monkeypatch.setattr(_accel, "_schur_sweep", schur)
+    return calls
+
+
+def network_document(net, fields):
+    """Problem document text of a network, written by the package's emitter."""
+    pairs = fields // 2
+    slh = {"n": net.h1.shape[0], "m": fields}
+    for key in ("S", "H1", "H2", "L1", "L2"):
+        slh[key] = encode_matrix(getattr(net, key.lower()))
+    partition = {"n_r": fields - pairs, "n_u": pairs, "n_z": fields - pairs, "n_y": pairs}
+    return dumps_17g({"plant": {"slh": slh}, "partition": partition})
+
+
+def stable_network(modes, fields=4, seed=0):
+    """A passive network of ``2 * modes`` states; passive draws are open-loop stable."""
+    rng = make_rng([seed, modes])
+    return random_slh(rng, n=modes, m=fields, coupling_scale=1.0 / np.sqrt(modes), squeeze=0.0)
+
+
+class TestOneSpectrumPerPlant:
+    """A stable plant costs one eigenvalue solve; families sharing a core are swept once."""
+
+    @pytest.mark.parametrize("case", [(100, 2), "passive-32"])
+    def test_stable_plant_gains_take_one_eigen_solve(self, decompositions, case):
+        if case == "passive-32":
+            part = PartitionSpec(n_r=2, n_u=2, n_z=2, n_y=2)
+            mp = modify_plant(slh_to_statespace(stable_network(16)), part)
+        else:
+            mp = squeezing_plant(*case)
+        assert spectral_abscissa(mp.full.a) < -stabilization.PLACEMENT_MARGIN
+        decompositions.update(eigvals=0, schur=0)
+        gains = stabilizing_gains(mp)
+        assert decompositions == {"eigvals": 1, "schur": 0}
+        assert not gains.f.any() and not gains.l.any()
+
+    def test_stable_factorize_takes_at_most_two_decompositions(
+        self, decompositions, tmp_path, capsys
+    ):
+        # 64 states: the 130-point Bezout sweep takes the Schur path
+        doc = tmp_path / "passive-64.json"
+        doc.write_text(network_document(stable_network(32), 4))
+        assert main(["factorize", str(doc), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert decompositions["eigvals"] + decompositions["schur"] <= 2
+
+    @pytest.mark.parametrize("modes", [8, 32])
+    def test_shared_core_sweep_matches_separate_sweeps(self, sweeps, modes):
+        # 16 states take the batched path and 64 the Schur path
+        part = PartitionSpec(n_r=2, n_u=2, n_z=2, n_y=2)
+        mp = modify_plant(slh_to_statespace(stable_network(modes)), part)
+        cf = coprime_factorization(mp, stabilizing_gains(mp))
+        assert len(sweeps["sweep"]) == 1 and len(sweeps["sweep"][0]) == 3
+        assert sweeps["schur"] == (modes == 32)
+
+        grid = default_verification_grid()
+        systems = [cf.right_family, cf.left_family, mp.p22()]
+        shared = stabilization._shared_core_responses(systems, grid)
+        residual, rw, lw = bezout_residual(cf, grid)
+        for system, together in zip(systems + systems[:2], shared + [rw, lw]):
+            alone = system.response(grid)
+            assert np.abs(together - alone).max() <= 1e-12 * np.abs(alone).max()
+        alone = peak_frobenius(
+            cf.left_family.response(grid) @ cf.right_family.response(grid) - np.eye(8)
+        )
+        assert abs(residual - alone) <= 1e-12
+
+    def test_unstable_plant_sweeps_cores_separately(self, sweeps):
+        mp = squeezing_plant(0, 16)
+        assert spectral_abscissa(mp.full.a) > 0
+        cf = coprime_factorization(mp, stabilizing_gains(mp))
+        assert not np.array_equal(cf.right_family.a, cf.left_family.a)
+        # right family, left family and P22 each on their own
+        assert [len(systems) for systems in sweeps["sweep"]] == [1, 1, 1]
+
+    def test_sweeping_different_cores_together_is_refused(self):
+        mp = squeezing_plant(0, 16)
+        cf = coprime_factorization(mp, stabilizing_gains(mp), check=False)
+        with pytest.raises(DimensionMismatch):
+            cf.right_family.response([1.0], cf.left_family)
 
 
 #: The two-channel cavity loop and (seed, modes) of regrouped squeezing

@@ -14,6 +14,10 @@ checkout's ``src``) and calls ``cli.main`` on
 - the seed-1 documents of the three ``pipebench`` workloads that are
   not fixtures, written to a temporary directory by
   ``pipebench/workloads.py``, with the four commands of the first item;
+- one seeded open-loop-unstable squeezing network of
+  ``UNSTABLE_NETWORK`` modes and fields, drawn like the workloads'
+  active networks, with the same four commands: the workloads draw
+  stable plants only, so this is the case where the gains move modes;
 - every extra document DOC with the same four commands;
 
 each case once with ``--json`` and once without.  For every case it
@@ -42,12 +46,18 @@ import tempfile
 import traceback
 import warnings
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "tests", "fixtures")
 PIPEBENCH = os.path.join(ROOT, "pipebench")
 #: Seed of the generated ``pipebench`` documents.
 PIPEBENCH_SEED = 1
 COMMANDS = ("check-pr", "factorize", "synthesize-h2", "eval-hinf")
+#: (modes, fields) of the open-loop-unstable squeezing network: 2 * 16 states.
+UNSTABLE_NETWORK = (16, 4)
+#: Draws allowed to find it.
+UNSTABLE_DRAWS = 100
 #: Flag sets each command is also run with on every fixture.
 FIXTURE_FLAGS = (("--grid-points", "9"), ("--tol", "1e-3"))
 #: Changed number pairs printed per differing text.
@@ -77,6 +87,28 @@ def pipebench_docs(work):
     paths = {op.argv[1] for make in WORKLOADS.values() for op in make(PIPEBENCH_SEED, work)}
     return sorted((f"pipebench/{os.path.basename(p)}", p)
                   for p in paths if not p.startswith(FIXTURES + os.sep))
+
+
+def unstable_network_doc(work):
+    """Write the seeded open-loop-unstable squeezing network; return its (name, path)."""
+    if PIPEBENCH not in sys.path:
+        sys.path.append(PIPEBENCH)
+    from reference import slh_statespace
+    from workloads import _draw_network, network_document
+
+    modes, fields = UNSTABLE_NETWORK
+    rng = np.random.default_rng([PIPEBENCH_SEED, 2 * modes])
+    for _ in range(UNSTABLE_DRAWS):
+        net = _draw_network(rng, modes, fields, True)
+        if np.linalg.eigvals(slh_statespace(net)[0]).real.max() > 0.0:
+            break
+    else:
+        raise RuntimeError(f"no unstable network in {UNSTABLE_DRAWS} draws")
+    name = f"unstable-{2 * modes}.json"
+    path = os.path.join(work, name)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(network_document(net), handle)
+    return name, path
 
 
 def cases(docs):
@@ -140,8 +172,8 @@ def run_case(cli, argv, work):
 def digest(src, extra_docs, out_path):
     cli = _load_cli(src)
     with tempfile.TemporaryDirectory() as work:
-        docs = pipebench_docs(work) + [(os.path.abspath(d), os.path.abspath(d))
-                                       for d in extra_docs]
+        docs = pipebench_docs(work) + [unstable_network_doc(work)]
+        docs += [(os.path.abspath(d), os.path.abspath(d)) for d in extra_docs]
         records = {key: run_case(cli, argv, work) for key, argv in cases(docs)}
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(records, handle, indent=1, sort_keys=True)
