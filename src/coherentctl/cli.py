@@ -569,6 +569,10 @@ def main(argv=None):
     except (ProblemFileError, DimensionMismatch, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except MemoryError as exc:
+        # sizes come from the document or the flags (grid points, basis order)
+        print(f"input error: problem too large for memory: {exc}", file=sys.stderr)
+        return INPUT_ERROR
     except CoherentctlError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return DOMAIN_FAILURE

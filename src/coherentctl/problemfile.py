@@ -321,7 +321,7 @@ def _decode_plant(section):
         if key not in sub:
             continue
         mat = _decode_matrix(sub[key], f"{spath}.{key}", allow_empty=(0 in shape))
-        if mat.size == 0:
+        if 0 in shape and mat.size == 0:
             mat = mat.reshape(shape)
         if mat.shape != shape:
             raise ProblemFileError(

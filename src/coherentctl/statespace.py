@@ -272,70 +272,47 @@ def compose_lft(plant, controller, n_meas, n_ctrl):
 # -- minimal realization ----------------------------------------------
 
 
-def _orth_columns(m, tol, floor):
-    """Orthonormal basis of the column space, SVD rank decision.
+def _reachable_part(a, b, bound):
+    """Orthogonal staircase on (A, B): ``(Q* A Q, Q)`` for the reachable basis Q.
 
-    Singular values at or below ``tol * max(s[0], floor)`` count as zero;
-    the floor keeps residues of exact cancellations (entries at roundoff
-    relative to the system scale) from faking full rank.
+    Each step takes the SVD of the newest block only (B, then the block
+    of A below the last kept directions) and rotates A's trailing rows
+    and columns by its left singular vectors.  It keeps the directions
+    whose singular values exceed ``bound``; a step that keeps none ends it.
     """
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    rank = int(np.sum(s > tol * max(s[0], floor)))
-    return u[:, :rank]
-
-
-def _reachable_basis(a, b, tol, floor):
-    """Basis of the smallest A-invariant subspace containing range(B)."""
-    v = _orth_columns(b, tol, floor)
-    while v.shape[1] < a.shape[0]:
-        w = _orth_columns(np.hstack([v, a @ v]), tol, floor)
-        if w.shape[1] == v.shape[1]:
+    n = a.shape[0]
+    a, q = a.copy(), np.eye(n, dtype=np.complex128)
+    k, block = 0, b
+    while k < n:
+        u, s, _ = np.linalg.svd(block)
+        rank = int(np.sum(s > bound))
+        if rank == 0:
             break
-        v = w
-    return v
-
-
-def _staircase_pass(sys, tol):
-    """One reachability-then-observability restriction of ``sys``."""
-    a, b, c, d = sys.a, sys.b, sys.c, sys.d
-    scale = max(
-        (float(np.abs(m).max()) for m in (a, b, c) if m.size),
-        default=0.0,
-    )
-    scale = max(scale, 1e-300)
-    if sys.n_states:
-        v = _reachable_basis(a, b, tol, scale)
-        a, b, c = v.conj().T @ a @ v, v.conj().T @ b, c @ v
-    if a.shape[0]:
-        w = _reachable_basis(a.conj().T, c.conj().T, tol, scale)
-        a, b, c = w.conj().T @ a @ w, w.conj().T @ b, c @ w
-    return StateSpace(a, b, c, d)
+        a[k:] = u.conj().T @ a[k:]
+        a[:, k:] = a[:, k:] @ u
+        q[:, k:] = q[:, k:] @ u
+        k, block = k + rank, a[k + rank:, k:k + rank]
+    return a[:k, :k], q[:, :k]
 
 
 def minimal_realization(sys, tol=1e-9):
-    """Remove unreachable and unobservable states.
+    """Remove unreachable and unobservable states in one pass.
 
-    Uses the orthogonal staircase construction: restrict to the smallest
-    A-invariant subspace containing range(B), then dualize for
-    observability.  ``tol`` is the relative SVD rank threshold, measured
-    against the realization's overall scale.  Near that threshold a
-    second pass over a pass's output can find one more state to remove,
-    so a pass that removed states is followed by another until one
-    removes nothing, and the last realization such a pass kept whole is
-    returned.  A realization the first pass leaves whole is returned as
-    that pass made it.
-
-    The returned model has the same transfer matrix (up to the rank
-    decisions) with ``n_states`` less than or equal to the original.
+    An orthogonal staircase (Van Dooren 1981) on (A, B) keeps the
+    reachable part, and one on the dual pair (A*, C*) its observable
+    part.  Singular values at or below ``tol * max(||A||, ||B||)``, and
+    ``tol * max(||A||, ||C||)`` in the dual, count as zero: spectral
+    norms of ``sys``, which no unitary change of basis alters.  So the
+    order does not depend on the orthonormal basis ``sys`` is given in,
+    and reducing the result again keeps it.  The transfer matrix is kept
+    up to the rank decisions.
     """
-    prev, reduced = sys, _staircase_pass(sys, tol)
-    while reduced.n_states < prev.n_states:
-        prev, reduced = reduced, _staircase_pass(reduced, tol)
-    return reduced if prev is sys else prev
+    norm_a, norm_b, norm_c = (np.linalg.svd(m, compute_uv=False).max(initial=0.0)
+                              for m in (sys.a, sys.b, sys.c))
+    a, q = _reachable_part(sys.a, sys.b, tol * max(norm_a, norm_b))
+    b, c = q.conj().T @ sys.b, sys.c @ q
+    a, w = _reachable_part(a.conj().T, c.conj().T, tol * max(norm_a, norm_c))
+    return StateSpace(a.conj().T, w.conj().T @ b, c @ w, sys.d)
 
 
 # -- doubled-up structure ----------------------------------------------

@@ -67,6 +67,13 @@ class TestCheckPr:
         assert report["residual"] < 1e-8
         assert report["n_states_minimal"] == 2
 
+    def test_rate_scaled_network_is_minimal(self, capsys):
+        # a realizable passive network of 4 modes and 2 fields at GHz rates in
+        # rad/s: H1 scaled by 1e9 and L1 by sqrt(1e9) from the pipebench draw
+        # _draw_network(default_rng(19), 4, 2, False), written by dumps_17g
+        code, report = run_json(capsys, ["check-pr", fx("network_fast.json")])
+        assert (code, report["passed"], report["n_states_minimal"]) == (0, True, 8)
+
     def test_grid_points_is_usage_error(self, capsys):
         # the check samples no grid
         assert main(["check-pr", fx("cavity_pr.json"), "--grid-points", "17"]) == 2

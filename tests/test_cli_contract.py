@@ -14,10 +14,13 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coherentctl import cli, problemfile
 from coherentctl.cli import main
+from coherentctl.youla_constraint import YoulaParameter
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOCUMENTS = sorted(p.name for p in FIXTURES.glob("*.json"))
@@ -273,3 +276,59 @@ def test_static_plant_evaluates(tmp_path, capsys):
     assert (code, captured.err) == (0, "")
     report = json.loads(captured.out)
     assert (report["norm"], report["peak_omega"]) == (1.0, -1000.0)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("key", ["S", "L1", "L2", "H1", "H2", "F1", "F2"])
+def test_empty_slh_block_is_input_error(key, command):
+    # n = 1 and m = 2 on this fixture, so every block has a non-empty shape
+    text = _document("cavity_pr.json", [("value", ("plant", "slh", key), [[]])])
+    code, err = _run(command, text)
+    assert code == 2
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("input error:") and f"plant.slh.{key}" in err
+
+
+HUGE = 2**31
+
+
+def _refusing(allocate):
+    """``allocate`` that raises MemoryError for a size of HUGE or more instead of trying."""
+
+    def call(*args, **kwargs):
+        if any(isinstance(v, int) and v >= HUGE for v in (*args, *kwargs.values())):
+            raise MemoryError(f"refused a size of {HUGE}")
+        return allocate(*args, **kwargs)
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "command, name, mutations, flags",
+    [
+        ("factorize", "scalar_demo.json", [], ["--grid-points", str(HUGE)]),
+        ("eval-hinf", "allpass_hinf.json", [("value", ("grid", "points"), HUGE)], []),
+        ("synthesize-h2", "coupled_h2.json",
+         [("key", ("youla", "q_init"), None), ("value", ("youla", "order"), HUGE)], []),
+    ],
+    ids=["grid-points-flag", "grid-points", "youla-order"],
+)
+def test_allocation_failure_is_input_error(monkeypatch, command, name, mutations, flags):
+    # sizes this large are refused, never allocated: on a machine with
+    # enough memory the 16 GiB request would succeed
+    monkeypatch.setattr(cli, "log_grid", _refusing(cli.log_grid))
+    monkeypatch.setattr(problemfile, "log_grid", _refusing(problemfile.log_grid))
+    monkeypatch.setattr(YoulaParameter, "zero", staticmethod(_refusing(YoulaParameter.zero)))
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = os.path.join(tmp, "doc.json")
+        with open(doc, "w", encoding="utf-8") as handle:
+            handle.write(_document(name, mutations))
+        argv = [command, doc, *flags]
+        if command != "factorize":
+            argv += ["--out", os.path.join(tmp, "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert (code, err.getvalue()) == (
+        2, f"input error: problem too large for memory: refused a size of {HUGE}\n"
+    )

@@ -47,7 +47,17 @@ def test_one_changed_number_is_reported(parity, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 number(s) changed" in out
     assert "1e-12 -> 2e-12" in out
-    assert "0 of 1 cases identical, 1 differ" in out
+    assert "0 of 1 cases identical, 1 differ, 0 beyond their numbers" in out
+
+
+def test_exit_code_change_counts_beyond_numbers(parity, tmp_path, capsys):
+    failed = dict(record("residual 1e-12 passed\n"), code=1)
+    a = write_digest(tmp_path / "a.json", {"check-pr a.json": record("residual 1e-12 passed\n"),
+                                           "check-pr b.json": record("residual 1e-12 passed\n")})
+    b = write_digest(tmp_path / "b.json", {"check-pr a.json": failed,
+                                           "check-pr b.json": record("residual 3e-12 passed\n")})
+    assert parity.compare(a, b) == 1
+    assert "0 of 2 cases identical, 2 differ, 1 beyond their numbers" in capsys.readouterr().out
 
 
 def test_unstable_network_is_among_the_documents(parity, tmp_path):

@@ -29,7 +29,9 @@ from conftest import (
     freq_response,
     hstack_systems,
     make_rng,
+    random_complex,
     random_statespace,
+    random_unitary,
     sum_product_controller,
     vstack_systems,
     zero_system,
@@ -334,6 +336,41 @@ class TestMinimalRealization:
         resp_a = red.response(GRID)
         resp_b = g.response(GRID)
         np.testing.assert_allclose(resp_a, resp_b, atol=1e-9)
+
+    def test_weak_modes_reduce_once_in_any_unitary_basis(self):
+        # 3-state systems with one weak mode: A = T diag(lam) T^-1,
+        # B = T [1; 1; eps], C = [1, 1, 1] T^-1 with eps in [1e-10, 1e-8]
+        rng = make_rng(40)
+        again, rotated = [], []
+        for draw in range(500):
+            lam = -rng.uniform(0.1, 2.0, 3) + 1j * rng.standard_normal(3)
+            t = random_complex(rng, (3, 3))
+            t_inv = np.linalg.inv(t)
+            eps = 10.0 ** rng.uniform(-10.0, -8.0)
+            a = t @ np.diag(lam) @ t_inv
+            b = t @ np.array([[1.0], [1.0], [eps]])
+            c = np.array([[1.0, 1.0, 1.0]]) @ t_inv
+            red = minimal_realization(StateSpace(a, b, c, [[0.0]]))
+            if minimal_realization(red).n_states != red.n_states:
+                again.append(draw)
+            u = random_unitary(rng, 3)
+            other = StateSpace(u.conj().T @ a @ u, u.conj().T @ b, c @ u, [[0.0]])
+            if minimal_realization(other).n_states != red.n_states:
+                rotated.append(draw)
+        assert (again, rotated) == ([], [])
+
+    @pytest.mark.parametrize("k", [1e-6, 1e6])
+    def test_scalar_similarity_keeps_order(self, k):
+        g = random_statespace(make_rng(22), 8, 2, 2)
+        red = minimal_realization(StateSpace(g.a, k * g.b, g.c / k, g.d))
+        assert red.n_states == 8
+        np.testing.assert_allclose(red.response(GRID), g.response(GRID), rtol=1e-9)
+
+    def test_huge_entries_keep_order(self):
+        g = random_statespace(make_rng(23), 16, 2, 2)
+        big = StateSpace(1e150 * g.a, 1e150 * g.b, 1e150 * g.c, 1e150 * g.d)
+        with np.errstate(all="raise"):
+            assert minimal_realization(big).n_states == 16
 
 
 class TestDoubledStructure:

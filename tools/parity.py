@@ -29,7 +29,10 @@ made with the same documents compare byte for byte.
 The second form lists the cases whose records differ.  Where two texts
 differ only in their numbers, it prints how many numbers changed, the
 largest absolute and relative change, and the first SHOWN changed pairs.
-It exits 1 when any case differs.
+Its summary also counts the cases that differ beyond their numbers: an
+exit code differs, the case or one of its files exists on one side
+only, or a text differs outside its numbers.  It exits 1 when any case
+differs.
 """
 
 from __future__ import annotations
@@ -196,6 +199,10 @@ def _number_changes(a, b):
     return [(x, y) for x, y in zip(pa[1::2], pb[1::2]) if x != y]
 
 
+def _numbers_only(a, b):
+    return isinstance(a, str) and isinstance(b, str) and _number_changes(a, b) is not None
+
+
 def _describe(a, b):
     if not (isinstance(a, str) and isinstance(b, str)):
         return [f"{a!r} -> {b!r}"]
@@ -222,10 +229,11 @@ def compare(path_a, path_b):
         rec_a = json.load(handle)
     with open(path_b, encoding="utf-8") as handle:
         rec_b = json.load(handle)
-    differing = 0
+    differing = beyond = 0
     for key in sorted(set(rec_a) | set(rec_b)):
         if key not in rec_a or key not in rec_b:
             differing += 1
+            beyond += 1
             print(f"{key}: only in {path_a if key in rec_a else path_b}")
             continue
         if rec_a[key] == rec_b[key]:
@@ -233,12 +241,14 @@ def compare(path_a, path_b):
         differing += 1
         print(f"{key}:")
         fa, fb = dict(_fields(rec_a[key])), dict(_fields(rec_b[key]))
-        for field in sorted(set(fa) | set(fb)):
-            if fa.get(field) != fb.get(field):
-                for line in _describe(fa.get(field), fb.get(field)):
-                    print(f"  {field}: {line}" if not line.startswith("  ") else f"    {line}")
+        changed = [f for f in sorted(set(fa) | set(fb)) if fa.get(f) != fb.get(f)]
+        for field in changed:
+            for line in _describe(fa.get(field), fb.get(field)):
+                print(f"  {field}: {line}" if not line.startswith("  ") else f"    {line}")
+        beyond += not all(_numbers_only(fa.get(f), fb.get(f)) for f in changed)
     total = len(set(rec_a) | set(rec_b))
-    print(f"{total - differing} of {total} cases identical, {differing} differ")
+    print(f"{total - differing} of {total} cases identical, {differing} differ, "
+          f"{beyond} beyond their numbers")
     return 1 if differing else 0
 
 
