@@ -26,6 +26,7 @@ from .hinf_eval import hinf_cost
 from .norms import HINF_REL_TOL, sigma_max_profile, spectral_abscissa
 from .physreal import (
     DEFAULT_PR_TOL,
+    SlhModel,
     check_physical_realizability,
     slh_to_statespace,
 )
@@ -40,7 +41,7 @@ from .stabilization import (
     controller_from_parameter,
     stabilizing_gains,
 )
-from .statespace import compose_lft, log_grid
+from .statespace import compose_lft
 from .statespace import minimal_realization  # noqa: F401  (traced per layer by pipebench)
 from .youla_constraint import MEMBERSHIP_TOL, YoulaParameter, build_constraint_data
 
@@ -106,7 +107,7 @@ def _require_section(present, name, command):
 
 def _plant_statespace(prob, unitarity_tol=1e-10):
     if prob.slh is not None:
-        return slh_to_statespace(pf.build_slh_model(prob.slh, unitarity_tol))
+        return slh_to_statespace(SlhModel(**prob.slh, unitarity_tol=unitarity_tol))
     return prob.abcd
 
 
@@ -175,12 +176,7 @@ def _parameter_for_evaluation(section, cf, width):
         return YoulaParameter.zero((width, width), order=0)
     if section.from_controller is not None:
         return parameter_from_controller(cf, section.from_controller)
-    explicit = section.initial_parameter()
-    if explicit is not None:
-        return explicit
-    return YoulaParameter.zero(
-        (width, width), basis_pole=section.basis_pole, order=section.order
-    )
+    return section.parameter((width, width))
 
 
 # -- commands -----------------------------------------------------------------
@@ -250,13 +246,11 @@ def cmd_factorize(args):
     cf = coprime_factorization(mp, gains, check=False)
 
     grid = prob.build_grid(args.grid_points)
-    if grid is None:
-        grid = (
-            np.concatenate([[0.0], log_grid(1e-3, 1e3, args.grid_points)])
-            if args.grid_points
-            else default_verification_grid()
-        )
-    residual, _, _ = bezout_residual(cf, grid)
+    if grid is None and args.grid_points:
+        grid = default_verification_grid(args.grid_points)
+    elif grid is None:
+        grid = default_verification_grid()
+    residual = bezout_residual(cf, grid)
     tol = BEZOUT_TOL if args.tol is None else args.tol
     passed = residual <= tol
 
@@ -343,13 +337,7 @@ def cmd_synthesize_h2(args):
             recovered, sp.grid, section.basis_pole, section.order
         )
     else:
-        q0 = section.initial_parameter()
-        if q0 is None:
-            q0 = YoulaParameter.zero(
-                sp.parameter_shape,
-                basis_pole=section.basis_pole,
-                order=section.order,
-            )
+        q0 = section.parameter(sp.parameter_shape)
 
     initial_cost = cost(sp, q0)
     q_final, trace = descend(sp, q0, prob.descent)

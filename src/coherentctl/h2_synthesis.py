@@ -47,7 +47,6 @@ from .youla_constraint import (
     MEMBERSHIP_TOL,
     YoulaParameter,
     membership_qhat,
-    parameter_samples,
     project_direction,
     quadratic_form,
     restore_feasibility,
@@ -268,14 +267,13 @@ def cost(sp, q):
 def gradient(sp, q):
     """Cost-gradient samples ``2(T1* T0 T2* + T1* T1 Q T2 T2*)`` on ``sp.grid``.
 
-    Returned as an ``(n_omega, rows, cols)`` array; pairing a coefficient
-    direction against these samples (real trace inner product per point,
-    summed over the grid) gives the directional derivative of the
-    grid-sampled quadratic cost.
+    ``q`` holds basis coefficients.  Returned as an ``(n_omega, rows,
+    cols)`` array; pairing a coefficient direction against these samples
+    (real trace inner product per point, summed over the grid) gives the
+    directional derivative of the grid-sampled quadratic cost.
     """
     hat0_w, hat1_w, hat2_w = sp.hat_samples
-    q_w = parameter_samples(q, sp.grid)
-    return 2.0 * (hat0_w + hat1_w @ q_w @ hat2_w)
+    return 2.0 * (hat0_w + hat1_w @ q.evaluate(sp.grid) @ hat2_w)
 
 
 # -- descent -----------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Structured problem documents for the batch front end.
 
 A problem file is a JSON document with up to six sections — ``plant``,
-``partition``, ``weights``, ``youla``, ``descent``, ``grid`` — each
-mapping onto one runtime object.  Complex scalars are encoded as
-two-element ``[re, im]`` arrays and matrices as rectangular
-arrays-of-arrays, so every value round-trips through decimal text
-exactly.  Unknown keys are rejected at every level: a typo fails loudly
-instead of silently falling back to a default.
+``partition``, ``weights``, ``youla``, ``descent``, ``grid``.  Each input
+has one home: ``plant.slh`` decodes to :class:`~.physreal.SlhModel`'s
+keyword arguments, :meth:`Problem.build_grid` builds the grid and
+:meth:`YoulaSection.parameter` the parameter.  Complex scalars are
+encoded as two-element ``[re, im]`` arrays and matrices as rectangular
+arrays-of-arrays, so every value (a negative zero's ``-0`` included)
+round-trips through decimal text exactly.  Unknown keys are rejected at
+every level: a typo fails loudly instead of silently falling back to a
+default.
 
 Matrices stay NumPy arrays up to the emitter: :func:`encode_matrix`
 returns a 2-D complex array and :func:`dumps_17g` formats each distinct
@@ -33,7 +36,6 @@ import numpy as np
 
 from .errors import ProblemFileError
 from .h2_synthesis import DescentConfig
-from .physreal import SlhModel
 from .stabilization import PartitionSpec
 from .statespace import StateSpace, log_grid, validate_grid
 from .youla_constraint import YoulaParameter
@@ -42,7 +44,6 @@ __all__ = [
     "GridSection",
     "Problem",
     "YoulaSection",
-    "build_slh_model",
     "encode_matrix",
     "encode_statespace",
     "fit_parameter",
@@ -208,18 +209,14 @@ class YoulaSection:
     q_init: np.ndarray | None = None
     from_controller: StateSpace | None = None
 
-    def initial_parameter(self):
-        """The explicit starting parameter, zero when none was given.
+    def parameter(self, shape):
+        """``q_init``, else the zero parameter of ``shape`` in this basis.
 
-        A ``from_controller`` section has no coefficient form of its
-        own; the caller must recover the parameter from the controller
-        realization first (see :func:`fit_parameter`).
+        A ``from_controller`` parameter is recovered by the caller instead.
         """
-        if self.from_controller is not None:
-            raise ValueError("from_controller sections carry no coefficients")
         if self.q_init is not None:
             return YoulaParameter(self.basis_pole, self.q_init)
-        return None
+        return YoulaParameter.zero(shape, basis_pole=self.basis_pole, order=self.order)
 
 
 @dataclass(frozen=True)
@@ -230,21 +227,15 @@ class GridSection:
     omega_max: float
     points: int
 
-    def build(self, points_override=None):
-        return log_grid(
-            self.omega_min,
-            self.omega_max,
-            self.points if points_override is None else points_override,
-        )
-
 
 @dataclass
 class Problem:
     """Decoded problem document.
 
     Exactly one of ``slh``/``abcd`` is set when a plant section is
-    present.  ``slh`` holds the decoded coefficient matrices so the
-    command layer can choose how strictly to validate them (the
+    present.  ``slh`` holds the decoded coefficient matrices as the
+    keyword arguments of :class:`~.physreal.SlhModel`, so the command
+    layer builds the model and chooses how strictly to validate it (the
     realizability checker must see invalid scattering data, not have it
     rejected at parse time).
     """
@@ -266,27 +257,9 @@ class Problem:
         """The file's grid as an array, or None when absent."""
         if self.grid is None:
             return None
-        return self.grid.build(points_override)
-
-
-def build_slh_model(fields, unitarity_tol=1e-10):
-    """Construct the network model from decoded section matrices.
-
-    ``unitarity_tol`` is forwarded so a realizability check can accept
-    structurally well-formed but physically invalid data (e.g. a scaled
-    scattering matrix) and report the failure in its verdict instead of
-    refusing to look at it.
-    """
-    return SlhModel(
-        s=fields["s"],
-        l1=fields["l1"],
-        l2=fields["l2"],
-        h1=fields["h1"],
-        h2=fields["h2"],
-        f1=fields.get("f1"),
-        f2=fields.get("f2"),
-        unitarity_tol=unitarity_tol,
-    )
+        g = self.grid
+        points = g.points if points_override is None else points_override
+        return log_grid(g.omega_min, g.omega_max, points)
 
 
 def _decode_plant(section):
@@ -440,10 +413,15 @@ def _decode_grid(section):
     return GridSection(omega_min=lo, omega_max=hi, points=points)
 
 
+def _parse_int(literal):
+    """A JSON integer literal; ``-0`` is the negative zero it was written from."""
+    return -0.0 if literal == "-0" else int(literal)
+
+
 def loads_problem(text):
     """Decode a problem document from its JSON text."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(
             "", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -597,9 +575,10 @@ def dumps_17g(value):
 
     17 significant decimal digits uniquely identify every binary64
     value, so documents emitted here re-parse to bit-identical numbers
-    (but for a negative zero: ``-0`` reads back as the integer 0);
-    emission order follows dict insertion order, making equal inputs
-    produce byte-identical text.  Arrays are written as matrices of
+    through :func:`loads_problem`, which reads a negative zero's ``-0``
+    back as -0.0 (other JSON readers take it as the integer 0).  Emission
+    order follows dict insertion order, making equal inputs produce
+    byte-identical text.  Arrays are written as matrices of
     ``[re, im]`` pairs; the memo of formatted matrices lives for this
     one call.
     """

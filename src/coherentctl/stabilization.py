@@ -77,9 +77,13 @@ PLACEMENT_MARGIN = 1e-9
 BEZOUT_TOL = 1e-8
 
 
-def default_verification_grid():
-    """129 log-spaced points over [1e-3, 1e3], plus omega = 0."""
-    return np.concatenate([[0.0], log_grid(1e-3, 1e3, 129)])
+def default_verification_grid(points=129):
+    """omega = 0 plus ``points`` log-spaced points over [1e-3, 1e3].
+
+    ``points + 1`` frequencies in all: ``factorize`` without a ``grid``
+    section checks on this grid, so ``--grid-points 9`` reports 10.
+    """
+    return np.concatenate([[0.0], log_grid(1e-3, 1e3, points)])
 
 
 @dataclass(frozen=True)
@@ -478,13 +482,12 @@ def coprime_factorization(mp, gains, check=True):
 def bezout_residual(cf, grid):
     """Peak Frobenius deviation of ``left_family * right_family`` from I.
 
-    Returns the residual over ``grid`` together with the right and left
-    family responses it was computed from.  When the two families share
+    The residual is taken over ``grid``.  When the two families share
     their core (zero gains, as for every stable plant), they are swept as
     one system.
     """
     rw, lw = _shared_core_responses([cf.right_family, cf.left_family], grid)
-    return peak_frobenius(lw @ rw - np.eye(cf.ctrl + cf.meas)), rw, lw
+    return peak_frobenius(lw @ rw - np.eye(cf.ctrl + cf.meas))
 
 
 def _shared_core_responses(systems, grid):

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DimensionMismatch, FeedthroughSingular, RankDeficientProjection
-from .norms import is_hurwitz, peak_frobenius
+from .norms import peak_frobenius
 from .physreal import PrVerdict, check_physical_realizability
 from .stabilization import controller_from_parameter, default_verification_grid
 from .statespace import (
@@ -52,7 +52,6 @@ from .statespace import (
 __all__ = [
     "ConstraintData",
     "YoulaParameter",
-    "parameter_samples",
     "TangentSubspace",
     "MembershipVerdict",
     "build_constraint_data",
@@ -155,15 +154,12 @@ class YoulaParameter:
         basis_pole=DEFAULT_BASIS_POLE,
         order=DEFAULT_BASIS_ORDER,
     ):
-        """Least-squares fit of samples (or a system) on a frequency grid.
+        """Least-squares fit of samples on a frequency grid.
 
-        ``values`` is either a StateSpace model, sampled internally, or
-        an array of shape (n_omega, rows, cols).  The fit is linear in
+        ``values`` has shape (n_omega, rows, cols).  The fit is linear in
         the coefficients and solved per matrix entry.
         """
         omegas = validate_grid(omegas)
-        if isinstance(values, StateSpace):
-            values = values.response(omegas)
         values = np.asarray(values, dtype=np.complex128)
         if values.ndim != 3 or values.shape[0] != omegas.size:
             raise DimensionMismatch(
@@ -173,13 +169,6 @@ class YoulaParameter:
         basis = template.basis(omegas)
         flat, *_ = np.linalg.lstsq(basis, values.reshape(omegas.size, -1), rcond=None)
         return cls(basis_pole, flat.reshape(order + 1, *values.shape[1:]))
-
-
-def parameter_samples(q, omegas):
-    """A parameter's values on the imaginary axis, (n_omega, rows, cols)."""
-    if isinstance(q, YoulaParameter):
-        return q.evaluate(omegas)
-    return q.response(omegas)
 
 
 # -- constraint coefficients ----------------------------------------------
@@ -246,9 +235,9 @@ def quadratic_form(samples, q_w):
 
 
 def constraint_samples(cd, q, omegas):
-    """Pointwise residual matrices of the quadratic form, (n_omega, d, d)."""
+    """Pointwise residual matrices of the quadratic form at ``q``, (n_omega, d, d)."""
     omegas = validate_grid(omegas)
-    return quadratic_form(cd.samples(omegas), parameter_samples(q, omegas))
+    return quadratic_form(cd.samples(omegas), q.evaluate(omegas))
 
 
 def constraint_residual(cd, q, omegas):
@@ -264,7 +253,9 @@ class MembershipVerdict:
     """Itemized classification of a candidate parameter.
 
     ``in_q`` collects the stabilizing-parameter requirements (stable,
-    invertible feedthrough, quadratic residual within tolerance).  The
+    invertible feedthrough, quadratic residual within tolerance).
+    ``stable_ok`` is true by construction: the parameter lives in the
+    basis, whose pole is positive; the item stays in the report.  The
     feedthrough of V + N Q counts as invertible when
     :func:`~.stabilization.controller_from_parameter` assembles the
     controller: its smallest singular value must exceed
@@ -296,7 +287,7 @@ class MembershipVerdict:
 def membership_qhat(cf, q, tol=MEMBERSHIP_TOL):
     """Classify a parameter: stabilizing only, or physically realizable.
 
-    Checks run in order: parameter stability and the quadratic residual
+    ``q`` is stable by construction; its quadratic residual is checked
     on :func:`~.stabilization.default_verification_grid` (within
     ``tol``).  The controller is then assembled once; the assembly
     decides feedthrough invertibility.  An assembled controller is
@@ -304,15 +295,7 @@ def membership_qhat(cf, q, tol=MEMBERSHIP_TOL):
     :func:`~.physreal.check_physical_realizability` at its default
     tolerance.
     """
-    cd = build_constraint_data(cf)
-
-    if isinstance(q, YoulaParameter):
-        stable_ok = True
-    else:
-        q_min = minimal_realization(q)
-        stable_ok = q_min.n_states == 0 or is_hurwitz(q_min.a)
-
-    residual = constraint_residual(cd, q, default_verification_grid())
+    residual = constraint_residual(build_constraint_data(cf), q, default_verification_grid())
 
     controller = controller_pr = None
     try:
@@ -324,7 +307,7 @@ def membership_qhat(cf, q, tol=MEMBERSHIP_TOL):
         controller_pr = check_physical_realizability(controller)
 
     return MembershipVerdict(
-        stable_ok=stable_ok,
+        stable_ok=True,
         feedthrough_ok=ft_ok,
         residual=residual,
         residual_ok=residual <= tol,
@@ -358,8 +341,7 @@ def tangent_subspace(samples, q, grid):
     """
     grid = validate_grid(grid)
     _, lam_w, pi_w = samples
-    q_w = parameter_samples(q, grid)
-    return TangentSubspace(grid=grid, w_samples=lam_w + pi_w @ q_w)
+    return TangentSubspace(grid=grid, w_samples=lam_w + pi_w @ q.evaluate(grid))
 
 
 def _real_stack(block):

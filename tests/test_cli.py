@@ -425,6 +425,33 @@ class TestClosedLoop:
         assert main(argv + flag) == 2
 
 
+class TestBareYoulaSection:
+    """A ``youla`` section with only ``beta`` and ``order`` is the zero parameter."""
+
+    @pytest.mark.parametrize("command", ["eval-hinf", "closed-loop"])
+    def test_same_report_as_explicit_zero_coefficients(self, tmp_path, capsys, command):
+        zero = [[[[0.0, 0.0]] * 2] * 2] * 3
+        explicit = tmp_path / "q_explicit.json"
+        explicit.write_text(
+            json.dumps({"youla": {"beta": 2.0, "order": 2, "q_init": zero}})
+        )
+        runs = []
+        for q_file in (fx("q_zero_basis.json"), str(explicit)):
+            argv = [command, fx("cavity_pr.json"), "--q-from", q_file]
+            profile = tmp_path / f"{len(runs)}.csv"
+            if command == "eval-hinf":
+                argv += ["--out", str(profile)]
+            code, report = run_json(capsys, argv)
+            report.pop("profile_csv", None)
+            text = profile.read_bytes() if command == "eval-hinf" else None
+            runs.append((code, report, text))
+        assert runs[0] == runs[1]
+        # plant (2 states) + controller (2 plant states + the parameter's
+        # order-2 chain on 2 channels)
+        if command == "closed-loop":
+            assert runs[0][1]["loop_states"] == 2 + 2 + 2 * 2
+
+
 class TestInvocation:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2

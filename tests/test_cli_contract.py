@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coherentctl import cli, problemfile
+from coherentctl import problemfile, stabilization
 from coherentctl.cli import main
 from coherentctl.youla_constraint import YoulaParameter
 
@@ -316,7 +316,7 @@ def _refusing(allocate):
 def test_allocation_failure_is_input_error(monkeypatch, command, name, mutations, flags):
     # sizes this large are refused, never allocated: on a machine with
     # enough memory the 16 GiB request would succeed
-    monkeypatch.setattr(cli, "log_grid", _refusing(cli.log_grid))
+    monkeypatch.setattr(stabilization, "log_grid", _refusing(stabilization.log_grid))
     monkeypatch.setattr(problemfile, "log_grid", _refusing(problemfile.log_grid))
     monkeypatch.setattr(YoulaParameter, "zero", staticmethod(_refusing(YoulaParameter.zero)))
     with tempfile.TemporaryDirectory() as tmp:

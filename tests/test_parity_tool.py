@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coherentctl.physreal import slh_to_statespace
-from coherentctl.problemfile import build_slh_model, load_problem_file
+from coherentctl.physreal import SlhModel, slh_to_statespace
+from coherentctl.problemfile import load_problem_file
 
 PARITY = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
 
@@ -63,7 +63,7 @@ def test_exit_code_change_counts_beyond_numbers(parity, tmp_path, capsys):
 def test_unstable_network_is_among_the_documents(parity, tmp_path):
     name, path = parity.unstable_network_doc(str(tmp_path))
     prob = load_problem_file(path)
-    a = slh_to_statespace(build_slh_model(prob.slh)).a
+    a = slh_to_statespace(SlhModel(**prob.slh)).a
     modes, _ = parity.UNSTABLE_NETWORK
     assert (name, a.shape) == (f"unstable-{2 * modes}.json", (2 * modes, 2 * modes))
     assert np.linalg.eigvals(a).real.max() > 0.0

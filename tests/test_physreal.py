@@ -12,7 +12,7 @@ from coherentctl.physreal import (
     check_physical_realizability,
     slh_to_statespace,
 )
-from coherentctl.problemfile import build_slh_model, load_problem_file
+from coherentctl.problemfile import load_problem_file
 from coherentctl.statespace import StateSpace, doubled, signature_matrix, static_gain
 
 from conftest import (
@@ -268,7 +268,7 @@ class TestAlgebraicResidual:
     def test_verdict_agrees_with_grid_oracle_on_fixtures(self, name):
         prob = load_problem_file(FIXTURES / name)
         sys = prob.abcd if prob.slh is None else slh_to_statespace(
-            build_slh_model(prob.slh, unitarity_tol=np.inf)
+            SlhModel(**prob.slh, unitarity_tol=np.inf)
         )
         v = check_physical_realizability(sys)
         assert v.residual_ok is (j_unitarity_residual(sys) <= DEFAULT_PR_TOL)

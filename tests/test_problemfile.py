@@ -16,7 +16,7 @@ from coherentctl.problemfile import (
     load_problem_file,
     loads_problem,
 )
-from coherentctl.statespace import StateSpace, log_grid
+from coherentctl.statespace import StateSpace, log_grid, static_gain
 from coherentctl.youla_constraint import YoulaParameter
 
 from conftest import make_rng, random_slh, random_statespace
@@ -196,6 +196,17 @@ class TestDecoding:
         prob = doc({"plant": {"abcd": {"a": [], "b": [], "c": [], "d": pairs_reference(d)}}})
         assert same_bits(prob.abcd.d, d)
 
+    def test_negative_zero_survives_a_round_trip(self):
+        # dumps_17g writes -0.0 as the integer literal -0
+        d = np.array([[complex(-0.0, 1.0), complex(0.0, -0.0)]])
+        text = dumps_17g({"plant": {"abcd": encode_statespace(static_gain(d))}})
+        assert "[-0, 1]" in text
+        assert same_bits(loads_problem(text).abcd.d, d)
+
+    def test_negative_zero_integer_setting_is_an_input_error(self):
+        with pytest.raises(ProblemFileError, match=r"youla\.order.*integer"):
+            loads_problem('{"youla": {"beta": 1.0, "order": -0}}')
+
     def test_slh_shape_consistency_enforced(self):
         base = {
             "n": 1,
@@ -251,11 +262,17 @@ class TestDecoding:
                 }
             }
         )
-        q = prob.youla.initial_parameter()
+        q = prob.youla.parameter((1, 1))
         assert isinstance(q, YoulaParameter)
         assert q.basis_pole == 2.0
         assert q.coeffs.shape == (2, 1, 1)
         assert q.coeffs[1, 0, 0] == -1.0j
+
+    def test_youla_bare_section_gives_zero_in_its_basis(self):
+        q = doc({"youla": {"beta": 2.0, "order": 3}}).youla.parameter((2, 2))
+        assert q.basis_pole == 2.0
+        assert q.coeffs.shape == (4, 2, 2)
+        assert not q.coeffs.any()
 
     def test_youla_validation(self):
         with pytest.raises(ProblemFileError, match="order"):

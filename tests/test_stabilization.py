@@ -566,8 +566,9 @@ class TestOneSpectrumPerPlant:
         grid = default_verification_grid()
         systems = [cf.right_family, cf.left_family, mp.p22()]
         shared = stabilization._shared_core_responses(systems, grid)
-        residual, rw, lw = bezout_residual(cf, grid)
-        for system, together in zip(systems + systems[:2], shared + [rw, lw]):
+        pair = stabilization._shared_core_responses(systems[:2], grid)
+        residual = bezout_residual(cf, grid)
+        for system, together in zip(systems + systems[:2], shared + pair):
             alone = system.response(grid)
             assert np.abs(together - alone).max() <= 1e-12 * np.abs(alone).max()
         alone = peak_frobenius(
