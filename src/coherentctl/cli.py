@@ -23,7 +23,7 @@ from . import problemfile as pf
 from .errors import CoherentctlError, DimensionMismatch, ProblemFileError
 from .h2_synthesis import assemble_problem, cost, descend, evaluation_problem, validate_result
 from .hinf_eval import hinf_cost
-from .norms import HINF_REL_TOL, sigma_max_profile, spectral_abscissa
+from .norms import HINF_REL_TOL, is_certified_stable, sigma_max_profile
 from .physreal import (
     DEFAULT_PR_TOL,
     SlhModel,
@@ -36,6 +36,7 @@ from .stabilization import (
     bezout_residual,
     coprime_factorization,
     default_verification_grid,
+    loop_abscissa,
     modify_plant,
     parameter_from_controller,
     controller_from_parameter,
@@ -446,8 +447,9 @@ def cmd_closed_loop(args):
     q = _parameter_for_evaluation(section, cf, cf.ctrl)
     controller = controller_from_parameter(cf, q)
     loop = compose_lft(mp.full, controller, n_meas=mp.out_meas, n_ctrl=mp.in_ctrl)
-    abscissa = float(spectral_abscissa(loop.a)) if loop.n_states else -math.inf
-    stable = abscissa < 0.0
+    # exact from the parts at structural order; the verdict is certified
+    abscissa = loop_abscissa(cf, q)
+    stable = is_certified_stable(loop.a, 0.0)
 
     def human():
         return [

@@ -28,12 +28,12 @@ from .errors import (
 )
 from .norms import (
     h2_norm_sq,
+    is_certified_stable,
     is_hurwitz,
     peak_frobenius,
     sigma_max_profile,
-    spectral_abscissa,
 )
-from .stabilization import closed_loop_triple, parameter_statespace
+from .stabilization import closed_loop_triple, loop_abscissa, parameter_poles, parameter_statespace
 from .stabilization import controller_from_parameter  # noqa: F401  (traced per layer by pipebench)
 from .statespace import (
     StateSpace,
@@ -75,18 +75,21 @@ class SynthesisProblem:
     closes its lower port with a parameter of ``parameter_shape``.  Of its
     states [w_out, x, e, w_in], those before ``split`` realize
     ``bold_t1 = W_out T1`` exactly and the rest ``bold_t2 = T2 W_in``.
-    The cost is the squared H2 norm of the loop.  The hatted samples,
-    taken on first use, fold the outer factors into its quadratic
-    expansion: ``T1* T0 T2*`` drives the linear term, ``T1* T1`` and
-    ``T2 T2*`` the quadratic one, and the gradient is
-    ``2(T1* T0 T2* + T1* T1 Q T2 T2*)`` on ``grid``.  Only descent reads
-    the constraint data ``cd``; only validation reads ``mp``/``cf``.
+    ``poles`` is the generator's spectrum (W_out, A + B2 F, A + L C2,
+    W_in); Q is the only path from the later states to the earlier, so
+    the loop's is that and Q's (:meth:`loop_poles`).  The cost is the
+    squared H2 norm of the loop.  The hatted samples, taken on first use,
+    fold the outer factors into its quadratic expansion: ``T1* T0 T2*``
+    drives the linear term, ``T1* T1`` and ``T2 T2*`` the quadratic one,
+    and the gradient is ``2(T1* T0 T2* + T1* T1 Q T2 T2*)`` on ``grid``.
+    Only descent reads ``cd``; only validation reads ``mp``/``cf``.
     """
 
     generator: StateSpace
     parameter_shape: tuple
     split: int
     grid: np.ndarray
+    poles: np.ndarray
     mp: object = None
     cf: object = None
     cd: object = None
@@ -121,6 +124,10 @@ class SynthesisProblem:
             )
         return compose_lft(self.generator, qss, n_meas=cols, n_ctrl=rows)
 
+    def loop_poles(self, q):
+        """The spectrum of :meth:`loop` at ``q``."""
+        return np.concatenate([self.poles, parameter_poles(q)])
+
     @cached_property
     def hat_samples(self):
         """Samples of ``T1* T0 T2*``, ``T1* T1`` and ``T2 T2*`` on ``grid``.
@@ -140,16 +147,17 @@ class SynthesisProblem:
 
 
 def _prepare_weight(w, width, name):
-    """Normalize one weight: default/scalar tiling and stability check."""
+    """Normalize one weight (default/scalar tiling, stability); return it and its poles."""
     if w is None:
-        return identity_system(width)
+        return identity_system(width), np.zeros(0, dtype=np.complex128)
     if not isinstance(w, StateSpace):
         raise TypeError(f"{name} must be a StateSpace (or None for identity)")
-    if w.shape == (1, 1) and width != 1:
-        w = blockdiag_systems([w] * width)
-    if not is_hurwitz(w.a):
+    poles = np.linalg.eigvals(w.a)
+    if not is_hurwitz(poles):
         raise NotStable(f"{name} must be a stable weight")
-    return w
+    if w.shape == (1, 1) and width != 1:
+        return blockdiag_systems([w] * width), np.tile(poles, width)
+    return w, poles
 
 
 def default_descent_grid(w_out, w_in):
@@ -184,8 +192,8 @@ def evaluation_problem(mp, cf, w_in=None, w_out=None, grid=None, cd=None):
     for norm evaluation.  The quadratic cost adds its gate in
     :func:`assemble_problem`.
     """
-    w_out = _prepare_weight(w_out, mp.out_perf, "w_out")
-    w_in = _prepare_weight(w_in, mp.in_exo, "w_in")
+    w_out, out_poles = _prepare_weight(w_out, mp.out_perf, "w_out")
+    w_in, in_poles = _prepare_weight(w_in, mp.in_exo, "w_in")
     if w_out.n_inputs != mp.out_perf:
         raise DimensionMismatch(
             f"w_out acts on {w_out.n_inputs} channels, loop emits {mp.out_perf}"
@@ -207,6 +215,7 @@ def evaluation_problem(mp, cf, w_in=None, w_out=None, grid=None, cd=None):
         parameter_shape=(mp.in_ctrl, mp.out_meas),
         split=w_out.n_states + mp.full.n_states,
         grid=validate_grid(np.asarray(grid, dtype=np.float64)),
+        poles=np.concatenate([out_poles, cf.gains.f_poles, cf.gains.l_poles, in_poles]),
         mp=mp,
         cf=cf,
         cd=cd,
@@ -261,7 +270,7 @@ def cost(sp, q):
     Closes the weighted generator with ``q`` and solves one Lyapunov
     equation; exact up to linear-algebra roundoff.
     """
-    return h2_norm_sq(sp.loop(q))
+    return h2_norm_sq(sp.loop(q), sp.loop_poles(q))
 
 
 def gradient(sp, q):
@@ -460,8 +469,9 @@ class SynthesisVerdict:
 
     Bundles the full membership verdict for the final parameter, whose
     ``controller`` is the emitted controller, with an independent
-    internal-stability re-check of the physical loop that controller
-    closes (spectral abscissa of the interconnection).
+    internal-stability certificate (margin 1e-9) of the physical loop that
+    controller closes.  The abscissa is the parts' (exact at structural
+    order, a bound for the minimal controller); no controller: False, inf.
     """
 
     membership: object
@@ -477,21 +487,23 @@ def validate_result(sp, q_final, tol=MEMBERSHIP_TOL):
     """Re-verify a descent result from scratch.
 
     Runs the full membership battery on ``q_final`` and, independently,
-    closes the physical loop with the controller it assembled to confirm
-    the interconnection matrix is Hurwitz with margin 1e-9.
+    closes the physical loop with the controller it assembled and
+    certifies the interconnection matrix Hurwitz with margin 1e-9.
     """
     verdict = membership_qhat(sp.cf, q_final, tol=tol)
-    abscissa = np.inf
+    stable, abscissa = False, np.inf
     if verdict.controller is not None:
         try:
             loop = compose_lft(
                 sp.mp.full, verdict.controller, n_meas=sp.mp.out_meas, n_ctrl=sp.mp.in_ctrl
             )
-            abscissa = spectral_abscissa(loop.a)
         except IllPosedInterconnection:
             pass
+        else:
+            stable = is_certified_stable(loop.a, 1e-9)
+            abscissa = loop_abscissa(sp.cf, q_final)
     return SynthesisVerdict(
         membership=verdict,
-        closed_loop_stable=bool(abscissa < -1e-9),
+        closed_loop_stable=stable,
         closed_loop_abscissa=float(abscissa),
     )

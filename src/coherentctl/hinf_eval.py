@@ -56,7 +56,7 @@ def hinf_cost(sp, q, rel_tol=HINF_REL_TOL):
         plane (the axis supremum is then undefined/infinite).
     """
     loop = sp.loop(q)
-    value, peak = hinf_norm(loop, rel_tol=rel_tol)
+    value, peak = hinf_norm(loop, sp.loop_poles(q), rel_tol=rel_tol)
     grid = sp.grid
     profile = sigma_max_profile(loop, grid)
     k = int(np.argmax(profile))

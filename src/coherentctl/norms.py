@@ -1,4 +1,8 @@
-"""Stability predicates and system norms (H2 via Lyapunov, Hinf via level sets)."""
+"""Stability predicates and system norms (H2 via Lyapunov, Hinf via level sets).
+
+The norms and :func:`is_hurwitz` read a spectrum computed where its part
+was built; :func:`is_certified_stable` reads a matrix, but no eigenvalue.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +15,8 @@ from .errors import NotStable, NotStrictlyProper
 from .statespace import validate_grid
 
 __all__ = [
-    "spectral_abscissa",
     "is_hurwitz",
+    "is_certified_stable",
     "is_spectrally_generic",
     "h2_norm_sq",
     "peak_frobenius",
@@ -27,18 +31,31 @@ HINF_MAX_LEVEL_TESTS = 80
 HINF_REL_TOL = 1e-6
 
 
-def spectral_abscissa(a):
-    if a.shape[0] == 0:
-        return -np.inf
-    return float(np.max(np.linalg.eigvals(a).real))
+def is_hurwitz(eig, margin=1e-9):
+    """True when every eigenvalue in ``eig`` has Re < -margin (vacuously for none)."""
+    return bool(eig.real.max(initial=-np.inf) < -margin)
 
 
-def is_hurwitz(a, margin=1e-9):
-    """True when every eigenvalue satisfies Re(lambda) < -margin.
+def is_certified_stable(a, margin):
+    """Lyapunov inertia certificate that every eigenvalue has Re < -margin.
 
-    A static model (no states) is vacuously Hurwitz.
+    Solves (A + mI) X + X (A + mI)* = -I in Schur coordinates and tries a
+    Cholesky factorization of X, which is positive definite exactly when
+    A + mI is Hurwitz, so a defective cluster's roundoff split is never
+    read.  A non-finite or perturbed solve or a failed factorization gives
+    False, never an exception; a 0-state matrix is stable.
     """
-    return spectral_abscissa(a) < -margin
+    if not a.size:
+        return True
+    try:
+        t, _ = sla.schur(a + margin * np.eye(len(a)), output="complex")
+        x, scale, info = sla.lapack.ztrsyl(t, t, -np.eye(len(a), dtype=complex), tranb="C")
+        if info or scale != 1.0 or not np.isfinite(x).all():
+            return False
+        np.linalg.cholesky((x + x.conj().T) / 2.0)
+    except (np.linalg.LinAlgError, ValueError):
+        return False
+    return True
 
 
 def is_spectrally_generic(eig):
@@ -57,15 +74,15 @@ def is_spectrally_generic(eig):
     return bool(gap.min() > 1e-8 * float(np.abs(eig).max()))
 
 
-def h2_norm_sq(sys):
+def h2_norm_sq(sys, poles):
     """Squared H2 norm via the controllability Gramian.
 
     Solves ``A P + P A* + B B* = 0`` and returns ``trace(C P C*)``.
-    Requires A Hurwitz with margin 1e-12 and zero feedthrough.
+    Requires A's spectrum ``poles`` Hurwitz (margin 1e-12) and D = 0.
     """
-    if not is_hurwitz(sys.a, 1e-12):
+    if not is_hurwitz(poles, 1e-12):
         raise NotStable(
-            f"H2 norm undefined: spectral abscissa {spectral_abscissa(sys.a):.3e}"
+            f"H2 norm undefined: spectral abscissa {poles.real.max():.3e}"
         )
     dmax = np.abs(sys.d).max() if sys.d.size else 0.0
     scale = max(1.0, np.abs(sys.b).max(initial=0.0), np.abs(sys.c).max(initial=0.0))
@@ -90,14 +107,15 @@ def sigma_max_profile(sys, grid):
 
 
 def _default_hinf_grid(eig):
-    """Start frequencies of the level-set iteration, from A's eigenvalues ``eig``.
+    """Start frequencies of the level-set iteration, from A's spectrum ``eig``.
 
     Zero, the imaginary parts of the eigenvalues (where resonant peaks
     sit) and +-1e3 * max(1, spectral radius), where a supremum that is
     approached as omega -> infinity (feedthrough-dominated) shows.
     """
     top = 1e3 * max(1.0, float(np.abs(eig).max(initial=0.0)))
-    return np.unique(np.concatenate([[-top, 0.0, top], eig.imag]))
+    # + 0.0 turns a -0 imaginary part into 0, so a peak there prints as 0
+    return np.unique(np.concatenate([[-top, 0.0, top], eig.imag + 0.0]))
 
 
 def _imaginary_crossings(sys, gamma):
@@ -129,7 +147,7 @@ def _imaginary_crossings(sys, gamma):
     return np.sort(eig[on_axis].imag)
 
 
-def hinf_norm(sys, rel_tol=HINF_REL_TOL):
+def hinf_norm(sys, poles, rel_tol=HINF_REL_TOL):
     """Hinf norm ``sup_w sigma_max(G(iw))`` of a stable model.
 
     Level-set iteration (Boyd and Balakrishnan 1990; Bruinsma and
@@ -141,7 +159,7 @@ def hinf_norm(sys, rel_tol=HINF_REL_TOL):
     eigenvalue is a certified upper bound within ``rel_tol`` of an
     attained sample, and is returned.  The start frequencies are those
     of :func:`_default_hinf_grid`, and at most ``HINF_MAX_LEVEL_TESTS``
-    levels are tested.
+    levels are tested.  ``poles``, A's spectrum, gives stability and starts.
 
     Returns
     -------
@@ -155,11 +173,9 @@ def hinf_norm(sys, rel_tol=HINF_REL_TOL):
         When the model is unstable, or when the level tests find no
         certified upper bound whose square is finite.
     """
-    # one spectrum serves the stability test and the start frequencies
-    eig = np.linalg.eigvals(sys.a) if sys.n_states else np.zeros(0)
-    if eig.size and not eig.real.max() < 0.0:
+    if not is_hurwitz(poles, 0.0):
         raise NotStable("Hinf norm on the axis undefined for an unstable model")
-    grid = _default_hinf_grid(eig)
+    grid = _default_hinf_grid(poles)
     prof = np.linalg.svd(sys.response(grid), compute_uv=False)[:, 0]
     k0 = int(np.argmax(prof))
     best, peak = float(prof[k0]), float(grid[k0])

@@ -16,13 +16,16 @@ with the eight factors realized from one (A + B2 F) core and one
 (A + L C2) core.  Every factorization is verified on a frequency grid
 before it is returned.
 
+The Youla loop is block triangular over the two cores and Q, so its
+poles are theirs: :class:`GainPair` carries the cores' spectra and
+:func:`parameter_poles` gives Q's, and no assembled loop is decomposed.
+
 A stable plant has the trivial factorization F = L = 0, M = I, N = P22,
 U = 0, V = I (Youla, Jabr and Bongiorno 1976; Vidyasagar 1985), and it
 is found from one eigenvalue solve of A: the gain design reads that
 one spectrum throughout and takes no Schur form.  Systems that share a
-core (with zero gains: both families and P22) are Hurwitz-tested once
-and swept as one system, one resolvent (or one Schur form) per
-frequency.
+core (with zero gains: both families and P22) are swept as one system,
+one resolvent (or one Schur form) per frequency.
 
 The maps between a stable parameter Q and its controller
 K = (U + M Q)(V + N Q)^{-1}, in both directions, are each one
@@ -49,7 +52,7 @@ from .errors import (
     NotStabilizable,
     PlacementFailed,
 )
-from .norms import is_hurwitz, peak_frobenius, spectral_abscissa
+from .norms import is_hurwitz, peak_frobenius
 from .statespace import StateSpace, compose_lft, log_grid, minimal_realization
 
 __all__ = [
@@ -64,6 +67,8 @@ __all__ = [
     "coprime_factorization",
     "bezout_residual",
     "parameter_statespace",
+    "parameter_poles",
+    "loop_abscissa",
     "controller_from_parameter",
     "parameter_from_controller",
     "closed_loop_triple",
@@ -92,8 +97,7 @@ class PartitionSpec:
 
     ``n_r``/``n_u`` count exogenous and control input pairs, ``n_z``/
     ``n_y`` performance and measured output pairs.  The loop is square
-    (``n_y == n_u``), and that common count is the controller size
-    ``mu`` (the controller itself is a ``2*mu``-channel doubled model).
+    (``n_y == n_u``): the controller is a ``2*n_u``-channel doubled model.
     """
 
     n_r: int
@@ -113,10 +117,6 @@ class PartitionSpec:
                 "unsupported partition: fewer exogenous than measured pairs "
                 f"(n_r = {self.n_r} < n_y = {self.n_y})"
             )
-
-    @property
-    def mu(self):
-        return self.n_u
 
 
 @dataclass
@@ -229,17 +229,13 @@ def modify_plant(plant, part):
 # -- PBH tests ----------------------------------------------------------
 
 
-def pbh_unstabilizable_modes(a, b, eig=None):
+def pbh_unstabilizable_modes(a, b, eig):
     """Closed-right-half-plane eigenvalues failing rank [lambda*I - A, B].
 
-    ``eig`` is A's spectrum, when the caller has it already.
+    ``eig`` is A's spectrum.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.complex128))
-    if not a.size:
-        return []
-    b = np.asarray(b, dtype=np.complex128).reshape(a.shape[0], -1)
     bad = []
-    for lam in np.linalg.eigvals(a) if eig is None else eig:
+    for lam in eig:
         if lam.real < 0.0:
             continue
         pencil = np.hstack([lam * np.eye(a.shape[0]) - a, b])
@@ -254,10 +250,12 @@ def pbh_unstabilizable_modes(a, b, eig=None):
 
 @dataclass
 class GainPair:
-    """State feedback F (ctrl x states) and output injection L (states x meas)."""
+    """Feedback F (ctrl x states), injection L (states x meas), spectra of A + B2 F, A + L C2."""
 
     f: np.ndarray
     l: np.ndarray
+    f_poles: np.ndarray
+    l_poles: np.ndarray
 
 
 def _lyapunov_gain(t, b, modes):
@@ -327,7 +325,8 @@ def stabilizing_gains(mp):
     (T + s I) Y + Y (T + s I)* = B2 B2*
     gives F2 = -B2* Y^-1, which lands each mode on -conj(lam) - 2 s.
     Strictly unstable modes take s = 0, near-axis modes s = 1/2.  L is
-    the same design on the adjoint pair (A*, C2*).
+    the same design on the adjoint pair (A*, C2*).  The cores' spectra
+    are A's when nothing moved, else those their final Hurwitz test takes.
 
     Raises
     ------
@@ -352,17 +351,15 @@ def stabilizing_gains(mp):
     f = _mirror_feedback(a, b2, eig)
     l = _mirror_feedback(a.conj().T, c2.conj().T, eig.conj()).conj().T
 
-    gains = GainPair(f=f, l=l)
     if np.all(eig.real < -PLACEMENT_MARGIN):
         # nothing moved: both cores are A, whose spectrum passed already
-        return gains
-    for label, mat in (("A + B2*F", a + b2 @ f), ("A + L*C2", a + l @ c2)):
-        abscissa = spectral_abscissa(mat)
-        if not abscissa < -min(PLACEMENT_MARGIN, 1e-12):
-            raise PlacementFailed(
-                f"{label} not Hurwitz after placement (abscissa {abscissa:.3e})"
-            )
-    return gains
+        return GainPair(f=f, l=l, f_poles=eig, l_poles=eig)
+    poles = [np.linalg.eigvals(a + b2 @ f), np.linalg.eigvals(a + l @ c2)]
+    for label, core in zip(("A + B2*F", "A + L*C2"), poles):
+        if not is_hurwitz(core, 1e-12):
+            raise PlacementFailed(f"{label} not Hurwitz after placement "
+                                  f"(abscissa {core.real.max():.3e})")
+    return GainPair(f, l, *poles)
 
 
 # -- coprime factor families ----------------------------------------------
@@ -416,12 +413,13 @@ def coprime_factorization(mp, gains, check=True):
     Right family ``[[M, U], [N, V]]`` from the state-feedback core and
     left family ``[[Vhat, -Uhat], [-Nhat, Mhat]]`` from the injection
     core.  With ``check=True`` (default) both factor cores must be
-    Hurwitz, and on :func:`default_verification_grid` the product of the
-    two families must match the identity and ``N M^{-1}``/``Mhat^{-1}
-    Nhat`` must reproduce P22, each within ``BEZOUT_TOL``.  Systems with
-    the same core are tested and swept once (see :func:`bezout_residual`):
-    with zero gains, both families and P22 take one Hurwitz test and one
-    resolvent (or Schur form) per frequency.
+    Hurwitz, read from the spectra ``gains`` carries, and on
+    :func:`default_verification_grid` the product of the two families
+    must match the identity and ``N M^{-1}``/``Mhat^{-1} Nhat`` must
+    reproduce P22, each within ``BEZOUT_TOL``.  Systems with the same
+    core are swept once (see :func:`bezout_residual`): with zero gains,
+    both families and P22 take one resolvent (or Schur form) per
+    frequency.
     """
     a, b2, c2, d22 = mp.full.a, mp.b2, mp.c2, mp.d22
     f, l = gains.f, gains.l
@@ -446,14 +444,11 @@ def coprime_factorization(mp, gains, check=True):
     if not check:
         return cf
 
-    cores = [("right", right.a)]
-    if not np.array_equal(left.a, right.a):
-        cores.append(("left", left.a))
-    for label, mat in cores:
-        if mat.shape[0] and not is_hurwitz(mat, 1e-12):
+    for label, poles in (("right", gains.f_poles), ("left", gains.l_poles)):
+        if not is_hurwitz(poles, 1e-12):
             raise FactorUnstable(
                 f"{label} factor family core not Hurwitz "
-                f"(abscissa {spectral_abscissa(mat):.3e})"
+                f"(abscissa {poles.real.max():.3e})"
             )
 
     grid = default_verification_grid()
@@ -513,6 +508,19 @@ def parameter_statespace(q):
     if isinstance(q, StateSpace):
         return q
     return q.to_statespace()
+
+
+def parameter_poles(q):
+    """A parameter's poles: -b once per chain state, or a realization's eigenvalues."""
+    if isinstance(q, StateSpace):
+        return np.linalg.eigvals(q.a)
+    return np.full(q.order * q.shape[1], -q.basis_pole, dtype=np.complex128)
+
+
+def loop_abscissa(cf, q):
+    """Abscissa of the plant closed by ``q``'s controller: A + B2 F, A + L C2 and Q."""
+    poles = np.concatenate([cf.gains.f_poles, cf.gains.l_poles, parameter_poles(q)])
+    return float(poles.real.max(initial=-np.inf))
 
 
 def _observer_generator(cf, a, b_ctrl, c_ctrl, c_meas, d22):
@@ -596,9 +604,10 @@ def parameter_from_controller(cf, k):
     f = cf.gains.f
     gen = _observer_generator(cf, a_f - b2 @ f, b2, -f, c_f - d22 @ f, d22)
     q = minimal_realization(compose_lft(gen, k, n_meas=cf.meas, n_ctrl=cf.ctrl), tol=1e-8)
-    if q.n_states and not is_hurwitz(q.a):
+    poles = parameter_poles(q)
+    if not is_hurwitz(poles):
         raise NotInYoulaRange(
-            f"recovered parameter unstable (abscissa {spectral_abscissa(q.a):.3e})"
+            f"recovered parameter unstable (abscissa {poles.real.max():.3e})"
         )
     return q
 

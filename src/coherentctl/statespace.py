@@ -6,7 +6,7 @@ realness is assumed anywhere: quantum input-output models in doubled-up
 (annihilation/creation) coordinates have genuinely complex coefficient
 matrices, so every operation here is written for ``complex128``.
 
-Alongside the composition algebra (products, sums, block-diagonal
+Alongside the composition algebra (series products, block-diagonal
 stacking, feedback interconnection) the module carries the
 structural helpers used by the quantum layers: doubled-up matrices
 ``[[R1, R2], [conj(R2), conj(R1)]]``, the signature (Krein) matrix
@@ -68,8 +68,7 @@ class StateSpace:
     -----
     Instances are immutable by convention; all algebra returns new
     objects.  ``@`` composes transfer matrices in written order, i.e.
-    ``(G @ H)(s) = G(s) H(s)``, and ``+``/``-`` act pointwise on
-    responses.
+    ``(G @ H)(s) = G(s) H(s)``, and unary ``-`` negates the response.
     """
 
     def __init__(self, a, b, c, d):
@@ -99,12 +98,6 @@ class StateSpace:
     @property
     def shape(self):
         return (self.n_outputs, self.n_inputs)
-
-    def __repr__(self):
-        return (
-            f"StateSpace(n_states={self.n_states}, "
-            f"n_outputs={self.n_outputs}, n_inputs={self.n_inputs})"
-        )
 
     # -- evaluation ----------------------------------------------------
 
@@ -153,35 +146,8 @@ class StateSpace:
         d = self.d @ other.d
         return StateSpace(a, b, c, d)
 
-    def __add__(self, other):
-        if not isinstance(other, StateSpace):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        n1, n2 = self.n_states, other.n_states
-        a = np.block(
-            [
-                [self.a, np.zeros((n1, n2), dtype=np.complex128)],
-                [np.zeros((n2, n1), dtype=np.complex128), other.a],
-            ]
-        )
-        b = np.vstack([self.b, other.b])
-        c = np.hstack([self.c, other.c])
-        return StateSpace(a, b, c, self.d + other.d)
-
     def __neg__(self):
         return StateSpace(self.a, self.b, -self.c, -self.d)
-
-    def __sub__(self, other):
-        if not isinstance(other, StateSpace):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        scalar = complex(scalar)
-        return StateSpace(self.a, self.b, scalar * self.c, scalar * self.d)
-
-    __rmul__ = __mul__
 
     def select(self, rows=None, cols=None):
         """Subsystem keeping the given output rows / input columns."""

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 from coherentctl.errors import DimensionMismatch, SingularResolvent
-from coherentctl.norms import peak_frobenius
+from coherentctl.norms import h2_norm_sq, hinf_norm, peak_frobenius
 from coherentctl.physreal import SlhModel, slh_to_statespace
 from coherentctl.stabilization import _regroup_permutations
 from coherentctl.statespace import (
@@ -136,6 +136,34 @@ def zero_system(p, m):
     return static_gain(np.zeros((p, m)))
 
 
+def h2_of(sys):
+    """``h2_norm_sq`` of a model, its spectrum computed here."""
+    return h2_norm_sq(sys, np.linalg.eigvals(sys.a))
+
+
+def hinf_of(sys, **kwargs):
+    """``hinf_norm`` of a model, its spectrum computed here."""
+    return hinf_norm(sys, np.linalg.eigvals(sys.a), **kwargs)
+
+
+def sum_systems(g, h):
+    """Parallel connection ``G + H``: the responses add pointwise."""
+    return hstack_systems([g, h]) @ static_gain(np.vstack([np.eye(h.n_inputs)] * 2))
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts of eigenvalue solves and Schur forms made while a test runs."""
+    counts = {"eigvals": 0, "schur": 0}
+    for owner, name in ((np.linalg, "eigvals"), (sla, "schur")):
+        def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
 def hstack_systems(systems):
     """Input concatenation ``[G1 G2 ...]`` (shared outputs)."""
     systems = list(systems)
@@ -240,8 +268,8 @@ def sum_product_controller(cf, q):
     controller and of the staircase reduction.
     """
     qss = q.to_statespace()
-    num = cf.u_factor() + cf.m_factor() @ qss
-    den = cf.v_factor() + cf.n_factor() @ qss
+    num = sum_systems(cf.u_factor(), cf.m_factor() @ qss)
+    den = sum_systems(cf.v_factor(), cf.n_factor() @ qss)
     dinv = np.linalg.inv(den.d)
     den_inv = StateSpace(den.a - den.b @ dinv @ den.c, den.b @ dinv, -dinv @ den.c, dinv)
     return num @ den_inv
@@ -322,7 +350,8 @@ def scalar_demo_loop():
         [[1.0]], np.ones((1, 2)), np.ones((2, 1)), np.zeros((2, 2))
     )
     mp = ModifiedPlant(full, in_exo=1, in_ctrl=1, out_perf=1, out_meas=1)
-    gains = GainPair(f=np.array([[-2.0]]), l=np.array([[-2.0]]))
+    core = np.array([-1.0 + 0.0j])
+    gains = GainPair(f=np.array([[-2.0]]), l=np.array([[-2.0]]), f_poles=core, l_poles=core)
     return mp, coprime_factorization(mp, gains)
 
 
@@ -331,7 +360,7 @@ def triple_problem(t0, t1, t2, grid, cd=None):
 
     The generator's states are [t0, t1, t2], so those before the split
     carry t1 (t0's states are unreachable from the parameter port) and
-    those after it are exactly t2's.
+    those after it are exactly t2's.  Its poles are the three spectra.
     """
     from coherentctl.h2_synthesis import SynthesisProblem
 
@@ -344,6 +373,7 @@ def triple_problem(t0, t1, t2, grid, cd=None):
         parameter_shape=(t1.n_inputs, t2.n_outputs),
         split=t0.n_states + t1.n_states,
         grid=grid,
+        poles=np.concatenate([np.linalg.eigvals(t.a) for t in (t0, t1, t2)]),
         cd=cd,
     )
 
@@ -363,9 +393,8 @@ def matched_target_problem():
     from coherentctl.statespace import log_grid
     from coherentctl.youla_constraint import YoulaParameter
 
-    t = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
-    bold_t1 = t * 0.7
-    bold_t2 = t * 0.7
+    bold_t1 = StateSpace([[-1.0]], [[1.0]], [[0.7]], [[0.0]])
+    bold_t2 = bold_t1
     q_target = YoulaParameter(
         1.0,
         np.array([[[0.3 + 0.0j]], [[0.5 - 0.2j]], [[-0.2 + 0.1j]]]),

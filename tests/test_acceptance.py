@@ -25,11 +25,8 @@ from coherentctl.h2_synthesis import (
 )
 from coherentctl.norms import (
     _imaginary_crossings,
-    h2_norm_sq,
-    hinf_norm,
     peak_frobenius,
     sigma_max_profile,
-    spectral_abscissa,
 )
 from coherentctl.physreal import slh_to_statespace
 from coherentctl.stabilization import (
@@ -63,6 +60,8 @@ from conftest import (
     coupled_cavity_loop,
     exact_cavity_parameter,
     h2_norm_sq_quadrature,
+    h2_of,
+    hinf_of,
     j_unitarity_residual,
     lowpass_weight,
     make_rng,
@@ -71,6 +70,7 @@ from conftest import (
     random_complex,
     random_slh,
     random_statespace,
+    sum_systems,
     triple_problem,
 )
 
@@ -229,7 +229,7 @@ def test_a04_affine_loop_matches_lft(monkeypatch):
 
         gap = np.abs(affine.response(grid) - loop.response(grid)).max()
         assert gap < 1e-7
-        assert spectral_abscissa(loop.a) < -1e-9
+        assert np.linalg.eigvals(loop.a).real.max() < -1e-9
 
 
 def test_a05_feasibility_equivalence(monkeypatch):
@@ -318,7 +318,7 @@ def test_a06_h2_norm_oracles():
     """Squared H2 norm: exact 0.5 on the unit lowpass, and Gram-based
     vs quadrature evaluation agree on 100 random models."""
     lowpass = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
-    assert abs(h2_norm_sq(lowpass) - 0.5) < 1e-10
+    assert abs(h2_of(lowpass) - 0.5) < 1e-10
     assert abs(h2_norm_sq_quadrature(lowpass) - 0.5) < 1e-4
 
     for seed in range(100):
@@ -327,7 +327,7 @@ def test_a06_h2_norm_oracles():
         p = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         sys = strictly_proper(random_statespace(rng, n, p, m, stable=True))
-        exact = h2_norm_sq(sys)
+        exact = h2_of(sys)
         approx = h2_norm_sq_quadrature(sys)
         assert abs(exact - approx) / exact < 1e-3
 
@@ -341,7 +341,7 @@ def test_a07_gradient_matches_finite_differences():
         shape = sp.parameter_shape
         rng = make_rng(7500 + pseed)
         q = YoulaParameter(1.0, random_complex(rng, (3,) + shape, scale=0.5))
-        t_q = sp.bold_t0 + sp.bold_t1 @ q.to_statespace() @ sp.bold_t2
+        t_q = sum_systems(sp.bold_t0, sp.bold_t1 @ q.to_statespace() @ sp.bold_t2)
 
         for dseed in range(20):
             drng = make_rng(7900 + 100 * pseed + dseed)
@@ -356,7 +356,7 @@ def test_a07_gradient_matches_finite_differences():
             # polarizing the Gram-based squared norm
             t_delta = sp.bold_t1 @ delta.to_statespace() @ sp.bold_t2
             pairing = 0.5 * (
-                h2_norm_sq(t_q + t_delta) - h2_norm_sq(t_q + (-t_delta))
+                h2_of(sum_systems(t_q, t_delta)) - h2_of(sum_systems(t_q, -t_delta))
             )
             assert fd == pytest.approx(pairing, rel=1e-4)
 
@@ -489,7 +489,7 @@ def test_a10_hinf_certification():
     returned value passes the eigenvalue test and dominates a dense
     two-sided grid maximum."""
     allpass = StateSpace([[-1.0]], [[1.0]], [[-2.0]], [[1.0]])
-    norm, _ = hinf_norm(allpass)
+    norm, _ = hinf_of(allpass)
     assert abs(norm - 1.0) <= 1e-5
 
     half = log_grid(1e-3, 1e3, 401)
@@ -500,7 +500,7 @@ def test_a10_hinf_certification():
         p = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))
         sys = random_statespace(rng, n, p, m, stable=True)
-        value, _ = hinf_norm(sys)
+        value, _ = hinf_of(sys)
         grid_max = float(sigma_max_profile(sys, dense).max())
         assert value >= grid_max
         assert _imaginary_crossings(sys, value) is None

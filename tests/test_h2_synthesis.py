@@ -1,7 +1,16 @@
 """Weighted quadratic cost, its sampled gradient, and projected descent."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from coherentctl import h2_synthesis
+from coherentctl.cli import main
+from coherentctl.norms import is_certified_stable
+from coherentctl.physreal import SlhModel, slh_to_statespace
+from coherentctl.problemfile import load_problem_file
 
 from coherentctl.errors import (
     DegenerateWeights,
@@ -23,10 +32,10 @@ from coherentctl.h2_synthesis import (
     gradient,
     validate_result,
 )
-from coherentctl.norms import h2_norm_sq
 from coherentctl.stabilization import (
     GainPair,
     ModifiedPlant,
+    modify_plant,
     closed_loop_triple,
     coprime_factorization,
     controller_from_parameter,
@@ -51,6 +60,7 @@ from conftest import (
     exact_cavity_parameter,
     freq_response,
     h2_norm_sq_quadrature,
+    h2_of,
     lowpass_weight,
     make_rng,
     matched_target_problem,
@@ -216,7 +226,7 @@ class TestAssembleProblem:
         assert np.abs(sp.bold_t2.d).max() > 0.4
         q = random_parameter(3, order=2, scale=0.3)
         k = controller_from_parameter(cf, q)
-        direct = h2_norm_sq(w_out @ compose_lft(mp.full, k, n_meas=1, n_ctrl=1))
+        direct = h2_of(w_out @ compose_lft(mp.full, k, n_meas=1, n_ctrl=1))
         assert cost(sp, q) == pytest.approx(direct, rel=1e-9)
 
     def test_non_square_output_weight_feedthrough_rejected(self):
@@ -310,7 +320,7 @@ class TestCost:
         sp = cavity_problem()
         q = exact_cavity_parameter(2)
         w = blockdiag_systems([lowpass_weight(0.7, 10.0)] * 2)
-        direct = h2_norm_sq(
+        direct = h2_of(
             w
             @ compose_lft(
                 sp.mp.full,
@@ -325,7 +335,7 @@ class TestCost:
     def test_zero_parameter_cost_is_constant_term_norm(self):
         sp = scalar_problem()
         q = YoulaParameter.zero((1, 1), order=2)
-        assert cost(sp, q) == pytest.approx(h2_norm_sq(sp.bold_t0), rel=1e-12)
+        assert cost(sp, q) == pytest.approx(h2_of(sp.bold_t0), rel=1e-12)
 
     def test_quadrature_expansion_agrees(self):
         sp = scalar_problem()
@@ -582,3 +592,65 @@ class TestValidateResult:
         # the loop itself is still stable: zero parameter is the central
         # controller, which for this stable plant is the open loop
         assert verdict.closed_loop_stable
+
+
+PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
+
+
+def decode_statespace(block):
+    """A model from a bundle's ``{"a", "b", "c", "d"}`` block of [re, im] entries."""
+    def matrix(rows):
+        arr = np.asarray(rows, dtype=float)
+        return arr[..., 0] + 1j * arr[..., 1]
+
+    return StateSpace(*(matrix(block[key]) for key in "abcd"))
+
+
+class TestOneSpectrumPerLoop:
+    """The loop's poles are read from its parts; the stable flag is certified."""
+
+    @pytest.fixture
+    def mixing(self, monkeypatch, tmp_path, capsys):
+        """Run synthesize-h2 on a mixing document; return (bundle, document path)."""
+        monkeypatch.syspath_prepend(str(PIPEBENCH))
+        from workloads import mixing_weight_document
+
+        def run(order, points):
+            doc = tmp_path / f"mixing-{order}-{points}.json"
+            doc.write_text(json.dumps(mixing_weight_document(order, points)))
+            main(["synthesize-h2", str(doc), "--out", str(tmp_path / "out"), "--json"])
+            return json.loads(capsys.readouterr().out), doc
+
+        return run
+
+    def test_eigen_solves_do_not_grow_with_cost_calls(self, mixing, decompositions, monkeypatch):
+        calls = []
+        norm = h2_synthesis.h2_norm_sq
+        monkeypatch.setattr(
+            h2_synthesis, "h2_norm_sq", lambda *args: calls.append(1) or norm(*args)
+        )
+        mixing(4, 17)
+        # the plant and the two weights
+        assert len(calls) > 10 and decompositions["eigvals"] <= 3
+
+    @pytest.mark.parametrize("case", [(4, 17), (8, 33)])
+    def test_mixing_abscissa_is_exact(self, mixing, case):
+        # A + B2 F = A + L C2 = A at -1.5 and the chain's Jordan block at
+        # -1, which eigvals of the assembled loop split by eps^(1/k)
+        bundle, _ = mixing(*case)
+        assert bundle["verdicts"]["closed_loop_abscissa"] == -1.0
+        assert bundle["verdicts"]["closed_loop_stable"] is True
+
+    def test_certificate_ignores_the_controller_basis(self, mixing):
+        bundle, doc = mixing(8, 33)
+        prob = load_problem_file(str(doc))
+        mp = modify_plant(slh_to_statespace(SlhModel(**prob.slh)), prob.partition)
+        k = decode_statespace(bundle["controller"])
+        rng = make_rng(33)
+        n = k.n_states
+        unitary, _ = np.linalg.qr(random_complex(rng, (n, n)))
+        for s in (np.eye(n), unitary, random_complex(rng, (n, n))):
+            s_inv = np.linalg.inv(s)
+            rebased = StateSpace(s @ k.a @ s_inv, s @ k.b, k.c @ s_inv, k.d)
+            loop = compose_lft(mp.full, rebased, n_meas=mp.out_meas, n_ctrl=mp.in_ctrl)
+            assert is_certified_stable(loop.a, 1e-9)

@@ -1,8 +1,12 @@
 """Worst-case-gain evaluation of the weighted closed loop."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from coherentctl import norms
+from coherentctl.cli import main
 from coherentctl.errors import DimensionMismatch, NotStable
 from coherentctl.h2_synthesis import evaluation_problem
 from coherentctl.hinf_eval import HinfReport, hinf_cost
@@ -19,6 +23,7 @@ from conftest import (
     lowpass_weight,
     make_rng,
     random_statespace,
+    sum_systems,
     triple_problem,
     zero_system,
 )
@@ -96,7 +101,7 @@ class TestHinfCost:
         q = YoulaParameter.zero((1, 1), order=1)
         n1 = hinf_cost(fixed_loop_problem(s1), q).norm
         n2 = hinf_cost(fixed_loop_problem(s2), q).norm
-        n12 = hinf_cost(fixed_loop_problem(s1 + s2), q).norm
+        n12 = hinf_cost(fixed_loop_problem(sum_systems(s1, s2)), q).norm
         assert n12 <= n1 + n2 + 1e-8
 
     def test_unstable_loop_rejected(self):
@@ -176,3 +181,23 @@ class TestHinfReport:
         sp = fixed_loop_problem(sys, grid=log_grid(1e-2, 1e2, 101))
         report = hinf_cost(sp, YoulaParameter.zero((1, 1), order=1))
         assert report.norm >= report.grid_profile[:, 1].max()
+
+
+def test_eval_hinf_takes_one_eigen_solve_besides_level_tests(
+    decompositions, monkeypatch, tmp_path
+):
+    # the plant's spectrum serves the gains, the factor check and the
+    # norm's stability test and start set; only level tests add solves
+    crossings = norms._imaginary_crossings
+
+    def uncounted(sys, gamma):
+        before = decompositions["eigvals"]
+        try:
+            return crossings(sys, gamma)
+        finally:
+            decompositions["eigvals"] = before
+
+    monkeypatch.setattr(norms, "_imaginary_crossings", uncounted)
+    fixture = Path(__file__).parent / "fixtures" / "allpass_hinf.json"
+    assert main(["eval-hinf", str(fixture), "--out", str(tmp_path / "profile.csv")]) == 0
+    assert decompositions["eigvals"] == 1

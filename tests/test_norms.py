@@ -6,31 +6,32 @@ import pytest
 from coherentctl import norms
 from coherentctl.errors import NotStable, NotStrictlyProper
 from coherentctl.norms import (
-    h2_norm_sq,
     hinf_norm,
+    is_certified_stable,
     is_hurwitz,
     is_spectrally_generic,
     sigma_max_profile,
-    spectral_abscissa,
 )
 from coherentctl.statespace import StateSpace, log_grid, static_gain
 
-from conftest import h2_norm_sq_quadrature, make_rng, random_statespace
+from conftest import h2_norm_sq_quadrature, h2_of, hinf_of, make_rng, random_statespace
 
 
 def first_order(pole, gain=1.0):
     return StateSpace([[pole]], [[1.0]], [[gain]], [[0.0]])
 
 
-class TestStabilityPredicates:
-    def test_spectral_abscissa(self):
-        assert spectral_abscissa(np.diag([-3.0, -1.0 + 2.0j])) == pytest.approx(-1.0)
-        assert spectral_abscissa(static_gain(np.eye(1)).a) == -np.inf
+def rebased(a, rng):
+    """``S A S^-1`` for a random complex (non-unitary) S."""
+    s = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+    return s @ a @ np.linalg.inv(s)
 
+
+class TestStabilityPredicates:
     def test_is_hurwitz(self):
-        assert is_hurwitz(np.diag([-1.0, -0.5]))
-        assert not is_hurwitz(np.diag([-1.0, 1e-12]), margin=1e-9)
-        assert is_hurwitz(np.zeros((0, 0)))  # static: vacuously stable
+        assert is_hurwitz(np.array([-1.0, -0.5]))
+        assert not is_hurwitz(np.array([-1.0, 1e-12]), margin=1e-9)
+        assert is_hurwitz(np.zeros(0))  # static: vacuously stable
 
     def test_spectral_genericity(self):
         assert is_spectrally_generic(np.array([-1.0, -2.0]))
@@ -41,15 +42,40 @@ class TestStabilityPredicates:
         assert is_spectrally_generic(np.zeros(0))
 
 
+class TestInertiaCertificate:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_defective_cluster_certifies_in_any_basis(self, seed):
+        # eigvals splits an order-8 Jordan block by about eps^(1/8); the
+        # certificate reads no eigenvalue
+        jordan = -np.eye(8) + np.diag(np.ones(7), 1)
+        assert is_certified_stable(rebased(jordan, make_rng(seed)), 1e-9)
+
+    def test_unstable_mode_is_rejected(self):
+        a = rebased(np.diag([-1.0, -2.0, 1e-6]), make_rng(5))
+        assert not is_certified_stable(a, 0.0)
+
+    def test_mode_inside_the_margin_is_rejected(self):
+        a = np.diag([-1.0, -1e-10])
+        assert is_certified_stable(a, 0.0)
+        assert not is_certified_stable(a, 1e-9)
+
+    @pytest.mark.parametrize("mode", [0.0, 2.0j])
+    def test_axis_mode_is_false_not_an_error(self, mode):
+        assert is_certified_stable(np.diag([-1.0, mode]), 0.0) is False
+
+    def test_static_model_is_stable(self):
+        assert is_certified_stable(np.zeros((0, 0)), 1e-9)
+
+
 class TestH2:
     def test_first_order_exact(self):
-        assert h2_norm_sq(first_order(-1.0)) == pytest.approx(0.5, abs=1e-12)
+        assert h2_of(first_order(-1.0)) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("a,c", [(0.5, 1.0), (2.0, 3.0), (10.0, 0.2)])
     def test_scaled_first_order(self, a, c):
         # ||c/(s+a)||_2^2 = c^2 / (2a)
         sys = StateSpace([[-a]], [[1.0]], [[c]], [[0.0]])
-        assert h2_norm_sq(sys) == pytest.approx(c * c / (2 * a), rel=1e-12)
+        assert h2_of(sys) == pytest.approx(c * c / (2 * a), rel=1e-12)
 
     def test_quadrature_agrees_scalar(self):
         sys = first_order(-1.0)
@@ -61,7 +87,7 @@ class TestH2:
         rng = make_rng(seed)
         sys = random_statespace(rng, 4, 2, 3)
         sys = StateSpace(sys.a, sys.b, sys.c, np.zeros_like(sys.d))
-        exact = h2_norm_sq(sys)
+        exact = h2_of(sys)
         quad = h2_norm_sq_quadrature(sys)
         assert abs(quad - exact) / exact < 1e-3
 
@@ -70,28 +96,28 @@ class TestH2:
         h = first_order(-2.0, gain=2.0)
         from coherentctl.statespace import blockdiag_systems
 
-        assert h2_norm_sq(blockdiag_systems([g, h])) == pytest.approx(
-            h2_norm_sq(g) + h2_norm_sq(h), rel=1e-12
+        assert h2_of(blockdiag_systems([g, h])) == pytest.approx(
+            h2_of(g) + h2_of(h), rel=1e-12
         )
 
     def test_rejects_unstable(self):
         with pytest.raises(NotStable):
-            h2_norm_sq(first_order(1.0))
+            h2_of(first_order(1.0))
 
     def test_rejects_feedthrough(self):
         with pytest.raises(NotStrictlyProper):
-            h2_norm_sq(StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.1]]))
+            h2_of(StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.1]]))
 
 
 class TestHinf:
     def test_allpass_is_one(self):
         g = StateSpace([[-1.0]], [[1.0]], [[-2.0]], [[1.0]])  # (s-1)/(s+1)
-        val, _ = hinf_norm(g)
+        val, _ = hinf_of(g)
         assert val == pytest.approx(1.0, abs=1e-5)
 
     def test_first_order_peak_at_zero(self):
         g = first_order(-1.0, gain=2.0)
-        val, peak = hinf_norm(g)
+        val, peak = hinf_of(g)
         assert val == pytest.approx(2.0, abs=2e-5)
         assert abs(peak) < 1e-6
 
@@ -100,21 +126,29 @@ class TestHinf:
         zeta = 0.05
         a = np.array([[0.0, 1.0], [-1.0, -2.0 * zeta]])
         sys = StateSpace(a, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
-        val, peak = hinf_norm(sys, rel_tol=1e-8)
+        val, peak = hinf_of(sys, rel_tol=1e-8)
         expected = 1.0 / (2 * zeta * np.sqrt(1 - zeta**2))
         assert val == pytest.approx(expected, rel=1e-6)
         assert abs(peak) == pytest.approx(np.sqrt(1 - 2 * zeta**2), rel=1e-4)
 
-    def test_one_eigen_solve_of_a(self, monkeypatch):
-        # the stability test and the start frequencies share A's spectrum;
-        # every other eigen solve is a level test on a 2n-state matrix
+    def test_no_eigen_solve_of_a(self, monkeypatch):
+        # the stability test and the start frequencies read the spectrum
+        # passed in; every eigen solve is a level test on a 2n-state matrix
         sys = random_statespace(make_rng(3), 4, 2, 2)
-        sizes, eigvals = [], np.linalg.eigvals
+        poles, sizes, eigvals = np.linalg.eigvals(sys.a), [], np.linalg.eigvals
         monkeypatch.setattr(
             np.linalg, "eigvals", lambda m: sizes.append(m.shape[0]) or eigvals(m)
         )
-        hinf_norm(sys)
-        assert sizes.count(4) == 1 and set(sizes) == {4, 8}
+        hinf_norm(sys, poles)
+        assert sizes and set(sizes) == {8}
+
+    def test_peak_at_zero_is_not_negative_zero(self):
+        # a conjugated real pole has imaginary part -0, which np.unique
+        # would keep over +0 in this start set and print as "-0"
+        poles = np.array([-2.0, -1.0 + 1.0j, -1.0 - 1.0j]).conj()
+        sys = StateSpace(np.diag(poles), [[1.0], [0.0], [0.0]], [[2.0, 1.0, 1.0]], [[0.0]])
+        _, peak = hinf_norm(sys, poles)
+        assert peak == 0.0 and not np.signbit(peak)
 
     @staticmethod
     def count_level_tests(monkeypatch):
@@ -133,7 +167,7 @@ class TestHinf:
         a = np.array([[0.0, 1.0], [-1.0, -2.0 * zeta]])
         sys = StateSpace(a, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
         levels = self.count_level_tests(monkeypatch)
-        val, _ = hinf_norm(sys, rel_tol=1e-8)
+        val, _ = hinf_of(sys, rel_tol=1e-8)
         assert val == pytest.approx(1.0 / (2 * zeta * np.sqrt(1 - zeta**2)), rel=1e-8)
         assert len(levels) <= 3
 
@@ -144,7 +178,7 @@ class TestHinf:
         # past the peak near omega = 0.68
         sys = StateSpace([[-0.5]], [[1.0]], [[np.exp(2.2j)]], [[3.0]])
         levels = self.count_level_tests(monkeypatch)
-        val, peak = hinf_norm(sys)
+        val, peak = hinf_of(sys)
         local = np.linspace(0.0, 2.0, 20001)
         prof = sigma_max_profile(sys, local)
         assert prof.max() <= val <= prof.max() * (1.0 + 1e-6)
@@ -155,17 +189,17 @@ class TestHinf:
         # G(s) = 2 - 1/(s+1): sigma^2 = 4 - 3/(1 + w^2) approaches 2 only
         # as w -> infinity, which the pole frequencies alone do not see
         sys = StateSpace([[-1.0]], [[1.0]], [[-1.0]], [[2.0]])
-        val, peak = hinf_norm(sys)
+        val, peak = hinf_of(sys)
         assert 2.0 <= val <= 2.0 * (1.0 + 1e-6)
         at_peak = np.linalg.svd(sys.response([peak]), compute_uv=False)[0, 0]
         assert at_peak >= val * (1.0 - 1e-3)
 
     def test_zero_output_certifies_a_tiny_level(self):
-        val, _ = hinf_norm(StateSpace([[-1.0]], [[1.0]], [[0.0]], [[0.0]]))
+        val, _ = hinf_of(StateSpace([[-1.0]], [[1.0]], [[0.0]], [[0.0]]))
         assert 0.0 < val <= 1e-149
 
     def test_static(self):
-        val, peak = hinf_norm(static_gain([[3.0, 0.0], [0.0, 1.0]]))
+        val, peak = hinf_of(static_gain([[3.0, 0.0], [0.0, 1.0]]))
         assert val == pytest.approx(3.0)
 
     def test_unbracketed_norm_is_not_certified(self, monkeypatch):
@@ -177,18 +211,18 @@ class TestHinf:
         monkeypatch.setattr(norms, "_default_hinf_grid", lambda _: np.array([0.0, 10.0]))
         monkeypatch.setattr(norms, "HINF_MAX_LEVEL_TESTS", 3)
         with pytest.raises(NotStable, match="no certified upper bound"):
-            hinf_norm(sys)
+            hinf_of(sys)
 
     def test_bracket_past_float_range_is_not_stable(self):
         # |G(0)| = 1e300: doubling the bracket would overflow its square
         with pytest.raises(NotStable, match="no certified upper bound"):
-            hinf_norm(first_order(-1e-300))
+            hinf_of(first_order(-1e-300))
 
     @pytest.mark.parametrize("seed", list(range(6)))
     def test_dominates_grid_and_close_to_refined(self, seed):
         rng = make_rng(100 + seed)
         sys = random_statespace(rng, 5, 2, 2)
-        val, peak = hinf_norm(sys, rel_tol=1e-7)
+        val, peak = hinf_of(sys, rel_tol=1e-7)
         grid = log_grid(1e-3, 1e3, 241)
         grid = np.unique(np.concatenate([-grid[::-1], [0.0], grid]))
         prof = sigma_max_profile(sys, grid)

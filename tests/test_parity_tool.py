@@ -71,3 +71,9 @@ def test_unstable_network_is_among_the_documents(parity, tmp_path):
     (tmp_path / "again").mkdir()
     _, again = parity.unstable_network_doc(str(tmp_path / "again"))
     assert Path(again).read_text() == Path(path).read_text()
+    # closed-loop and eval-hinf take a parameter on it, so the oracle
+    # covers loops whose gains moved modes
+    keys = {key for key, _ in parity.cases([], (name, path))}
+    for run in ("eval-hinf", "closed-loop"):
+        for flag in ("", " --json"):
+            assert f"{run} {name} --q-from {parity.UNSTABLE_Q}{flag}" in keys

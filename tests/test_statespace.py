@@ -195,29 +195,16 @@ class TestAlgebra:
         assert freq_response(gg, 0.0)[0, 0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_add_sub_neg_scalar(self, seed):
-        rng = make_rng(seed)
-        g = random_statespace(rng, 3, 2, 2)
-        h = random_statespace(rng, 2, 2, 2)
+    def test_neg_negates_response(self, seed):
+        g = random_statespace(make_rng(seed), 3, 2, 2)
         for w in (0.0, 1.7):
-            np.testing.assert_allclose(
-                freq_response(g + h, w), freq_response(g, w) + freq_response(h, w), atol=1e-12
-            )
-            np.testing.assert_allclose(
-                freq_response(g - h, w), freq_response(g, w) - freq_response(h, w), atol=1e-12
-            )
             np.testing.assert_allclose(freq_response(-g, w), -freq_response(g, w))
-            np.testing.assert_allclose(
-                freq_response((2.0 - 1.0j) * g, w), (2.0 - 1.0j) * freq_response(g, w)
-            )
 
     def test_dimension_mismatch(self):
         g = random_statespace(make_rng(0), 2, 2, 3)
         h = random_statespace(make_rng(1), 2, 2, 3)
         with pytest.raises(DimensionMismatch):
             g @ h
-        with pytest.raises(DimensionMismatch):
-            g + random_statespace(make_rng(2), 2, 3, 3)
 
     def test_stacking(self):
         rng = make_rng(5)

@@ -44,6 +44,7 @@ from conftest import (
     make_rng,
     random_complex,
     random_statespace,
+    sum_systems,
 )
 
 J2 = signature_matrix(1)
@@ -61,7 +62,11 @@ def trivial_cf():
         out_perf=2,
         out_meas=2,
     )
-    gains = GainPair(f=np.zeros((2, 0), dtype=complex), l=np.zeros((0, 2), dtype=complex))
+    none = np.zeros(0, dtype=complex)
+    gains = GainPair(
+        f=np.zeros((2, 0), dtype=complex), l=np.zeros((0, 2), dtype=complex),
+        f_poles=none, l_poles=none,
+    )
     return coprime_factorization(mp, gains)
 
 
@@ -74,8 +79,10 @@ def scalar_demo_cf():
         out_perf=1,
         out_meas=1,
     )
+    core = np.array([-1.0 + 0.0j])
     gains = GainPair(
-        f=np.array([[-2.0]], dtype=complex), l=np.array([[-2.0]], dtype=complex)
+        f=np.array([[-2.0]], dtype=complex), l=np.array([[-2.0]], dtype=complex),
+        f_poles=core, l_poles=core,
     )
     return coprime_factorization(mp, gains)
 
@@ -94,7 +101,9 @@ def doubled_demo_cf():
         out_perf=2,
         out_meas=2,
     )
-    return coprime_factorization(mp, GainPair(f=-2.0 * eye, l=-2.0 * eye))
+    core = np.full(2, -1.0 + 0.0j)
+    gains = GainPair(f=-2.0 * eye, l=-2.0 * eye, f_poles=core, l_poles=core)
+    return coprime_factorization(mp, gains)
 
 
 def random_doubled_cf(seed, n=3):
@@ -607,7 +616,7 @@ class TestUnitarityEquivalence:
         gap = k_w.conj().swapaxes(1, 2) @ j @ k_w - j
         r_k_norm = np.sqrt(np.sum(np.abs(gap) ** 2, axis=(1, 2))).max()
 
-        den = cf.v_factor() + cf.n_factor() @ q.to_statespace()
+        den = sum_systems(cf.v_factor(), cf.n_factor() @ q.to_statespace())
         den_w = den.response(grid)
         sig_hi = np.linalg.svd(den_w, compute_uv=False)[:, 0].max()
         sig_lo_inv = np.linalg.svd(

@@ -16,7 +16,8 @@ checkout's ``src``) and calls ``cli.main`` on
   ``pipebench/workloads.py``, with the four commands of the first item;
 - one seeded open-loop-unstable squeezing network of
   ``UNSTABLE_NETWORK`` modes and fields, drawn like the workloads'
-  active networks, with the same four commands: the workloads draw
+  active networks, with the same four commands and with ``eval-hinf``
+  and ``closed-loop`` taking ``--q-from UNSTABLE_Q``: the workloads draw
   stable plants only, so this is the case where the gains move modes;
 - every extra document DOC with the same four commands;
 
@@ -61,6 +62,8 @@ COMMANDS = ("check-pr", "factorize", "synthesize-h2", "eval-hinf")
 UNSTABLE_NETWORK = (16, 4)
 #: Draws allowed to find it.
 UNSTABLE_DRAWS = 100
+#: The fixture parameter ``eval-hinf`` and ``closed-loop`` take on it.
+UNSTABLE_Q = "q_zero_basis.json"
 #: Flag sets each command is also run with on every fixture.
 FIXTURE_FLAGS = (("--grid-points", "9"), ("--tol", "1e-3"))
 #: Changed number pairs printed per differing text.
@@ -114,27 +117,30 @@ def unstable_network_doc(work):
     return name, path
 
 
-def cases(docs):
+def cases(docs, unstable):
     """Yield (key, argv) pairs; ``<out>`` in argv is the case's output directory.
 
-    ``docs`` are the (name, path) pairs of the documents besides the fixtures.
+    ``docs`` are the (name, path) pairs of the documents besides the
+    fixtures and ``unstable`` that of the unstable network.
     """
     fixtures = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
     q_files = [f for f in fixtures if f.startswith("q_")]
-    docs = [(f, os.path.join(FIXTURES, f)) for f in fixtures] + list(docs)
+    docs = [(f, os.path.join(FIXTURES, f)) for f in fixtures] + list(docs) + [unstable]
     outputs = {"synthesize-h2": ["--out", "<out>/bundle"],
                "eval-hinf": ["--out", "<out>/profile.csv"]}
     for name, path in docs:
         runs = [(cmd, [cmd, path, *outputs.get(cmd, [])]) for cmd in COMMANDS]
+        q_here = [UNSTABLE_Q] if (name, path) == unstable else []
         if path.startswith(FIXTURES):
             for flags in FIXTURE_FLAGS:
                 runs += [(" ".join([cmd, *flags]), [cmd, path, *flags, *outputs.get(cmd, [])])
                          for cmd in COMMANDS]
-            for q in q_files:
-                q_arg = ["--q-from", os.path.join(FIXTURES, q)]
-                runs.append((f"eval-hinf --q-from {q}",
-                             ["eval-hinf", path, *q_arg, *outputs["eval-hinf"]]))
-                runs.append((f"closed-loop --q-from {q}", ["closed-loop", path, *q_arg]))
+            q_here = q_files
+        for q in q_here:
+            q_arg = ["--q-from", os.path.join(FIXTURES, q)]
+            runs.append((f"eval-hinf --q-from {q}",
+                         ["eval-hinf", path, *q_arg, *outputs["eval-hinf"]]))
+            runs.append((f"closed-loop --q-from {q}", ["closed-loop", path, *q_arg]))
         for label, argv in runs:
             cmd, *rest = label.split(" ", 1)
             for flag in ([], ["--json"]):
@@ -175,9 +181,10 @@ def run_case(cli, argv, work):
 def digest(src, extra_docs, out_path):
     cli = _load_cli(src)
     with tempfile.TemporaryDirectory() as work:
-        docs = pipebench_docs(work) + [unstable_network_doc(work)]
+        docs = pipebench_docs(work)
         docs += [(os.path.abspath(d), os.path.abspath(d)) for d in extra_docs]
-        records = {key: run_case(cli, argv, work) for key, argv in cases(docs)}
+        unstable = unstable_network_doc(work)
+        records = {key: run_case(cli, argv, work) for key, argv in cases(docs, unstable)}
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(records, handle, indent=1, sort_keys=True)
     print(f"{len(records)} cases written to {out_path}")
