@@ -2,28 +2,32 @@
 
 Evaluating a transfer matrix over a grid is the single hottest operation
 in the toolkit (every sampled residual and every descent iteration is
-one or more sweeps), so it gets a dedicated kernel with two paths,
-chosen by the size of the sweep.  Models that share their state matrix
-A are swept together: one resolvent solve (or one Schur form) per
-frequency serves all of their inputs.
+one or more sweeps), so it gets a dedicated kernel with three routes,
+chosen by the shape of A and the size of the sweep.  Models that share
+their state matrix A are swept together: one resolvent solve (or one
+triangular solve) per frequency serves all of their inputs.
 
 - **Batched LU** (small sweeps): one batched LAPACK solve of the full
   resolvent per block of frequencies, O(n^3) per frequency.  Blocking
   bounds the ``(n_omega, n, n)`` resolvent stack to ``SWEEP_BLOCK_BYTES``
   whatever the grid length; each frequency is still solved on its own,
   so the result does not depend on the block size.
+- **Triangular** (A upper triangular, ``n >= SCHUR_MIN_STATES``, any
+  grid length): per frequency a single triangular solve
+  ``(iw I - A) X = B``, O(n^2 m).  A model already in Schur coordinates,
+  such as the weighted loop that H-infinity evaluation samples many
+  times over, takes this route on every sweep.
 - **Schur-triangular** (``n >= SCHUR_MIN_STATES`` and
-  ``n * n_omega >= SCHUR_SWEEP_MIN``): one complex
-  Schur form ``A = Z T Z^H``, then per frequency a single triangular
-  solve ``(iw I - T) X = Z^H B``, O(n^2 m) (Laub 1981, IEEE TAC 26(2)).
-  Z is unitary, so the path is backward-stable; it forms no resolvent
-  stack.
+  ``n * n_omega >= SCHUR_SWEEP_MIN``): one complex Schur form
+  ``A = Z T Z^H``, then the triangular route on ``(T, Z^H B)`` and one
+  batched ``C Z X + D`` (Laub 1981, IEEE TAC 26(2)).  Z is unitary, so
+  the route is backward-stable; it forms no resolvent stack.
 
 The Schur form costs a few dense factorizations and every frequency a
-LAPACK call of its own, so small models and short grids stay on the
-batched path, where they are faster.  The descent sweeps of H2
-synthesis are all below the threshold too: they stay on the batched
-path's roundoff.
+LAPACK call of its own, so small models and short grids of a general A
+stay on the batched path, where they are faster.  The descent sweeps of
+H2 synthesis are all below ``SCHUR_MIN_STATES`` states: they stay on the
+batched path's roundoff.
 """
 
 import numpy as np
@@ -36,7 +40,8 @@ SWEEP_BLOCK_BYTES = 16 * 2**20
 #: Sweeps with ``n_states * n_omega`` at least this take the Schur path,
 SCHUR_SWEEP_MIN = 8000
 
-#: if the model has at least this many states.  Below it, the
+#: if the model has at least this many states; a triangular A takes the
+#: triangular route from this many on.  Below it, the
 #: per-frequency LAPACK call costs more than the batched solve saves:
 #: 4 states x 2000 points take 7.1 ms on the Schur path against 2.1 ms
 #: batched, 8 x 1000 take 3.4 against 2.7 ms, and 16 x 500 take 2.5
@@ -48,7 +53,7 @@ def freq_sweep(a, systems, omegas):
     """Sweep ``C (iw I - A)^-1 B + D`` for each ``(B, C, D)`` in ``systems``.
 
     Returns one (n_omega, p, m) array per system.  The systems share A,
-    and so one resolvent (or one Schur form) per frequency: their inputs
+    and so one resolvent (or triangular) solve per frequency: their inputs
     are solved for as one right-hand side, and each output map is applied
     to its own columns only, with the shapes a sweep of that system alone
     would use.  Raises ``np.linalg.LinAlgError`` when the resolvent is
@@ -57,11 +62,13 @@ def freq_sweep(a, systems, omegas):
     n = a.shape[0]
     if n == 0:
         return [np.broadcast_to(d, (omegas.size,) + d.shape).copy() for _, _, d in systems]
+    b = np.hstack([b for b, _, _ in systems])
+    if n >= SCHUR_MIN_STATES and not np.any(np.tril(a, -1)):
+        return _outputs(_triangular_sweep(a, b, omegas), systems)
     if n >= SCHUR_MIN_STATES and n * omegas.size >= SCHUR_SWEEP_MIN:
         return _schur_sweep(a, systems, omegas)
     out = [np.empty((omegas.size, c.shape[0], b.shape[1]), dtype=np.complex128)
            for b, c, _ in systems]
-    b = np.hstack([b for b, _, _ in systems])
     eye = np.eye(n, dtype=np.complex128)
     step = max(1, SWEEP_BLOCK_BYTES // (16 * n * n))
     for lo in range(0, omegas.size, step):
@@ -77,16 +84,21 @@ def freq_sweep(a, systems, omegas):
 def _schur_sweep(a, systems, omegas):
     t, z = sla.schur(a, output="complex")
     b_t = np.hstack([z.conj().T @ b for b, _, _ in systems])
+    return _outputs(_triangular_sweep(t, b_t, omegas), [(b, c @ z, d) for b, c, d in systems])
+
+
+def _triangular_sweep(t, b, omegas):
+    """``(iw I - T)^-1 B`` at each frequency for upper-triangular T: one ``ztrtrs`` each."""
     shifted = np.asfortranarray(-t)
     diag = np.diag(t)
-    on_diag = np.diag_indices(a.shape[0])
-    x = np.empty((omegas.size,) + b_t.shape, dtype=np.complex128)
+    on_diag = np.diag_indices(t.shape[0])
+    x = np.empty((omegas.size,) + b.shape, dtype=np.complex128)
     for k, w in enumerate(omegas):
         shifted[on_diag] = 1j * w - diag
-        x[k], info = lapack.ztrtrs(shifted, b_t)
+        x[k], info = lapack.ztrtrs(shifted, b)
         if info:
             raise np.linalg.LinAlgError(f"resolvent singular at omega={w!r}")
-    return _outputs(x, [(b, c @ z, d) for b, c, d in systems])
+    return x
 
 
 def _outputs(x, systems):

@@ -39,6 +39,7 @@ from .stabilization import (
     loop_abscissa,
     modify_plant,
     parameter_from_controller,
+    parameter_poles,
     controller_from_parameter,
     stabilizing_gains,
 )
@@ -167,17 +168,19 @@ def _youla_section_from(args, prob):
 
 
 def _parameter_for_evaluation(section, cf, width):
-    """A parameter for norm/loop evaluation; zero when none is given.
+    """A parameter for norm/loop evaluation and its poles; zero when none is given.
 
     ``from_controller`` realizations are inverted through the
-    factorization exactly; no basis fit is needed because evaluation
-    works on any stable realization.
+    factorization exactly, which gives their poles too; no basis fit is
+    needed because evaluation works on any stable realization.
     """
     if section is None:
-        return YoulaParameter.zero((width, width), order=0)
-    if section.from_controller is not None:
+        q = YoulaParameter.zero((width, width), order=0)
+    elif section.from_controller is not None:
         return parameter_from_controller(cf, section.from_controller)
-    return section.parameter((width, width))
+    else:
+        q = section.parameter((width, width))
+    return q, parameter_poles(q)
 
 
 # -- commands -----------------------------------------------------------------
@@ -333,7 +336,7 @@ def cmd_synthesize_h2(args):
     section = prob.youla
     fit_residual = None
     if section.from_controller is not None:
-        recovered = parameter_from_controller(cf, section.from_controller)
+        recovered, _ = parameter_from_controller(cf, section.from_controller)
         q0, fit_residual = pf.fit_parameter(
             recovered, sp.grid, section.basis_pole, section.order
         )
@@ -414,9 +417,11 @@ def cmd_eval_hinf(args):
         w_out=prob.w_out,
         grid=_weighted_grid(prob, args, "eval-hinf"),
     )
-    q = _parameter_for_evaluation(_youla_section_from(args, prob), cf, sp.parameter_shape[0])
+    q, q_poles = _parameter_for_evaluation(
+        _youla_section_from(args, prob), cf, sp.parameter_shape[0]
+    )
     rel_tol = HINF_REL_TOL if args.tol is None else args.tol
-    report = hinf_cost(sp, q, rel_tol=rel_tol)
+    report = hinf_cost(sp, q, rel_tol=rel_tol, q_poles=q_poles)
 
     profile_csv = _csv_text(("omega", "sigma_max"), report.rows())
     _write_text_atomic(args.out, profile_csv)
@@ -444,11 +449,11 @@ def cmd_closed_loop(args):
     section = _youla_section_from(args, prob)
     if section is None:
         raise ProblemFileError("", "closed-loop needs a parameter (youla section)")
-    q = _parameter_for_evaluation(section, cf, cf.ctrl)
+    q, q_poles = _parameter_for_evaluation(section, cf, cf.ctrl)
     controller = controller_from_parameter(cf, q)
     loop = compose_lft(mp.full, controller, n_meas=mp.out_meas, n_ctrl=mp.in_ctrl)
     # exact from the parts at structural order; the verdict is certified
-    abscissa = loop_abscissa(cf, q)
+    abscissa = loop_abscissa(cf, q_poles)
     stable = is_certified_stable(loop.a, 0.0)
 
     def human():

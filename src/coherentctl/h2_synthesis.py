@@ -124,9 +124,9 @@ class SynthesisProblem:
             )
         return compose_lft(self.generator, qss, n_meas=cols, n_ctrl=rows)
 
-    def loop_poles(self, q):
-        """The spectrum of :meth:`loop` at ``q``."""
-        return np.concatenate([self.poles, parameter_poles(q)])
+    def loop_poles(self, q_poles):
+        """The spectrum of :meth:`loop` at a parameter with spectrum ``q_poles``."""
+        return np.concatenate([self.poles, q_poles])
 
     @cached_property
     def hat_samples(self):
@@ -270,7 +270,7 @@ def cost(sp, q):
     Closes the weighted generator with ``q`` and solves one Lyapunov
     equation; exact up to linear-algebra roundoff.
     """
-    return h2_norm_sq(sp.loop(q), sp.loop_poles(q))
+    return h2_norm_sq(sp.loop(q), sp.loop_poles(parameter_poles(q)))
 
 
 def gradient(sp, q):
@@ -501,7 +501,7 @@ def validate_result(sp, q_final, tol=MEMBERSHIP_TOL):
             pass
         else:
             stable = is_certified_stable(loop.a, 1e-9)
-            abscissa = loop_abscissa(sp.cf, q_final)
+            abscissa = loop_abscissa(sp.cf, parameter_poles(q_final))
     return SynthesisVerdict(
         membership=verdict,
         closed_loop_stable=stable,

@@ -111,11 +111,15 @@ def _default_hinf_grid(eig):
 
     Zero, the imaginary parts of the eigenvalues (where resonant peaks
     sit) and +-1e3 * max(1, spectral radius), where a supremum that is
-    approached as omega -> infinity (feedthrough-dominated) shows.
+    approached as omega -> infinity (feedthrough-dominated) shows.  An
+    imaginary part at or below 1e-8 of the spectral radius, the level at
+    which :func:`_imaginary_crossings` calls an eigenvalue on the axis,
+    is a real pole's roundoff and reads as 0, so a peak there prints as 0.
     """
-    top = 1e3 * max(1.0, float(np.abs(eig).max(initial=0.0)))
-    # + 0.0 turns a -0 imaginary part into 0, so a peak there prints as 0
-    return np.unique(np.concatenate([[-top, 0.0, top], eig.imag + 0.0]))
+    radius = float(np.abs(eig).max(initial=0.0))
+    top = 1e3 * max(1.0, radius)
+    imag = np.where(np.abs(eig.imag) <= 1e-8 * radius, 0.0, eig.imag)
+    return np.unique(np.concatenate([[-top, 0.0, top], imag]))
 
 
 def _imaginary_crossings(sys, gamma):
@@ -147,6 +151,50 @@ def _imaginary_crossings(sys, gamma):
     return np.sort(eig[on_axis].imag)
 
 
+def _climb(sigma, omegas, values, rel_tol):
+    """Raise the best of the sorted samples to a local maximum of ``sigma``.
+
+    The search stays inside the best sample's bracket, its two
+    neighbours, which shrinks as samples are added.  Near a lightly
+    damped pole p, sigma^2 ~ r^2 / ((w - Im p)^2 + (Re p)^2), so
+    ``(best / sigma)^2`` is a parabola in w: each step samples the
+    vertex of the parabola through the best sample and its neighbours,
+    plus the midpoint of the wider side, so the bracket shrinks even
+    where the parabola fits badly.  It stops once the parabola predicts
+    a rise of at most ``rel_tol / 8`` of the best value and the last step
+    rose by no more, or when the best sample is an end of the samples.
+    Returns the best (value, omega).
+    """
+    k, rise = int(np.argmax(values)), 0.0
+    while 0 < k < omegas.size - 1:
+        (a, x, b), (fa, fx, fb) = omegas[k - 1 : k + 2], values[k - 1 : k + 2]
+        # g = (fx / f)^2 is 1 at x and above it at the neighbours: the
+        # parabola is convex, slope ``grad`` at x, and its minimum
+        # 1 - grad^2 / (4 curv) predicts a rise of about grad^2 / (8 curv).
+        # A neighbour at zero, or far below fx, overflows g; the vertex is
+        # then NaN and only the midpoint is sampled.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            left = (1.0 - (fx / fa) ** 2) / (x - a)
+            right = ((fx / fb) ** 2 - 1.0) / (b - x)
+            curv = (right - left) / (b - a)
+            grad = left + curv * (x - a)
+            vertex = x - grad / (2.0 * curv)
+        # no curvature to fit, or a small predicted rise the last step confirmed
+        if not curv > 0.0 or (grad * grad <= curv * rel_tol and rise <= rel_tol / 8.0):
+            break
+        new = np.array([vertex, 0.5 * (x + b) if b - x > x - a else 0.5 * (a + x)])
+        new = np.unique(new[(a < new) & (new < b) & (new != x)])
+        if not new.size:
+            break
+        omegas = np.concatenate([omegas, new])
+        values = np.concatenate([values, sigma(new)])
+        order = np.argsort(omegas, kind="stable")
+        omegas, values = omegas[order], values[order]
+        k = int(np.argmax(values))
+        rise = values[k] / fx - 1.0
+    return float(values[k]), float(omegas[k])
+
+
 def hinf_norm(sys, poles, rel_tol=HINF_REL_TOL):
     """Hinf norm ``sup_w sigma_max(G(iw))`` of a stable model.
 
@@ -161,11 +209,21 @@ def hinf_norm(sys, poles, rel_tol=HINF_REL_TOL):
     of :func:`_default_hinf_grid`, and at most ``HINF_MAX_LEVEL_TESTS``
     levels are tested.  ``poles``, A's spectrum, gives stability and starts.
 
+    Before each level test the best sample is refined to a local maximum
+    of sigma_max within its bracket, its neighbouring start frequencies
+    or candidates between adjacent crossings, by parabolic steps
+    (:func:`_climb`).  The test then usually finds no crossing at the
+    first level, so one or two eigenvalue solves certify the norm
+    (Benner and Mitchell 2018, SIAM J. Sci. Comput. 40(5)).  Every
+    sample is a sweep of ``sys``: a model in Schur coordinates costs one
+    triangular solve per frequency.
+
     Returns
     -------
     value : float
     peak_omega : float
-        The sampled frequency with the largest sigma_max.
+        The sampled frequency with the largest sigma_max: any frequency
+        that attains the norm within ``rel_tol``.
 
     Raises
     ------
@@ -175,10 +233,12 @@ def hinf_norm(sys, poles, rel_tol=HINF_REL_TOL):
     """
     if not is_hurwitz(poles, 0.0):
         raise NotStable("Hinf norm on the axis undefined for an unstable model")
+
+    def sigma(omegas):
+        return np.linalg.svd(sys.response(omegas), compute_uv=False)[:, 0]
+
     grid = _default_hinf_grid(poles)
-    prof = np.linalg.svd(sys.response(grid), compute_uv=False)[:, 0]
-    k0 = int(np.argmax(prof))
-    best, peak = float(prof[k0]), float(grid[k0])
+    best, peak = _climb(sigma, grid, sigma(grid), rel_tol)
     if sys.n_states == 0:
         return best, peak
 
@@ -200,10 +260,9 @@ def hinf_norm(sys, poles, rel_tol=HINF_REL_TOL):
             # side of zero, where a wide interval's peak sits low in log scale
             geo = np.sign(lo_w) * np.sqrt(np.maximum(lo_w * hi_w, 0.0))
             cand = np.unique(np.concatenate([crossings, 0.5 * (lo_w + hi_w), geo]))
-            cprof = np.linalg.svd(sys.response(cand), compute_uv=False)[:, 0]
-            k = int(np.argmax(cprof))
-            if cprof[k] > best:
-                best, peak = float(cprof[k]), float(cand[k])
+            value, omega = _climb(sigma, cand, sigma(cand), rel_tol)
+            if value > best:
+                best, peak = value, omega
         lo = max(level, best)
     raise NotStable(
         f"Hinf norm not bracketed: no certified upper bound up to {level:.3e} "

@@ -517,9 +517,13 @@ def parameter_poles(q):
     return np.full(q.order * q.shape[1], -q.basis_pole, dtype=np.complex128)
 
 
-def loop_abscissa(cf, q):
-    """Abscissa of the plant closed by ``q``'s controller: A + B2 F, A + L C2 and Q."""
-    poles = np.concatenate([cf.gains.f_poles, cf.gains.l_poles, parameter_poles(q)])
+def loop_abscissa(cf, q_poles):
+    """Abscissa of the plant closed by a parameter's controller: A + B2 F, A + L C2 and Q.
+
+    ``q_poles`` is the parameter's spectrum, from :func:`parameter_poles`
+    or :func:`parameter_from_controller`.
+    """
+    poles = np.concatenate([cf.gains.f_poles, cf.gains.l_poles, q_poles])
     return float(poles.real.max(initial=-np.inf))
 
 
@@ -586,7 +590,8 @@ def parameter_from_controller(cf, k):
         P_a = (A, [-L, B2], [-F; C2], [[0, I], [I, D22]])
 
     with A = A_F - B2 F and C2 = C_F - D22 F; the loop has the plant's
-    states plus K's.  Returns a minimal realization of Q.  Raises
+    states plus K's.  Returns a minimal realization of Q and its poles,
+    which the range test takes and the loop's stability reads.  Raises
     ``NotInYoulaRange`` when the resulting parameter is unstable (the
     controller is not a stabilizing one for this factorization) and
     ``FeedthroughSingular`` when ``M - K N`` is improper-invertible.
@@ -609,7 +614,7 @@ def parameter_from_controller(cf, k):
         raise NotInYoulaRange(
             f"recovered parameter unstable (abscissa {poles.real.max():.3e})"
         )
-    return q
+    return q, poles
 
 
 def closed_loop_triple(mp, cf):

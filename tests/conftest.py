@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from coherentctl import _accel
 from coherentctl.errors import DimensionMismatch, SingularResolvent
 from coherentctl.norms import h2_norm_sq, hinf_norm, peak_frobenius
 from coherentctl.physreal import SlhModel, slh_to_statespace
@@ -162,6 +163,25 @@ def decompositions(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     return counts
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts of triangular sweeps (any route) and of Schur factorizations in sweeps."""
+    calls = {"triangular": 0, "schur": 0}
+    triangular, schur = _accel._triangular_sweep, _accel._schur_sweep
+
+    def counted_triangular(*args):
+        calls["triangular"] += 1
+        return triangular(*args)
+
+    def counted_schur(*args):
+        calls["schur"] += 1
+        return schur(*args)
+
+    monkeypatch.setattr(_accel, "_triangular_sweep", counted_triangular)
+    monkeypatch.setattr(_accel, "_schur_sweep", counted_schur)
+    return calls
 
 
 def hstack_systems(systems):

@@ -270,7 +270,7 @@ def test_a05_feasibility_equivalence(monkeypatch):
                 ],
             ]
         )
-        q = parameter_from_controller(cf_cavity, static_gain(kmat))
+        q, _ = parameter_from_controller(cf_cavity, static_gain(kmat))
         instances.append((cf_cavity, cd_cavity, q))
 
     # clearly infeasible: random parameters on the cavity loop

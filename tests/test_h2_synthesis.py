@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coherentctl import h2_synthesis
+from coherentctl import _accel, h2_synthesis
 from coherentctl.cli import main
 from coherentctl.norms import is_certified_stable
 from coherentctl.physreal import SlhModel, slh_to_statespace
@@ -632,6 +632,19 @@ class TestOneSpectrumPerLoop:
         mixing(4, 17)
         # the plant and the two weights
         assert len(calls) > 10 and decompositions["eigvals"] <= 3
+
+    def test_descent_sweeps_make_no_triangular_solve(self, mixing, routes, monkeypatch):
+        # no swept A is triangular with SCHUR_MIN_STATES states or more, so
+        # every sweep keeps the batched path's roundoff, on which the
+        # benchmark's pinned descents depend
+        sweeps, freq_sweep = [], _accel.freq_sweep
+        monkeypatch.setattr(
+            _accel, "freq_sweep", lambda a, *rest: sweeps.append(a) or freq_sweep(a, *rest)
+        )
+        mixing(4, 17)
+        assert sweeps
+        assert all(len(a) < _accel.SCHUR_MIN_STATES or np.tril(a, -1).any() for a in sweeps)
+        assert routes == {"triangular": 0, "schur": 0}
 
     @pytest.mark.parametrize("case", [(4, 17), (8, 33)])
     def test_mixing_abscissa_is_exact(self, mixing, case):

@@ -1,5 +1,6 @@
 """Worst-case-gain evaluation of the weighted closed loop."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,10 @@ from coherentctl.cli import main
 from coherentctl.errors import DimensionMismatch, NotStable
 from coherentctl.h2_synthesis import evaluation_problem
 from coherentctl.hinf_eval import HinfReport, hinf_cost
+from coherentctl.norms import HINF_REL_TOL, sigma_max_profile
+from coherentctl.physreal import SlhModel, slh_to_statespace
+from coherentctl.problemfile import load_problem_file
+from coherentctl.stabilization import coprime_factorization, modify_plant, stabilizing_gains
 from coherentctl.statespace import (
     StateSpace,
     log_grid,
@@ -201,3 +206,45 @@ def test_eval_hinf_takes_one_eigen_solve_besides_level_tests(
     fixture = Path(__file__).parent / "fixtures" / "allpass_hinf.json"
     assert main(["eval-hinf", str(fixture), "--out", str(tmp_path / "profile.csv")]) == 0
     assert decompositions["eigvals"] == 1
+
+
+def test_realized_parameter_spectrum_is_solved_once(decompositions):
+    # parameter_from_controller hands the poles of its range test to the
+    # loop's abscissa: one solve for the plant's 2 states and one for Q's
+    # 2, where the abscissa used to solve Q's again
+    fixtures = Path(__file__).parent / "fixtures"
+    argv = ["closed-loop", str(fixtures / "allpass_hinf.json"),
+            "--q-from", str(fixtures / "q_from_controller.json")]
+    assert main(argv) == 0
+    assert decompositions["eigvals"] == 2
+
+
+PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_doubled_networks_certify_in_two_level_tests(seed, monkeypatch, tmp_path, capsys):
+    # the benchmark's doubled networks of 8, 16 and 32 states, passive
+    # and active: the refined peak leaves at most one failed level test
+    monkeypatch.syspath_prepend(str(PIPEBENCH))
+    from workloads import hinf_eval
+
+    levels, crossings = [], norms._imaginary_crossings
+    monkeypatch.setattr(
+        norms, "_imaginary_crossings", lambda sys, gamma: levels.append(gamma) or crossings(sys, gamma)
+    )
+    for op in hinf_eval(seed, str(tmp_path)):
+        levels.clear()
+        assert main(op.argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert 1 <= len(levels) <= 2
+        # the certificate holds for the loop in its own coordinates, and
+        # the peak frequency attains the norm within the tolerance
+        prob = load_problem_file(op.argv[1])
+        mp = modify_plant(slh_to_statespace(SlhModel(**prob.slh)), prob.partition)
+        sp = evaluation_problem(mp, coprime_factorization(mp, stabilizing_gains(mp)))
+        loop = sp.loop(YoulaParameter.zero(sp.parameter_shape, order=0))
+        norm = report["norm"]
+        assert crossings(loop, norm) is None
+        at_peak = sigma_max_profile(loop, [report["peak_omega"]])[0]
+        assert abs(norm - at_peak) <= HINF_REL_TOL * norm

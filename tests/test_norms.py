@@ -150,6 +150,22 @@ class TestHinf:
         _, peak = hinf_norm(sys, poles)
         assert peak == 0.0 and not np.signbit(peak)
 
+    def test_real_poles_in_a_rebased_model_peak_at_plus_zero(self):
+        # eigvals of S diag(-1, -2, -3) S^-1 carry roundoff imaginary parts;
+        # they are read as 0, so the peak of 1/(s+1) + 1/(s+2) + 1/(s+3)
+        # at omega = 0 is reported as exactly +0.0
+        rng = make_rng(8)
+        basis = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        sys = StateSpace(basis @ np.diag([-1.0, -2.0, -3.0]) @ np.linalg.inv(basis),
+                         basis @ np.ones((3, 1)), np.linalg.solve(basis.T, np.ones(3))[None, :],
+                         [[0.0]])
+        poles = np.linalg.eigvals(sys.a)
+        assert np.any(poles.imag != 0.0)
+        start = norms._default_hinf_grid(poles)
+        assert start.size == 3 and start[1] == 0.0
+        _, peak = hinf_norm(sys, poles)
+        assert peak == 0.0 and not np.signbit(peak)
+
     @staticmethod
     def count_level_tests(monkeypatch):
         levels = []
@@ -161,6 +177,27 @@ class TestHinf:
 
         monkeypatch.setattr(norms, "_imaginary_crossings", counted)
         return levels
+
+    def test_climb_stays_in_its_bracket(self):
+        # two resonances; the best start sample sits on the lower one, so
+        # the climb must reach that peak and not jump to the other
+        def sigma(w):
+            calls.append(w)
+            return 1.0 / np.hypot(w - 1.0, 0.01) + 2.0 / np.hypot(w - 5.0, 0.01)
+
+        calls = []
+        omegas = np.array([0.0, 1.003, 2.0, 4.0, 6.0])
+        value, omega = norms._climb(sigma, omegas, sigma(omegas), 1e-6)
+        peak = sigma(np.linspace(0.999, 1.001, 200001)).max()
+        assert peak * (1.0 - 1e-6) <= value <= peak * (1.0 + 1e-12)
+        assert abs(omega - 1.0) < 1e-3
+        assert 2 <= len(calls) <= 12
+
+    def test_climb_takes_no_sample_on_a_flat_profile(self):
+        # the first of equal samples is the best, and it is an end
+        omegas, calls = np.array([-1.0, 0.0, 1.0]), []
+        value, omega = norms._climb(calls.append, omegas, np.ones(3), 1e-6)
+        assert (value, omega, calls) == (1.0, -1.0, [])
 
     def test_resonant_peak_takes_few_level_tests(self, monkeypatch):
         zeta = 0.05
@@ -203,15 +240,22 @@ class TestHinf:
         assert val == pytest.approx(3.0)
 
     def test_unbracketed_norm_is_not_certified(self, monkeypatch):
-        # peak 1/(2 zeta) = 5e3, far above what three level tests from
-        # the two-point grid's maximum reach
+        # peak 1/(2 zeta) = 5e3; a crossing test that always reports the
+        # two-point grid as crossings never certifies a level, so the
+        # iteration runs out of level tests and must not return a bound
         zeta = 1e-4
         a = np.array([[0.0, 1.0], [-1.0, -2.0 * zeta]])
         sys = StateSpace(a, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        levels = []
         monkeypatch.setattr(norms, "_default_hinf_grid", lambda _: np.array([0.0, 10.0]))
+        monkeypatch.setattr(
+            norms, "_imaginary_crossings",
+            lambda _, gamma: levels.append(gamma) or np.array([0.0, 10.0]),
+        )
         monkeypatch.setattr(norms, "HINF_MAX_LEVEL_TESTS", 3)
         with pytest.raises(NotStable, match="no certified upper bound"):
             hinf_of(sys)
+        assert len(levels) == 3
 
     def test_bracket_past_float_range_is_not_stable(self):
         # |G(0)| = 1e300: doubling the bracket would overflow its square

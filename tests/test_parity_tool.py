@@ -60,6 +60,28 @@ def test_exit_code_change_counts_beyond_numbers(parity, tmp_path, capsys):
     assert "0 of 2 cases identical, 2 differ, 1 beyond their numbers" in capsys.readouterr().out
 
 
+def test_tally_per_command(parity, tmp_path, capsys):
+    a = write_digest(tmp_path / "a.json", {
+        "check-pr a.json": record("residual 1e-12 passed\n"),
+        "check-pr b.json": record("residual 1e-12 passed\n"),
+        "eval-hinf a.json --json": record("norm 0.5 at 1.25\n"),
+        "eval-hinf b.json --json": record("norm 0.5 at 1.25\n"),
+    })
+    b = write_digest(tmp_path / "b.json", {
+        "check-pr a.json": record("residual 1e-12 passed\n"),
+        "check-pr b.json": record("residual 1e-12 passed\n"),
+        "eval-hinf a.json --json": record("norm 0.50000001 at -1.25\n"),
+        "eval-hinf b.json --json": dict(record("norm 0.5 at 1.25\n"), code=1),
+    })
+    assert parity.compare(a, b) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "check-pr: 2 of 2 cases identical, 0 differ, 0 beyond their numbers",
+        "eval-hinf: 0 of 2 cases identical, 2 differ, 1 beyond their numbers",
+        "2 of 4 cases identical, 2 differ, 1 beyond their numbers",
+    ]
+
+
 def test_unstable_network_is_among_the_documents(parity, tmp_path):
     name, path = parity.unstable_network_doc(str(tmp_path))
     prob = load_problem_file(path)

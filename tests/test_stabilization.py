@@ -630,7 +630,7 @@ class TestParameterMaps:
     def test_parameter_round_trip_on_doubled_loops(self, case):
         _, cf = doubled_loop(case)
         q = random_parameter(cf, 7)
-        q2 = parameter_from_controller(cf, controller_from_parameter(cf, q))
+        q2, _ = parameter_from_controller(cf, controller_from_parameter(cf, q))
         assert q2.n_states == q.to_statespace().n_states
         grid = default_verification_grid()
         expected = q.to_statespace().response(grid)
@@ -641,13 +641,15 @@ class TestParameterMaps:
         rng = make_rng(5)
         q = random_statespace(rng, 2, 1, 1, stable=True)
         k = controller_from_parameter(cf, q)
-        q2 = parameter_from_controller(cf, k)
+        q2, poles = parameter_from_controller(cf, k)
         for w in (0.0, 0.31, 2.2, 9.0):
             np.testing.assert_allclose(_eval(q2, w), _eval(q, w), atol=1e-7)
+        # the poles of its range test are the recovered realization's
+        assert np.array_equal(poles, np.linalg.eigvals(q2.a))
 
     def test_central_controller_maps_to_zero(self):
         mp, cf = scalar_demo_factors()
-        q = parameter_from_controller(cf, central_controller(mp, cf))
+        q, _ = parameter_from_controller(cf, central_controller(mp, cf))
         grid = default_verification_grid()
         assert np.abs(q.response(grid)).max() < 1e-8
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from coherentctl import _accel
 from coherentctl.errors import (
@@ -163,6 +164,45 @@ class TestSweepPaths:
         assert not calls
         g.response(log_grid(1e-2, 1e2, 500))
         assert len(calls) == 1
+
+
+def schur_model(g):
+    """``g`` in complex Schur coordinates: ``(T, Z* B, C Z, D)`` with ``A = Z T Z*``."""
+    t, z = sla.schur(g.a, output="complex")
+    return StateSpace(t, z.conj().T @ g.b, g.c @ z, g.d)
+
+
+class TestTriangularRoute:
+    """A model already in Schur coordinates is swept by triangular solves alone."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_schur_model_matches_batched_path(self, routes, n):
+        g = random_statespace(make_rng([31, n]), n, 3, 2)
+        grid = np.concatenate([[0.0], GRID, -GRID])
+        assert n * grid.size < _accel.SCHUR_SWEEP_MIN
+        batched = g.response(grid)
+        assert routes == {"triangular": 0, "schur": 0}
+        swept = schur_model(g).response(grid)
+        assert routes == {"triangular": 1, "schur": 0}
+        assert np.abs(swept - batched).max() <= 1e-12 * np.abs(batched).max()
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_general_model_on_short_grid_stays_batched(self, routes, n):
+        g = random_statespace(make_rng([37, n]), n, 2, 2)
+        assert np.any(np.tril(g.a, -1))
+        g.response(GRID)
+        assert routes == {"triangular": 0, "schur": 0}
+
+    def test_small_triangular_model_stays_batched(self, routes):
+        # below SCHUR_MIN_STATES the per-frequency LAPACK call costs more
+        g = schur_model(random_statespace(make_rng(41), _accel.SCHUR_MIN_STATES - 1, 2, 2))
+        g.response(GRID)
+        assert routes == {"triangular": 0, "schur": 0}
+
+    def test_schur_path_runs_the_triangular_kernel(self, routes):
+        g = random_statespace(make_rng(43), 16, 1, 1)
+        g.response(log_grid(1e-2, 1e2, 500))
+        assert routes == {"triangular": 1, "schur": 1}
 
 
 class TestAlgebra:

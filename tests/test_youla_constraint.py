@@ -629,7 +629,7 @@ class TestUnitarityEquivalence:
     def test_recovered_parameter_of_unitary_controller_is_feasible(self):
         _, cf = coupled_cavity_loop()
         cd = build_constraint_data(cf)
-        q = parameter_from_controller(cf, static_gain(-np.eye(2)))
+        q, _ = parameter_from_controller(cf, static_gain(-np.eye(2)))
         r_q = quadratic_form(cd.samples(VERIFY_GRID), q.response(VERIFY_GRID))
         assert peak_frobenius(r_q) < 1e-6
 

@@ -32,8 +32,9 @@ differ only in their numbers, it prints how many numbers changed, the
 largest absolute and relative change, and the first SHOWN changed pairs.
 Its summary also counts the cases that differ beyond their numbers: an
 exit code differs, the case or one of its files exists on one side
-only, or a text differs outside its numbers.  It exits 1 when any case
-differs.
+only, or a text differs outside its numbers.  It prints that tally once
+per command (the first word of a case key) and once over all cases, and
+exits 1 when any case differs.
 """
 
 from __future__ import annotations
@@ -236,27 +237,36 @@ def compare(path_a, path_b):
         rec_a = json.load(handle)
     with open(path_b, encoding="utf-8") as handle:
         rec_b = json.load(handle)
-    differing = beyond = 0
+    # command -> [cases, differing, beyond their numbers]
+    tally = {}
     for key in sorted(set(rec_a) | set(rec_b)):
+        counts = tally.setdefault(key.split(" ", 1)[0], [0, 0, 0])
+        counts[0] += 1
         if key not in rec_a or key not in rec_b:
-            differing += 1
-            beyond += 1
+            counts[1] += 1
+            counts[2] += 1
             print(f"{key}: only in {path_a if key in rec_a else path_b}")
             continue
         if rec_a[key] == rec_b[key]:
             continue
-        differing += 1
+        counts[1] += 1
         print(f"{key}:")
         fa, fb = dict(_fields(rec_a[key])), dict(_fields(rec_b[key]))
         changed = [f for f in sorted(set(fa) | set(fb)) if fa.get(f) != fb.get(f)]
         for field in changed:
             for line in _describe(fa.get(field), fb.get(field)):
                 print(f"  {field}: {line}" if not line.startswith("  ") else f"    {line}")
-        beyond += not all(_numbers_only(fa.get(f), fb.get(f)) for f in changed)
-    total = len(set(rec_a) | set(rec_b))
-    print(f"{total - differing} of {total} cases identical, {differing} differ, "
-          f"{beyond} beyond their numbers")
+        counts[2] += not all(_numbers_only(fa.get(f), fb.get(f)) for f in changed)
+    for command, counts in sorted(tally.items()):
+        print(f"{command}: {_summary(*counts)}")
+    total, differing, beyond = (sum(c[k] for c in tally.values()) for k in range(3))
+    print(_summary(total, differing, beyond))
     return 1 if differing else 0
+
+
+def _summary(total, differing, beyond):
+    return (f"{total - differing} of {total} cases identical, {differing} differ, "
+            f"{beyond} beyond their numbers")
 
 
 def main(argv=None):
