@@ -66,7 +66,7 @@ def freq_sweep(a, systems, omegas):
     if n >= SCHUR_MIN_STATES and not np.any(np.tril(a, -1)):
         return _outputs(_triangular_sweep(a, b, omegas), systems)
     if n >= SCHUR_MIN_STATES and n * omegas.size >= SCHUR_SWEEP_MIN:
-        return _schur_sweep(a, systems, omegas)
+        return _schur_sweep(a, b, systems, omegas)
     out = [np.empty((omegas.size, c.shape[0], b.shape[1]), dtype=np.complex128)
            for b, c, _ in systems]
     eye = np.eye(n, dtype=np.complex128)
@@ -81,10 +81,10 @@ def freq_sweep(a, systems, omegas):
     return out
 
 
-def _schur_sweep(a, systems, omegas):
+def _schur_sweep(a, b, systems, omegas):
     t, z = sla.schur(a, output="complex")
-    b_t = np.hstack([z.conj().T @ b for b, _, _ in systems])
-    return _outputs(_triangular_sweep(t, b_t, omegas), [(b, c @ z, d) for b, c, d in systems])
+    return _outputs(_triangular_sweep(t, z.conj().T @ b, omegas),
+                    [(b, c @ z, d) for b, c, d in systems])
 
 
 def _triangular_sweep(t, b, omegas):

@@ -421,7 +421,7 @@ def cmd_eval_hinf(args):
         _youla_section_from(args, prob), cf, sp.parameter_shape[0]
     )
     rel_tol = HINF_REL_TOL if args.tol is None else args.tol
-    report = hinf_cost(sp, q, rel_tol=rel_tol, q_poles=q_poles)
+    report = hinf_cost(sp, q, q_poles, rel_tol=rel_tol)
 
     profile_csv = _csv_text(("omega", "sigma_max"), report.rows())
     _write_text_atomic(args.out, profile_csv)

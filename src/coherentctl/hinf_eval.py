@@ -16,7 +16,6 @@ import scipy.linalg as sla
 
 from .norms import HINF_REL_TOL, hinf_norm, sigma_max_profile
 from .stabilization import closed_loop_triple  # noqa: F401  (traced per layer by pipebench)
-from .stabilization import parameter_poles
 from .statespace import StateSpace
 
 __all__ = ["HinfReport", "hinf_cost"]
@@ -45,7 +44,7 @@ class HinfReport:
             )
 
 
-def hinf_cost(sp, q, rel_tol=HINF_REL_TOL, q_poles=None):
+def hinf_cost(sp, q, q_poles, rel_tol=HINF_REL_TOL):
     """Worst-case gain of the weighted loop ``sp.loop(q)``.
 
     The certified value is the maximum of the level-set result and every
@@ -54,9 +53,8 @@ def hinf_cost(sp, q, rel_tol=HINF_REL_TOL, q_poles=None):
     ``A = Z T Z*`` with Z unitary, which keeps its transfer and the
     Hamiltonian spectrum of every level test; each sigma_max sample,
     from the start set to the problem grid, is then one triangular solve
-    per frequency.  ``q_poles`` is the parameter's spectrum where the
-    caller already has it, as :func:`parameter_from_controller` returns
-    it; by default it is :func:`parameter_poles` of ``q``.
+    per frequency.  ``q_poles`` is the parameter's spectrum, from
+    :func:`parameter_poles` or :func:`parameter_from_controller`.
 
     Raises
     ------
@@ -67,8 +65,6 @@ def hinf_cost(sp, q, rel_tol=HINF_REL_TOL, q_poles=None):
     loop = sp.loop(q)
     t, z = sla.schur(loop.a, output="complex")
     loop = StateSpace(t, z.conj().T @ loop.b, loop.c @ z, loop.d)
-    if q_poles is None:
-        q_poles = parameter_poles(q)
     value, peak = hinf_norm(loop, sp.loop_poles(q_poles), rel_tol=rel_tol)
     grid = sp.grid
     profile = sigma_max_profile(loop, grid)

@@ -105,7 +105,7 @@ class StateSpace:
         """Responses stacked over a grid: an ``(n_omega, p, m)`` array.
 
         Models in ``shared`` must have this model's state matrix.  They are
-        swept with it, one resolvent (or one Schur form) per frequency
+        swept with it, one resolvent (or triangular) solve per frequency
         serving all, and a list of the responses is returned, this
         model's first.
         """
