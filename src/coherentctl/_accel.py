@@ -21,13 +21,18 @@ triangular solve) per frequency serves all of their inputs.
   ``n * n_omega >= SCHUR_SWEEP_MIN``): one complex Schur form
   ``A = Z T Z^H``, then the triangular route on ``(T, Z^H B)`` and one
   batched ``C Z X + D`` (Laub 1981, IEEE TAC 26(2)).  Z is unitary, so
-  the route is backward-stable; it forms no resolvent stack.
+  the route is backward-stable; it forms no resolvent stack.  When
+  several models are swept together, each nonzero column of their
+  stacked B is solved once, up to sign, and its duplicates, negations
+  and the zero columns are filled in exactly: the factor families and
+  P22 of a stable plant, ``[B2, 0 | -B2, 0 | B2]``, cost one solve of B2.
 
 The Schur form costs a few dense factorizations and every frequency a
 LAPACK call of its own, so small models and short grids of a general A
 stay on the batched path, where they are faster.  The descent sweeps of
-H2 synthesis are all below ``SCHUR_MIN_STATES`` states: they stay on the
-batched path's roundoff.
+H2 synthesis are all below ``SCHUR_SWEEP_MIN`` or ``SCHUR_MIN_STATES``:
+they stay on the batched path's roundoff.  The 130-point factorization
+checks of 16 states and more take the Schur route.
 """
 
 import numpy as np
@@ -38,14 +43,22 @@ from scipy.linalg import lapack
 SWEEP_BLOCK_BYTES = 16 * 2**20
 
 #: Sweeps with ``n_states * n_omega`` at least this take the Schur path,
-SCHUR_SWEEP_MIN = 8000
+SCHUR_SWEEP_MIN = 2000
 
 #: if the model has at least this many states; a triangular A takes the
-#: triangular route from this many on.  Below it, the
-#: per-frequency LAPACK call costs more than the batched solve saves:
-#: 4 states x 2000 points take 7.1 ms on the Schur path against 2.1 ms
-#: batched, 8 x 1000 take 3.4 against 2.7 ms, and 16 x 500 take 2.5
-#: against 4.5 ms (Xeon, OpenBLAS on one thread).
+#: triangular route from this many on.  Below it, the per-frequency
+#: LAPACK call costs more than the batched solve saves.  Batched against
+#: Schur path, 8 inputs and outputs, best of 15 (Xeon, OpenBLAS on one
+#: thread):
+#:
+#:   states x points    batched    Schur
+#:        4 x  500      2.0 ms    4.2 ms
+#:       16 x   65      0.9 ms    1.0 ms
+#:       16 x  130      2.1 ms    1.7 ms
+#:       26 x   33      0.8 ms    1.4 ms   (largest H2 descent sweep of 16+ states)
+#:       32 x   65      3.4 ms    2.1 ms
+#:       32 x  130      6.4 ms    2.9 ms
+#:       64 x   33      5.9 ms    7.0 ms   (no such sweep is made)
 SCHUR_MIN_STATES = 16
 
 
@@ -83,8 +96,39 @@ def freq_sweep(a, systems, omegas):
 
 def _schur_sweep(a, b, systems, omegas):
     t, z = sla.schur(a, output="complex")
-    return _outputs(_triangular_sweep(t, z.conj().T @ b, omegas),
-                    [(b, c @ z, d) for b, c, d in systems])
+    if len(systems) == 1:
+        return _outputs(_triangular_sweep(t, z.conj().T @ b, omegas),
+                        [(b, c @ z, d) for b, c, d in systems])
+    lead, parts = _distinct_columns(b)
+    x = _triangular_sweep(t, z.conj().T @ b[:, lead], omegas)
+    out, lo = [], 0
+    for _, c, d in systems:
+        hi = lo + d.shape[1]
+        # each column of ``parts`` holds at most one entry, +-1: exact
+        out.append((c @ z) @ x @ parts[:, lo:hi] + d)
+        lo = hi
+    return out
+
+
+def _distinct_columns(b):
+    """The distinct nonzero columns of ``b`` up to sign, and every column in terms of them.
+
+    Returns the indices ``lead`` of the first column of each class and a
+    ``(lead.size, m)`` matrix ``parts`` with ``b = b[:, lead] @ parts``:
+    column j of ``parts`` is +-1 in the row of its class, and zero for a
+    zero column.  Columns are compared exactly.
+    """
+    m = b.shape[1]
+    parts = np.zeros((m, m))
+    left = b.any(axis=0)
+    for j in range(m):
+        if left[j]:
+            same = left & (b == b[:, j : j + 1]).all(axis=0)
+            opposite = left & (b == -b[:, j : j + 1]).all(axis=0)
+            parts[j, same], parts[j, opposite] = 1.0, -1.0
+            left &= ~(same | opposite)
+    lead = np.flatnonzero(parts.any(axis=1))
+    return lead, parts[lead].astype(np.complex128)
 
 
 def _triangular_sweep(t, b, omegas):

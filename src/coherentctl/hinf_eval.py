@@ -49,11 +49,18 @@ def hinf_cost(sp, q, q_poles, rel_tol=HINF_REL_TOL):
 
     The certified value is the maximum of the level-set result and every
     profile sample on ``sp.grid``, so the report's norm is never below a
-    sampled gain.  The loop is put into complex Schur coordinates once,
-    ``A = Z T Z*`` with Z unitary, which keeps its transfer and the
+    sampled gain.  The loop keeps only the states its ports see
+    (:func:`_structural_part`): in ``T0 + T1 Q T2``, T1 acts on the plant
+    states x and T2 on the estimation error e alone (Zhou, Doyle and
+    Glover 1996, ch. 12), so with zero gains and Q = 0, as for a stable
+    plant at the zero parameter, the e-block is exactly unobservable and
+    the loop halves.  What remains is put into complex Schur coordinates
+    once, ``A = Z T Z*`` with Z unitary, which keeps its transfer and the
     Hamiltonian spectrum of every level test; each sigma_max sample,
     from the start set to the problem grid, is then one triangular solve
-    per frequency.  ``q_poles`` is the parameter's spectrum, from
+    per frequency.  Stability and the start frequencies read the whole
+    loop's spectrum ``sp.loop_poles(q_poles)``, so a mode that no port
+    sees still counts.  ``q_poles`` is the parameter's spectrum, from
     :func:`parameter_poles` or :func:`parameter_from_controller`.
 
     Raises
@@ -62,7 +69,7 @@ def hinf_cost(sp, q, q_poles, rel_tol=HINF_REL_TOL):
         When the assembled loop has a pole in the closed right half
         plane (the axis supremum is then undefined/infinite).
     """
-    loop = sp.loop(q)
+    loop = _structural_part(sp.loop(q))
     t, z = sla.schur(loop.a, output="complex")
     loop = StateSpace(t, z.conj().T @ loop.b, loop.c @ z, loop.d)
     value, peak = hinf_norm(loop, sp.loop_poles(q_poles), rel_tol=rel_tol)
@@ -76,3 +83,28 @@ def hinf_cost(sp, q, q_poles, rel_tol=HINF_REL_TOL):
         peak_omega=float(peak),
         grid_profile=np.column_stack([grid, profile]),
     )
+
+
+def _structural_part(sys):
+    """``sys`` on the states that some input reaches and some output sees.
+
+    Judged by the exact nonzero pattern of (A, B, C): the reached states
+    are the closure of B's nonzero rows under ``A[i, j] != 0`` (state j
+    drives state i), the seen ones that of C's nonzero columns under the
+    transpose.  A state outside either set never moves or never shows,
+    so dropping it keeps the transfer exactly; no rank is decided.
+    """
+    drives = sys.a != 0
+    keep = _closure(drives, sys.b.any(axis=1)) & _closure(drives.T, sys.c.any(axis=0))
+    if keep.all():
+        return sys
+    return StateSpace(sys.a[np.ix_(keep, keep)], sys.b[keep], sys.c[:, keep], sys.d)
+
+
+def _closure(drives, seed):
+    """The states ``seed`` leads to along ``drives[i, j]`` (from j to i)."""
+    reached, frontier = seed.copy(), seed
+    while frontier.any():
+        frontier = drives[:, frontier].any(axis=1) & ~reached
+        reached |= frontier
+    return reached

@@ -100,8 +100,14 @@ def peak_frobenius(samples):
 
 
 def sigma_max_profile(sys, grid):
-    """Largest singular value of the response at each grid point."""
+    """Largest singular value of the response at each grid point.
+
+    A model with no states is its feedthrough at every frequency, so it
+    takes one singular value decomposition of D and no sweep.
+    """
     grid = validate_grid(np.asarray(grid, dtype=np.float64))
+    if sys.n_states == 0:
+        return np.full(grid.size, np.linalg.svd(sys.d, compute_uv=False)[0])
     resp = sys.response(grid)
     return np.linalg.svd(resp, compute_uv=False)[:, 0]
 

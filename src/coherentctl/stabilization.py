@@ -24,8 +24,11 @@ A stable plant has the trivial factorization F = L = 0, M = I, N = P22,
 U = 0, V = I (Youla, Jabr and Bongiorno 1976; Vidyasagar 1985), and it
 is found from one eigenvalue solve of A: the gain design reads that
 one spectrum throughout and takes no Schur form.  Systems that share a
-core (with zero gains: both families and P22) are swept as one system,
-one resolvent (or one Schur form) per frequency.
+core (with zero gains: both families and P22) are swept as one system.
+From 16 states the 130-point check takes one Schur form of the core and
+then, per frequency, one triangular solve of B2's columns alone, which
+the stacked inputs ``[B2, 0 | -B2, 0 | B2]`` repeat up to sign; smaller
+plants take one batched resolvent solve per frequency.
 
 The maps between a stable parameter Q and its controller
 K = (U + M Q)(V + N Q)^{-1}, in both directions, are each one
@@ -417,9 +420,9 @@ def coprime_factorization(mp, gains, check=True):
     :func:`default_verification_grid` the product of the two families
     must match the identity and ``N M^{-1}``/``Mhat^{-1} Nhat`` must
     reproduce P22, each within ``BEZOUT_TOL``.  Systems with the same
-    core are swept once (see :func:`bezout_residual`): with zero gains,
-    both families and P22 take one resolvent (or Schur form) per
-    frequency.
+    core are swept once (see :func:`_shared_core_responses`): with zero
+    gains, both families and P22 take one resolvent solve per frequency,
+    or one Schur form and then one triangular solve of B2 per frequency.
     """
     a, b2, c2, d22 = mp.full.a, mp.b2, mp.c2, mp.d22
     f, l = gains.f, gains.l
@@ -488,8 +491,10 @@ def bezout_residual(cf, grid):
 def _shared_core_responses(systems, grid):
     """Responses of ``systems`` over ``grid``, one sweep per distinct core.
 
-    Systems whose state matrices are equal share one resolvent (or one
-    Schur form) per frequency; the others are swept on their own.
+    Systems whose state matrices are equal are swept together, one
+    resolvent (or triangular) solve per frequency serving all; on the
+    Schur route each distinct input column is solved once, up to sign.
+    The others are swept on their own.
     """
     out = [None] * len(systems)
     for k, lead in enumerate(systems):

@@ -1,7 +1,10 @@
 """Each public name has one home module, and the package root re-exports none."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -48,3 +51,18 @@ def test_root_exports_only_the_version():
     assert public <= set(MODULES)
     assert isinstance(coherentctl.__version__, str)
     assert not hasattr(coherentctl, "__all__")
+
+
+def test_cli_import_loads_only_scipy_linalg():
+    # every cold start pays for what the import pulls in; scipy.linalg is
+    # the one scipy subpackage the program uses
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coherentctl.__file__)))
+    probe = (
+        "import sys, coherentctl.cli\n"
+        "print(*sorted(name for name, module in sys.modules.items()\n"
+        "              if name.count('.') == 1 and name.startswith('scipy.')\n"
+        "              and not name.split('.')[1].startswith('_') and hasattr(module, '__path__')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["scipy.linalg"]

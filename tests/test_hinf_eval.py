@@ -5,12 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from coherentctl import norms
 from coherentctl.cli import main
 from coherentctl.errors import DimensionMismatch, NotStable
 from coherentctl.h2_synthesis import evaluation_problem
-from coherentctl.hinf_eval import HinfReport, hinf_cost
+from coherentctl.hinf_eval import HinfReport, _structural_part, hinf_cost
 from coherentctl.norms import HINF_REL_TOL, sigma_max_profile
 from coherentctl.physreal import SlhModel, slh_to_statespace
 from coherentctl.problemfile import load_problem_file
@@ -22,6 +23,7 @@ from coherentctl.stabilization import (
 )
 from coherentctl.statespace import (
     StateSpace,
+    blockdiag_systems,
     log_grid,
     static_gain,
 )
@@ -32,6 +34,7 @@ from conftest import (
     exact_cavity_parameter,
     lowpass_weight,
     make_rng,
+    random_complex,
     random_statespace,
     sum_systems,
     triple_problem,
@@ -258,3 +261,100 @@ def test_doubled_networks_certify_in_two_level_tests(seed, monkeypatch, tmp_path
         assert crossings(loop, norm) is None
         at_peak = sigma_max_profile(loop, [report["peak_omega"]])[0]
         assert abs(norm - at_peak) <= HINF_REL_TOL * norm
+
+
+def two_sided(grid):
+    return np.concatenate([-grid[::-1], [0.0], grid])
+
+
+def assert_same_transfer(pruned, full, grid):
+    kept, reference = pruned.response(grid), full.response(grid)
+    assert np.abs(kept - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def benchmark_loops(monkeypatch, tmp_path, seed=1):
+    """(operation, plant states, loop at the zero parameter) of the benchmark's H-infinity documents."""
+    monkeypatch.syspath_prepend(str(PIPEBENCH))
+    from workloads import hinf_eval
+
+    for op in hinf_eval(seed, str(tmp_path)):
+        prob = load_problem_file(op.argv[1])
+        mp = modify_plant(slh_to_statespace(SlhModel(**prob.slh)), prob.partition)
+        sp = evaluation_problem(mp, coprime_factorization(mp, stabilizing_gains(mp)))
+        yield op, mp.full.n_states, sp.loop(YoulaParameter.zero(sp.parameter_shape, order=1))
+
+
+class TestStructuralPruning:
+    """The loop keeps the states its ports see, judged by the exact nonzero pattern."""
+
+    def test_benchmark_loops_halve_and_keep_their_transfer(self, monkeypatch, tmp_path):
+        for _, n, loop in benchmark_loops(monkeypatch, tmp_path):
+            # x and e, plus the parameter's chain states
+            assert loop.n_states > 2 * n
+            pruned = _structural_part(loop)
+            assert pruned.n_states == n
+            assert_same_transfer(pruned, loop, two_sided(log_grid(1e-3, 1e3, 60)))
+
+    def test_planted_decoupled_blocks_are_dropped(self):
+        rng = make_rng(61)
+        kept = random_statespace(rng, 5, 2, 3)
+        unseen = random_statespace(rng, 3, 2, 3)
+        unreached = random_statespace(rng, 4, 2, 3)
+        parts = blockdiag_systems([kept, unseen, unreached])
+        a = parts.a.copy()
+        # the kept block drives the unseen one; the unreached one drives both
+        a[5:8, :5] = random_complex(rng, (3, 5))
+        a[:8, 8:] = random_complex(rng, (8, 4))
+        b = np.vstack([kept.b, unseen.b, np.zeros((4, 3))])
+        c = np.hstack([kept.c, np.zeros((2, 3)), unreached.c])
+        order = rng.permutation(12)
+        full = StateSpace(a[np.ix_(order, order)], b[order], c[:, order], kept.d)
+        pruned = _structural_part(full)
+        assert pruned.n_states == 5
+        assert_same_transfer(pruned, full, two_sided(log_grid(1e-2, 1e2, 40)))
+        assert_same_transfer(pruned, kept, two_sided(log_grid(1e-2, 1e2, 40)))
+
+    def test_dense_model_keeps_its_order(self):
+        g = random_statespace(make_rng(67), 6, 2, 2)
+        assert _structural_part(g) is g
+
+    def test_hidden_unstable_mode_is_still_unstable(self):
+        # the 0.4 mode is reached but never seen: pruning drops it, and
+        # the loop's spectrum still holds it
+        hidden = StateSpace(np.diag([-1.0, 0.4]), [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        assert _structural_part(hidden).n_states == 1
+        with pytest.raises(NotStable):
+            cost_of(fixed_loop_problem(hidden), YoulaParameter.zero((1, 1), order=1))
+
+    def test_no_decomposition_above_twice_the_plant(self, monkeypatch, tmp_path):
+        # the loop's Schur form has the plant's order and the level tests' Hamiltonians twice it
+        sizes = {"eigvals": [], "schur": []}
+        for owner, name in ((np.linalg, "eigvals"), (sla, "schur")):
+            def sized(m, *args, _original=getattr(owner, name), _name=name, **kwargs):
+                sizes[_name].append(len(m))
+                return _original(m, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, sized)
+        for op, n, _ in benchmark_loops(monkeypatch, tmp_path):
+            sizes["eigvals"].clear()
+            sizes["schur"].clear()
+            assert main(op.argv) == 0
+            assert sizes["schur"] and max(sizes["schur"]) <= n
+            assert sizes["eigvals"] and max(sizes["eigvals"]) <= 2 * n
+
+
+def test_fast_network_at_zero_basis_parameter_is_certified(tmp_path, capsys):
+    # GHz rates: with the loop's unseen estimation-error block the level
+    # tests found no certified bound; pruned to the plant's 8 states it certifies
+    fixtures = Path(__file__).parent / "fixtures"
+    doc = fixtures / "network_fast.json"
+    argv = ["eval-hinf", str(doc), "--q-from", str(fixtures / "q_zero_basis.json"),
+            "--out", str(tmp_path / "profile.csv"), "--json"]
+    assert main(argv) == 0
+    norm = json.loads(capsys.readouterr().out)["norm"]
+    prob = load_problem_file(str(doc))
+    mp = modify_plant(slh_to_statespace(SlhModel(**prob.slh)), prob.partition)
+    sp = evaluation_problem(mp, coprime_factorization(mp, stabilizing_gains(mp)))
+    loop = sp.loop(YoulaParameter.zero(sp.parameter_shape, order=2))
+    dense = sigma_max_profile(loop, two_sided(log_grid(1e6, 1e12, 20000))).max()
+    assert dense <= norm <= dense * (1.0 + HINF_REL_TOL)

@@ -284,3 +284,14 @@ class TestProfiles:
         grid = log_grid(1e-1, 1e1, 5)
         prof = sigma_max_profile(g, grid)
         np.testing.assert_allclose(prof, 1.0 / np.sqrt(1.0 + grid**2), rtol=1e-12)
+
+    def test_static_profile_takes_no_sweep(self, monkeypatch):
+        # a model with no states is its feedthrough at every frequency:
+        # the same values a sweep gives, bit for bit, without one
+        g = static_gain(np.array([[1.0, 2.0j], [0.3, -4.0]]))
+        grid = log_grid(1e-4, 1e4, 241)
+        swept = np.linalg.svd(g.response(grid), compute_uv=False)[:, 0]
+        sweeps = []
+        monkeypatch.setattr(StateSpace, "response", lambda *args: sweeps.append(args))
+        assert np.array_equal(sigma_max_profile(g, grid), swept)
+        assert not sweeps

@@ -160,9 +160,9 @@ class TestSweepPaths:
         random_statespace(make_rng(5), 4, 1, 1).response(log_grid(1e-2, 1e2, 2000))
         assert not calls
         g = random_statespace(make_rng(5), 16, 1, 1)
-        g.response(log_grid(1e-2, 1e2, 499))
+        g.response(log_grid(1e-2, 1e2, 124))
         assert not calls
-        g.response(log_grid(1e-2, 1e2, 500))
+        g.response(log_grid(1e-2, 1e2, 125))
         assert len(calls) == 1
 
 
@@ -178,7 +178,9 @@ class TestTriangularRoute:
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_schur_model_matches_batched_path(self, routes, n):
         g = random_statespace(make_rng([31, n]), n, 3, 2)
-        grid = np.concatenate([[0.0], GRID, -GRID])
+        # as many grid points as keep the general model on the batched path
+        half = GRID[: (_accel.SCHUR_SWEEP_MIN // n - 1) // 2]
+        grid = np.concatenate([[0.0], half, -half])
         assert n * grid.size < _accel.SCHUR_SWEEP_MIN
         batched = g.response(grid)
         assert routes == {"triangular": 0, "schur": 0}
@@ -203,6 +205,52 @@ class TestTriangularRoute:
         g = random_statespace(make_rng(43), 16, 1, 1)
         g.response(log_grid(1e-2, 1e2, 500))
         assert routes == {"triangular": 1, "schur": 1}
+
+
+@pytest.fixture
+def solved_widths(monkeypatch):
+    """The column counts that the triangular kernel solves for, call by call."""
+    widths, triangular = [], _accel._triangular_sweep
+    monkeypatch.setattr(
+        _accel, "_triangular_sweep", lambda t, b, w: widths.append(b.shape[1]) or triangular(t, b, w)
+    )
+    return widths
+
+
+class TestDistinctColumns:
+    """Models swept together on the Schur route solve each distinct column once."""
+
+    def test_shared_core_columns_solved_once(self, solved_widths):
+        rng = make_rng(47)
+        g = random_statespace(rng, 20, 2, 3)
+        b = g.b
+        # duplicated, negated and zero columns, within and across models
+        layouts = [b, np.column_stack([b[:, 1], -b[:, 0], np.zeros(20), b[:, 1]]),
+                   -b[:, ::-1], np.zeros((20, 2))]
+        models = [StateSpace(g.a, bk, random_complex(rng, (2, 20)), random_complex(rng, (2, bk.shape[1])))
+                  for bk in layouts]
+        grid = np.concatenate([[0.0], log_grid(1e-2, 1e2, 64), -log_grid(1e-2, 1e2, 64)])
+        assert g.n_states * grid.size >= _accel.SCHUR_SWEEP_MIN
+        together = models[0].response(grid, *models[1:])
+        assert solved_widths == [3]
+        for model, swept in zip(models, together):
+            alone = model.response(grid)
+            assert swept.shape == alone.shape
+            assert np.abs(swept - alone).max() <= 1e-12 * np.abs(alone).max()
+        # a zero input column gives exactly the feedthrough
+        assert np.array_equal(together[1][:, :, 2], np.broadcast_to(models[1].d[:, 2], (grid.size, 2)))
+        assert np.array_equal(together[3], np.broadcast_to(models[3].d, (grid.size, 2, 2)))
+
+    def test_single_system_solves_every_column(self, solved_widths):
+        rng = make_rng(53)
+        g = random_statespace(rng, 20, 2, 2)
+        dup = StateSpace(g.a, np.column_stack([g.b, g.b[:, 0], -g.b[:, 1]]), g.c, random_complex(rng, (2, 4)))
+        grid = log_grid(1e-2, 1e2, 130)
+        swept = dup.response(grid)
+        assert solved_widths == [4]
+        t, z = sla.schur(dup.a, output="complex")
+        direct = dup.c @ z @ _accel._triangular_sweep(t, z.conj().T @ dup.b, grid) + dup.d
+        assert np.array_equal(swept, direct)
 
 
 class TestAlgebra:
