@@ -21,11 +21,15 @@ triangular solve) per frequency serves all of their inputs.
   ``n * n_omega >= SCHUR_SWEEP_MIN``): one complex Schur form
   ``A = Z T Z^H``, then the triangular route on ``(T, Z^H B)`` and one
   batched ``C Z X + D`` (Laub 1981, IEEE TAC 26(2)).  Z is unitary, so
-  the route is backward-stable; it forms no resolvent stack.  When
-  several models are swept together, each nonzero column of their
-  stacked B is solved once, up to sign, and its duplicates, negations
-  and the zero columns are filled in exactly: the factor families and
-  P22 of a stable plant, ``[B2, 0 | -B2, 0 | B2]``, cost one solve of B2.
+  the route is backward-stable; it forms no resolvent stack.  Each
+  nonzero column of the (stacked) B is solved once, up to sign, and its
+  duplicates, negations and the zero columns are filled in exactly: the
+  factor families and P22 of a stable plant, swept together as
+  ``[B2, 0 | -B2, 0 | B2]``, cost one solve of B2.  Columns are compared
+  after the change of basis, and ``ztrtrs`` solves each column on its
+  own: a model without repeated columns gets the bits of solving them
+  all.  With repeats, ``C Z X`` over the distinct columns can differ
+  from the product over all of them in the last bits.
 
 The Schur form costs a few dense factorizations and every frequency a
 LAPACK call of its own, so small models and short grids of a general A
@@ -58,7 +62,11 @@ SCHUR_SWEEP_MIN = 2000
 #:       26 x   33      0.8 ms    1.4 ms   (largest H2 descent sweep of 16+ states)
 #:       32 x   65      3.4 ms    2.1 ms
 #:       32 x  130      6.4 ms    2.9 ms
-#:       64 x   33      5.9 ms    7.0 ms   (no such sweep is made)
+#:       64 x   33      5.9 ms    7.0 ms   (misrouted to Schur)
+#:
+#: The size rule misroutes the last row: 64 x 33 is slower on the Schur
+#: path.  No sweep of the benchmark documents or the fixtures has that
+#: shape; other inputs near the crossover were not measured.
 SCHUR_MIN_STATES = 16
 
 
@@ -96,15 +104,13 @@ def freq_sweep(a, systems, omegas):
 
 def _schur_sweep(a, b, systems, omegas):
     t, z = sla.schur(a, output="complex")
-    if len(systems) == 1:
-        return _outputs(_triangular_sweep(t, z.conj().T @ b, omegas),
-                        [(b, c @ z, d) for b, c, d in systems])
-    lead, parts = _distinct_columns(b)
-    x = _triangular_sweep(t, z.conj().T @ b[:, lead], omegas)
+    zb = z.conj().T @ b
+    lead, parts = _distinct_columns(zb)
+    x = _triangular_sweep(t, zb[:, lead], omegas)
     out, lo = [], 0
-    for _, c, d in systems:
-        hi = lo + d.shape[1]
-        # each column of ``parts`` holds at most one entry, +-1: exact
+    for bk, c, d in systems:
+        hi = lo + bk.shape[1]
+        # each column of ``parts`` holds at most one entry, +-1: the fill-in is exact
         out.append((c @ z) @ x @ parts[:, lo:hi] + d)
         lo = hi
     return out

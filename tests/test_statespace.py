@@ -241,16 +241,26 @@ class TestDistinctColumns:
         assert np.array_equal(together[1][:, :, 2], np.broadcast_to(models[1].d[:, 2], (grid.size, 2)))
         assert np.array_equal(together[3], np.broadcast_to(models[3].d, (grid.size, 2, 2)))
 
-    def test_single_system_solves_every_column(self, solved_widths):
+    def test_single_system_matches_the_direct_kernel(self, solved_widths):
         rng = make_rng(53)
         g = random_statespace(rng, 20, 2, 2)
-        dup = StateSpace(g.a, np.column_stack([g.b, g.b[:, 0], -g.b[:, 1]]), g.c, random_complex(rng, (2, 4)))
         grid = log_grid(1e-2, 1e2, 130)
+        t, z = sla.schur(g.a, output="complex")
+
+        def direct(model):
+            return model.c @ z @ _accel._triangular_sweep(t, z.conj().T @ model.b, grid) + model.d
+
+        # no repeated column: every column is solved, with the direct kernel's bits
+        plain = StateSpace(g.a, g.b, g.c, random_complex(rng, (2, 2)))
+        swept = plain.response(grid)
+        assert solved_widths == [2]
+        assert np.array_equal(swept, direct(plain))
+        # a repeated and a negated column are not solved again, and keep the values
+        dup = StateSpace(g.a, np.column_stack([g.b, g.b[:, 0], -g.b[:, 1]]), g.c, random_complex(rng, (2, 4)))
         swept = dup.response(grid)
-        assert solved_widths == [4]
-        t, z = sla.schur(dup.a, output="complex")
-        direct = dup.c @ z @ _accel._triangular_sweep(t, z.conj().T @ dup.b, grid) + dup.d
-        assert np.array_equal(swept, direct)
+        assert solved_widths[-1] == 2
+        reference = direct(dup)
+        assert np.abs(swept - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 class TestAlgebra:
