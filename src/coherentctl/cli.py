@@ -12,6 +12,7 @@ document or invocation was malformed).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -549,10 +550,19 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of :func:`build_parser`, built on the first call of a process.
+
+    argparse keeps no state between parses: each call fills a fresh
+    namespace with the defaults, so one parser serves every call.
+    """
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return INPUT_ERROR if exc.code not in (0, None) else PASS

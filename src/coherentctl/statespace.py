@@ -172,16 +172,24 @@ def identity_system(k):
     return static_gain(np.eye(k))
 
 
+def _block_diag(blocks):
+    """Complex block-diagonal matrix of 2-D blocks, as scipy's ``block_diag``.
+
+    A block with no rows or no columns still takes its columns or rows.
+    """
+    rows, cols = (sum(shape) for shape in zip(*(m.shape for m in blocks)))
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    r = c = 0
+    for m in blocks:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
+
+
 def blockdiag_systems(systems):
     """Diagonal concatenation ``diag(G1, G2, ...)`` of responses."""
     systems = list(systems)
-    import scipy.linalg as sla
-
-    a = sla.block_diag(*[g.a for g in systems]).astype(np.complex128)
-    b = sla.block_diag(*[g.b for g in systems]).astype(np.complex128)
-    c = sla.block_diag(*[g.c for g in systems]).astype(np.complex128)
-    d = sla.block_diag(*[g.d for g in systems]).astype(np.complex128)
-    return StateSpace(a, b, c, d)
+    return StateSpace(*(_block_diag([getattr(g, m) for g in systems]) for m in "abcd"))
 
 
 def compose_lft(plant, controller, n_meas, n_ctrl):

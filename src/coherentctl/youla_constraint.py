@@ -23,18 +23,21 @@ real-linear least-squares problem over stacked coefficient unknowns.
 The tangent map of the form at Q is X -> X* W + W* X with
 W = Lambda + Pi Q.  The unknown ``b_k E_pq`` (times 1 or i) puts
 ``conj(b_k) W[p, :]`` into row q of X* W and nothing anywhere else, so
-the sampled Jacobian is filled row by row from the basis matrix and
-the samples of W.  Projection and restoration take the (phi, lam, pi)
-samples of the caller's grid; neither sweeps the factor family.
+the sampled Jacobian is filled from the basis matrix and the samples of
+W through a fixed index pattern.  Projection and restoration take the
+(phi, lam, pi) samples of the caller's grid and a :class:`SampledBasis`:
+the basis matrix on that grid, with the objective matrix and the fill
+pattern that depend on nothing else.  A descent builds it once; neither
+sweeps the factor family nor rebuilds the basis.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionMismatch, FeedthroughSingular, RankDeficientProjection
 from .norms import peak_frobenius
@@ -52,6 +55,7 @@ from .statespace import (
 __all__ = [
     "ConstraintData",
     "YoulaParameter",
+    "SampledBasis",
     "TangentSubspace",
     "MembershipVerdict",
     "build_constraint_data",
@@ -125,7 +129,11 @@ class YoulaParameter:
 
     def evaluate(self, omegas):
         """Pointwise values on the imaginary axis, shape (n_omega, rows, cols)."""
-        return np.einsum("wk,kab->wab", self.basis(omegas), self.coeffs)
+        return self.sample(self.basis(omegas))
+
+    def sample(self, basis_mat):
+        """Values at the points of a :meth:`basis` matrix, shape (n_omega, rows, cols)."""
+        return np.einsum("wk,kab->wab", basis_mat, self.coeffs)
 
     def to_statespace(self):
         """Exact realization: one chain of ``order`` integrator blocks.
@@ -138,13 +146,14 @@ class YoulaParameter:
         if k == 0:
             return static_gain(self.coeffs[0])
         eye = np.eye(cols)
-        a = sla.block_diag(*([-self.basis_pole * eye] * k)).astype(np.complex128)
-        for blk in range(1, k):
-            a[blk * cols : (blk + 1) * cols, (blk - 1) * cols : blk * cols] = eye
+        blocks = np.arange(k)
+        a = np.zeros((k, cols, k, cols), dtype=np.complex128)
+        a[blocks, :, blocks] = -self.basis_pole * eye  # -b * I: -0 off the diagonal
+        a[blocks[1:], :, blocks[:-1]] = eye
         b = np.zeros((k * cols, cols), dtype=np.complex128)
         b[:cols] = eye
-        c = np.hstack([self.coeffs[j] for j in range(1, k + 1)])
-        return StateSpace(a, b, c, self.coeffs[0])
+        c = self.coeffs[1:].transpose(1, 0, 2).reshape(rows, k * cols)
+        return StateSpace(a.reshape(k * cols, k * cols), b, c, self.coeffs[0])
 
     @classmethod
     def fit(
@@ -320,6 +329,71 @@ def membership_qhat(cf, q, tol=MEMBERSHIP_TOL):
 
 
 @dataclass
+class SampledBasis:
+    """The parameter basis on a grid, with what its Jacobians reuse.
+
+    ``matrix`` is :meth:`YoulaParameter.basis` on ``grid`` for one basis
+    pole and order; the parameters it serves all have ``shape``.  The
+    objective matrix, and the scaled basis, index map and fill pattern
+    that the constraint Jacobian and the Hermitian stack take, depend on
+    nothing else, so each is built on first use and kept.  A descent
+    builds one, and its samples, projections and restores reuse it.
+    """
+
+    basis_pole: float
+    order: int
+    shape: tuple
+    grid: np.ndarray
+    matrix: np.ndarray
+
+    @classmethod
+    def of(cls, q, grid):
+        """The basis of parameter ``q`` (its pole, order and shape) on ``grid``."""
+        grid = validate_grid(grid)
+        return cls(q.basis_pole, q.order, q.shape, grid, q.basis(grid))
+
+    def parameter(self, x):
+        """The parameter whose :func:`_real_stack` is ``x``."""
+        return YoulaParameter(self.basis_pole, _unpack(x, self.order, self.shape))
+
+    @cached_property
+    def objective(self):
+        """:func:`_objective_matrix` on this basis."""
+        return _objective_matrix(self.matrix, *self.shape)
+
+    @cached_property
+    def _conj_parts(self):
+        """``conj(part * B)`` for the real (part 1) and imaginary (part i) unknowns."""
+        return tuple((part * self.matrix).conj() for part in (1.0, 1j))
+
+    @cached_property
+    def _stack_index(self):
+        """:func:`_hermitian_index` of the parameter's width."""
+        return _hermitian_index(self.shape[1])
+
+    @cached_property
+    def _constraint_pattern(self):
+        """Where :func:`_constraint_matrix` puts each value, and what value.
+
+        Returns (unknown_col, comp, source, scale): the value goes to the
+        unknowns of column q = ``unknown_col`` and to the Hermitian
+        component ``comp`` (diagonal, real upper, imaginary upper).  It is
+        ``scale`` times float ``source`` of a row of cross products, whose
+        column b holds Re at 2b and Im at 2b + 1.
+        """
+        d = self.shape[1]
+        diag = np.arange(d)
+        iu, ju = np.triu_indices(d, 1)
+        up_re = d + np.arange(iu.size)
+        up_im = up_re + iu.size
+        unknown_col = np.concatenate([diag, iu, iu, ju, ju])
+        comp = np.concatenate([diag, up_re, up_im, up_re, up_im])
+        source = np.concatenate([2 * diag, 2 * ju, 2 * ju + 1, 2 * iu, 2 * iu + 1])
+        scale = np.concatenate([np.full(d, 2.0), np.ones(3 * iu.size), np.full(iu.size, -1.0)])
+        return unknown_col, comp, source, scale[:, None, None, None]
+
+
+@dataclass
 class TangentSubspace:
     """Sampled linearization of the quadratic form at a base parameter.
 
@@ -332,16 +406,16 @@ class TangentSubspace:
     w_samples: np.ndarray
 
 
-def tangent_subspace(samples, q, grid):
-    """Linearize the quadratic form at ``q`` over ``grid``.
+def tangent_subspace(samples, q, basis):
+    """Linearize the quadratic form at ``q`` over the grid of ``basis``.
 
     ``samples`` is the ``(phi, lam, pi)`` triple of
-    :meth:`ConstraintData.samples` on ``grid``; the subspace holds
+    :meth:`ConstraintData.samples` and ``basis`` the
+    :class:`SampledBasis` of ``q`` on the same grid; the subspace holds
     ``lam + pi Q`` there.
     """
-    grid = validate_grid(grid)
     _, lam_w, pi_w = samples
-    return TangentSubspace(grid=grid, w_samples=lam_w + pi_w @ q.evaluate(grid))
+    return TangentSubspace(grid=basis.grid, w_samples=lam_w + pi_w @ q.sample(basis.matrix))
 
 
 def _real_stack(block):
@@ -360,19 +434,24 @@ def _unpack(vec, order, shape):
     return re + 1j * im
 
 
-def _hermitian_stack(blocks):
+def _hermitian_index(d):
+    """Flat positions in a d x d block: the diagonal, then the strict upper triangle."""
+    iu, ju = np.triu_indices(d, 1)
+    return np.arange(d) * (d + 1), iu * d + ju
+
+
+def _hermitian_stack(blocks, index):
     """Independent real components of Hermitian-valued samples.
 
-    ``blocks`` has shape (..., d, d); the result flattens the real
-    diagonal plus the real and imaginary upper-triangle entries, d*d
-    real numbers per matrix.
+    ``blocks`` has shape (..., d, d) and ``index`` is
+    :func:`_hermitian_index` of d; the result flattens the real diagonal
+    plus the real and imaginary upper-triangle entries, d*d real numbers
+    per matrix.
     """
-    d = blocks.shape[-1]
-    iu = np.triu_indices(d, 1)
-    diag = blocks[..., np.arange(d), np.arange(d)].real
-    upper = blocks[..., iu[0], iu[1]]
-    comps = np.concatenate([diag, upper.real, upper.imag], axis=-1)
-    return comps.reshape(*blocks.shape[:-2], d * d)
+    diag, upper = index
+    flat = blocks.reshape(*blocks.shape[:-2], -1)
+    up = flat[..., upper]
+    return np.concatenate([flat[..., diag].real, up.real, up.imag], axis=-1)
 
 
 # The two matrices below match, bit for bit and signed zeros included, a
@@ -387,31 +466,27 @@ def _hermitian_stack(blocks):
 # ``a_obj @ null`` down another BLAS path.
 
 
-def _constraint_matrix(w_samples, basis_mat):
+def _constraint_matrix(w_samples, basis):
     """Real matrix of the sampled tangent constraints, (n_rows, n_vars).
 
+    ``basis`` is the :class:`SampledBasis` of the grid of ``w_samples``.
     Column v is the :func:`_hermitian_stack` of X* W + W* X for the unit
     unknown v of :func:`_real_stack` (real parts, then imaginary parts, each
     in (k, row, col) C-order); rows run over (omega, component).  That
     unknown is ``part * b_k E_pq``, whose product X* W is
     ``conj(part * b_k) W[p, :]`` in row q and zero elsewhere.
     """
-    nw, nb = basis_mat.shape
+    nw, nb = basis.matrix.shape
     rows, cols = w_samples.shape[1:]
-    iu, ju = np.triu_indices(cols, 1)
-    n_up = iu.size
+    unknown_col, comp, source, scale = basis._constraint_pattern
     out = np.zeros((2, nb, rows, cols, nw, cols * cols))
-    for i, part in enumerate((1.0, 1j)):
+    for i, conj_part in enumerate(basis._conj_parts):
         # cross[k, p, w, b]: row q of X* W for the unknown (part, k, p, q)
-        cross = np.einsum("wk,wpb->kpwb", (part * basis_mat).conj(), w_samples)
-        for q in range(cols):
-            out[i, :, :, q, :, q] = 2.0 * cross[..., q].real
-        for j, (a, b) in enumerate(zip(iu, ju)):
-            out[i, :, :, a, :, cols + j] = cross[..., b].real
-            out[i, :, :, a, :, cols + n_up + j] = cross[..., b].imag
-            out[i, :, :, b, :, cols + j] = cross[..., a].real
-            out[i, :, :, b, :, cols + n_up + j] = -cross[..., a].imag
-    out += 0.0  # -0 -> +0: a zero-padded contraction sums from +0
+        cross = np.einsum("wk,wpb->kpwb", conj_part, w_samples)
+        values = cross.view(np.float64).transpose(3, 0, 1, 2)[source]
+        values *= scale
+        values += 0.0  # -0 -> +0: a zero-padded contraction sums from +0
+        out[i, :, :, unknown_col, :, comp] = values
     return out.reshape(2 * nb * rows * cols, -1).T
 
 
@@ -433,9 +508,13 @@ def _objective_matrix(basis_mat, rows, cols):
 
 
 def _nullspace(mat):
+    """Orthonormal basis of the null space, from the rows of Vt past the rank.
+
+    With at least as many rows as columns the thin SVD holds all of Vt.
+    """
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1])
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
+    _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     if s.size == 0:
         return vt.T
     tol = s[0] * max(mat.shape) * np.finfo(float).eps
@@ -446,6 +525,8 @@ def _nullspace(mat):
 def project_direction(ts, basis, direction_samples):
     """Closest tangent direction to sampled gradient values, in the basis.
 
+    ``basis`` is the :class:`SampledBasis` of the grid of ``ts``: its
+    basis matrix and objective matrix are reused, not rebuilt.
     Minimizes the summed pointwise Frobenius distance to
     ``direction_samples`` over the rational basis span, subject to the
     tangent constraints of ``ts`` at every grid point — a real
@@ -457,7 +538,7 @@ def project_direction(ts, basis, direction_samples):
     if basis.order < 1:
         raise ValueError("projection basis needs order >= 1")
     direction_samples = np.asarray(direction_samples, dtype=np.complex128)
-    nw = ts.grid.size
+    nw = basis.grid.size
     rows, cols = basis.shape
     if direction_samples.shape != (nw, rows, cols):
         raise DimensionMismatch(
@@ -465,9 +546,7 @@ def project_direction(ts, basis, direction_samples):
             f"grid/basis ({nw}, {rows}, {cols})"
         )
 
-    basis_mat = basis.basis(ts.grid)
-    a_con = _constraint_matrix(ts.w_samples, basis_mat)
-    a_obj = _objective_matrix(basis_mat, rows, cols)
+    a_con = _constraint_matrix(ts.w_samples, basis)
     target = _real_stack(direction_samples)
 
     null = _nullspace(a_con)
@@ -475,7 +554,7 @@ def project_direction(ts, basis, direction_samples):
         return YoulaParameter.zero(
             (rows, cols), basis_pole=basis.basis_pole, order=basis.order
         )
-    restricted = a_obj @ null
+    restricted = basis.objective @ null
     y, _, rank, _ = np.linalg.lstsq(restricted, target, rcond=None)
     if rank < null.shape[1]:
         warnings.warn(
@@ -485,18 +564,18 @@ def project_direction(ts, basis, direction_samples):
             ),
             stacklevel=2,
         )
-    x = null @ y
-    return YoulaParameter(basis.basis_pole, _unpack(x, basis.order, (rows, cols)))
+    return basis.parameter(null @ y)
 
 
-def restore_feasibility(samples, q, grid, tol=1e-10):
+def restore_feasibility(samples, q, basis, tol=1e-10):
     """Gauss-Newton refinement of the quadratic residual over coefficients.
 
     ``samples`` is the ``(phi, lam, pi)`` triple of
-    :meth:`ConstraintData.samples` on ``grid``, so a descent that holds
-    them restores without sweeping the factor family again.  Each step
-    solves the Hermitian linearization of the quadratic form for a
-    minimum-norm coefficient correction.  Because the residual is
+    :meth:`ConstraintData.samples` on a grid and ``basis`` the
+    :class:`SampledBasis` of ``q`` on it, so a descent that holds both
+    restores without sweeping the factor family or rebuilding the basis
+    matrix.  Each step solves the Hermitian linearization of the
+    quadratic form for a minimum-norm coefficient correction.  Because the residual is
     exactly quadratic in the parameter, each step drops it roughly to
     the square of its previous size near a feasible point.  After at
     most ``RESTORE_MAX_STEPS`` steps it returns the best iterate seen and
@@ -504,23 +583,23 @@ def restore_feasibility(samples, q, grid, tol=1e-10):
     """
     if not isinstance(q, YoulaParameter):
         raise TypeError("feasibility restoration operates on basis coefficients")
-    grid = validate_grid(grid)
+    if (q.basis_pole, q.order, q.shape) != (basis.basis_pole, basis.order, basis.shape):
+        raise DimensionMismatch("parameter is not in the sampled basis (pole, order, shape)")
     _, lam_w, pi_w = samples
-    basis_mat = q.basis(grid)
 
     x = _real_stack(q.coeffs)
     best, best_res = q, np.inf
     for _ in range(RESTORE_MAX_STEPS + 1):
-        cand = YoulaParameter(q.basis_pole, _unpack(x, q.order, q.shape))
-        q_w = cand.evaluate(grid)
+        cand = basis.parameter(x)
+        q_w = cand.sample(basis.matrix)
         resid = quadratic_form(samples, q_w)
         res = peak_frobenius(resid)
         if res < best_res:
             best, best_res = cand, res
         if res <= tol:
             break
-        a_con = _constraint_matrix(lam_w + pi_w @ q_w, basis_mat)
-        rvec = _hermitian_stack(resid).ravel()
+        a_con = _constraint_matrix(lam_w + pi_w @ q_w, basis)
+        rvec = _hermitian_stack(resid, basis._stack_index).ravel()
         step, *_ = np.linalg.lstsq(a_con, -rvec, rcond=None)
         x = x + step
     return best, best_res

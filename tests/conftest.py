@@ -184,6 +184,35 @@ def routes(monkeypatch):
     return calls
 
 
+def scipy_blockdiag_systems(systems):
+    """Reference for ``blockdiag_systems``: scipy's block_diag of each matrix."""
+    return StateSpace(*(sla.block_diag(*[getattr(g, m) for g in systems]).astype(np.complex128)
+                        for m in "abcd"))
+
+
+def scipy_chain_realization(q):
+    """Reference for ``YoulaParameter.to_statespace``: the chain built with scipy's block_diag."""
+    k, (rows, cols) = q.order, q.shape
+    if k == 0:
+        return static_gain(q.coeffs[0])
+    eye = np.eye(cols)
+    a = sla.block_diag(*([-q.basis_pole * eye] * k)).astype(np.complex128)
+    for blk in range(1, k):
+        a[blk * cols : (blk + 1) * cols, (blk - 1) * cols : blk * cols] = eye
+    b = np.zeros((k * cols, cols), dtype=np.complex128)
+    b[:cols] = eye
+    c = np.hstack([q.coeffs[j] for j in range(1, k + 1)])
+    return StateSpace(a, b, c, q.coeffs[0])
+
+
+def assert_same_bits(got, want):
+    """Two models hold the same bits in every matrix, signed zeros included."""
+    for m in "abcd":
+        x, y = getattr(got, m), getattr(want, m)
+        assert x.shape == y.shape, m
+        np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64), err_msg=m)
+
+
 def hstack_systems(systems):
     """Input concatenation ``[G1 G2 ...]`` (shared outputs)."""
     systems = list(systems)

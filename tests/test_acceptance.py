@@ -45,6 +45,7 @@ from coherentctl.statespace import (
     static_gain,
 )
 from coherentctl.youla_constraint import (
+    SampledBasis,
     YoulaParameter,
     build_constraint_data,
     constraint_residual,
@@ -255,7 +256,9 @@ def test_a05_feasibility_equivalence(monkeypatch):
                 base.basis_pole,
                 base.coeffs + scale * random_complex(rng, base.coeffs.shape),
             )
-            q, res = restore_feasibility(cd_cavity.samples(grid), bumped, grid)
+            q, res = restore_feasibility(
+                cd_cavity.samples(grid), bumped, SampledBasis.of(bumped, grid)
+            )
             assert res < 1e-8
             instances.append((cf_cavity, cd_cavity, q))
     # clearly feasible: parameters recovered from static hyperbolic
@@ -378,7 +381,7 @@ def test_a07_gradient_matches_finite_differences():
         dn = YoulaParameter(1.0, q.coeffs - hg * delta.coeffs)
         fd_grid = (grid_functional(up) - grid_functional(dn)) / (2.0 * hg)
         pairing_grid = np.einsum(
-            "wab,wab->", gradient(sp, q).conj(), delta.evaluate(sp.grid)
+            "wab,wab->", gradient(sp, q.evaluate(sp.grid)).conj(), delta.evaluate(sp.grid)
         ).real
         assert fd_grid == pytest.approx(pairing_grid, rel=1e-6, abs=1e-8)
 
@@ -400,7 +403,9 @@ def test_a08_tangent_projection_properties():
             base.basis_pole,
             base.coeffs + 0.01 * random_complex(rng, base.coeffs.shape),
         )
-        feasible, res = restore_feasibility(cd_cavity.samples(grid), bumped, grid)
+        feasible, res = restore_feasibility(
+            cd_cavity.samples(grid), bumped, SampledBasis.of(bumped, grid)
+        )
         assert res < 1e-8
         cases.append((cd_cavity, feasible, 8200 + i))
     for i in range(8):
@@ -412,22 +417,23 @@ def test_a08_tangent_projection_properties():
 
     assert len(cases) == 20
     for cd, base, seed in cases:
-        ts = tangent_subspace(cd.samples(grid), base, grid)
+        basis = SampledBasis.of(base, grid)
+        ts = tangent_subspace(cd.samples(grid), base, basis)
         rng = make_rng(seed)
         g = random_complex(rng, (grid.size, 2, 2))
 
-        proj = project_direction(ts, base, g)
+        proj = project_direction(ts, basis, g)
         proj_w = proj.evaluate(grid)
         assert frob_max(constraint_map(ts, proj_w)) < 1e-8
 
-        again = project_direction(ts, base, proj_w)
+        again = project_direction(ts, basis, proj_w)
         assert np.abs(again.evaluate(grid) - proj_w).max() < 1e-8
 
         err = g - proj_w
         err_norm = np.linalg.norm(err)
         for _ in range(10):
             y = project_direction(
-                ts, base, random_complex(rng, (grid.size, 2, 2))
+                ts, basis, random_complex(rng, (grid.size, 2, 2))
             ).evaluate(grid)
             pairing = abs(np.sum(err.conj() * y).real)
             assert pairing <= 1e-8 * max(1.0, err_norm * np.linalg.norm(y))

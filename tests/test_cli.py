@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coherentctl import cli
 from coherentctl.cli import main
 from coherentctl.problemfile import loads_problem
 from coherentctl.stabilization import controller_from_parameter
@@ -467,6 +468,37 @@ class TestInvocation:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_one_parser_serves_consecutive_calls(self, tmp_path, capsys):
+        # the parser is built once per process: no call may see the flags
+        # or the subcommand of the call before it
+        csv, bundle = str(tmp_path / "profile.csv"), str(tmp_path / "bundle")
+        calls = [
+            ["check-pr", fx("cavity_pr.json"), "--tol", "1e-30"],
+            ["check-pr", fx("cavity_pr.json")],
+            ["factorize", fx("scalar_demo.json"), "--grid-points", "9", "--tol", "1e-30"],
+            ["factorize", fx("scalar_demo.json")],
+            ["eval-hinf", fx("allpass_hinf.json"), "--grid-points", "9", "--out", csv],
+            ["eval-hinf", fx("allpass_hinf.json"), "--out", csv],
+            ["synthesize-h2", fx("coupled_h2.json"), "--tol", "1e-30", "--out", bundle],
+            ["synthesize-h2", fx("coupled_h2.json"), "--out", bundle],
+            ["check-pr", fx("cavity_pr.json"), "--grid-points", "9"],
+            ["closed-loop", fx("cavity_pr.json"), "--q-from", fx("q_zero_basis.json")],
+        ]
+
+        def run(argv):
+            code = main(argv + ["--json"])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        shared = [run(argv) for argv in calls]
+        assert cli._parser() is cli._parser()
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [1, 0, 1, 0, 0, 0, 1, 0, 2, 0]
 
     def test_removed_gain_options_are_usage_errors(self, capsys):
         # the eigenvalue-assignment policy and the seed that fed it are gone

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coherentctl import _accel, h2_synthesis
+from coherentctl import _accel, h2_synthesis, youla_constraint
 from coherentctl.cli import main
-from coherentctl.norms import is_certified_stable
+from coherentctl.norms import h2_norm_sq, is_certified_stable
 from coherentctl.physreal import SlhModel, slh_to_statespace
 from coherentctl.problemfile import load_problem_file
 
@@ -37,6 +37,7 @@ from coherentctl.stabilization import (
     ModifiedPlant,
     modify_plant,
     closed_loop_triple,
+    parameter_poles,
     coprime_factorization,
     controller_from_parameter,
     stabilizing_gains,
@@ -56,6 +57,7 @@ from coherentctl.youla_constraint import (
 )
 
 from conftest import (
+    assert_same_bits,
     coupled_cavity_loop,
     exact_cavity_parameter,
     freq_response,
@@ -383,7 +385,7 @@ class TestGradient:
 
         # pointwise gradient samples paired with delta over the whole axis
         wide = quad_grid(sp.generator, delta.to_statespace(), points_per_decade=512)
-        grad_w = gradient(scalar_problem(grid=wide), q)
+        grad_w = gradient(scalar_problem(grid=wide), q.evaluate(wide))
         vals = np.einsum("wab,wab->w", grad_w.conj(), delta.evaluate(wide)).real
         pairing = np.trapezoid(vals, wide) / (2.0 * np.pi)
         assert fd == pytest.approx(pairing, rel=1e-4)
@@ -408,7 +410,7 @@ class TestGradient:
         dn = YoulaParameter(1.0, q.coeffs - h * delta.coeffs)
         fd = (grid_functional(up) - grid_functional(dn)) / (2.0 * h)
         pairing = np.einsum(
-            "wab,wab->", gradient(sp, q).conj(), delta.evaluate(sp.grid)
+            "wab,wab->", gradient(sp, q.evaluate(sp.grid)).conj(), delta.evaluate(sp.grid)
         ).real
         assert fd == pytest.approx(pairing, rel=1e-6, abs=1e-8)
 
@@ -680,3 +682,87 @@ class TestOneSpectrumPerLoop:
             rebased = StateSpace(s @ k.a @ s_inv, s @ k.b, k.c @ s_inv, k.d)
             loop = compose_lft(mp.full, rebased, n_meas=mp.out_meas, n_ctrl=mp.in_ctrl)
             assert is_certified_stable(loop.a, 1e-9)
+
+
+class _Captured(Exception):
+    """Ends a command once its descent's problem and start are recorded."""
+
+
+def h2_descent_problems(monkeypatch, tmp_path):
+    """(label, problem, start) of every document of the benchmark's descent workload.
+
+    Each is assembled by the command itself: ``synthesize-h2`` runs up to
+    its descent, which records its arguments and stops it.
+    """
+    monkeypatch.syspath_prepend(str(PIPEBENCH))
+    from workloads import h2_descent
+
+    from coherentctl import cli
+
+    seen = []
+
+    def record(sp, q_init, cfg):
+        seen.append((sp, q_init))
+        raise _Captured
+
+    monkeypatch.setattr(cli, "descend", record)
+    problems = []
+    for op in sorted(h2_descent(1, str(tmp_path)), key=lambda op: op.label):
+        with pytest.raises(_Captured):
+            main(op.argv)
+        problems.append((op.label, *seen.pop()))
+    return problems
+
+
+class TestDescentReuse:
+    """What a descent builds once gives the bits of what it replaced."""
+
+    def test_cost_is_the_loop_reference_bit_for_bit(self, monkeypatch, tmp_path):
+        problems = h2_descent_problems(monkeypatch, tmp_path)
+        assert len(problems) == 5
+        for label, sp, q_init in problems:
+            rng = make_rng(2025)
+            params = [q_init] + [
+                YoulaParameter(
+                    q_init.basis_pole,
+                    q_init.coeffs + 0.05 * random_complex(rng, q_init.coeffs.shape),
+                )
+                for _ in range(3)
+            ]
+            for q in params:
+                want = h2_norm_sq(sp.loop(q), sp.loop_poles(parameter_poles(q)))
+                got = cost(sp, q)
+                assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), label
+                assert_same_bits(sp.basis_loop(q), sp.loop(q))
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_basis_loop_is_the_loop_at_every_order(self, order):
+        sp = cavity_problem()
+        q = YoulaParameter(1.5, random_complex(make_rng(order), (order + 1, 2, 2), scale=0.3))
+        assert_same_bits(sp.basis_loop(q), sp.loop(q))
+
+    def test_basis_loop_checks_the_slots(self):
+        sp = scalar_problem()
+        with pytest.raises(DimensionMismatch):
+            sp.basis_loop(YoulaParameter.zero((2, 1), order=2))
+
+    def test_thin_nullspace_is_the_full_one(self, monkeypatch, tmp_path):
+        # the tangent Jacobians of a mixing (4, 17) run: rows >= columns, so
+        # the thin SVD holds all of Vt and gives the same bits
+        monkeypatch.syspath_prepend(str(PIPEBENCH))
+        from workloads import mixing_weight_document
+
+        jacobians, nullspace = [], youla_constraint._nullspace
+        monkeypatch.setattr(
+            youla_constraint, "_nullspace", lambda mat: jacobians.append(mat) or nullspace(mat)
+        )
+        doc = tmp_path / "mixing-4-17.json"
+        doc.write_text(json.dumps(mixing_weight_document(4, 17)))
+        main(["synthesize-h2", str(doc), "--out", str(tmp_path / "out"), "--json"])
+        assert len(jacobians) == 40
+        for mat in jacobians:
+            assert mat.shape == (68, 40)
+            _, s, vt = np.linalg.svd(mat, full_matrices=True)
+            rank = int(np.count_nonzero(s > s[0] * max(mat.shape) * np.finfo(float).eps))
+            got = nullspace(mat)
+            np.testing.assert_array_equal(got.view(np.uint64), vt[rank:].T.view(np.uint64))

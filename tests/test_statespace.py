@@ -26,6 +26,7 @@ from coherentctl.statespace import (
 from coherentctl.youla_constraint import YoulaParameter
 
 from conftest import (
+    assert_same_bits,
     coupled_cavity_loop,
     freq_response,
     hstack_systems,
@@ -33,6 +34,7 @@ from conftest import (
     random_complex,
     random_statespace,
     random_unitary,
+    scipy_blockdiag_systems,
     sum_product_controller,
     vstack_systems,
     zero_system,
@@ -324,6 +326,21 @@ class TestAlgebra:
         top = np.hstack([freq_response(g, w), np.zeros((2, 2))])
         bot = np.hstack([np.zeros((2, 3)), freq_response(h, w)])
         np.testing.assert_allclose(freq_response(bd, w), np.vstack([top, bot]), atol=1e-12)
+
+
+class TestBlockDiagonal:
+    def test_matches_scipy_bit_for_bit(self):
+        # signed zeros included: a -0 inside a block stays, the padding is +0
+        rng = make_rng(71)
+        g = random_statespace(rng, 2, 1, 3)
+        g.a[0, 1] = -0.0
+        g.d[0, 0] = complex(-0.0, -0.0)
+        h = StateSpace(-np.eye(2), np.ones((2, 1)), np.eye(2), np.zeros((2, 1)))
+        h.a[1, 0] = -0.0
+        parts = [g, static_gain(np.full((2, 3), -0.0)), h, identity_system(2),
+                 static_gain(np.ones((1, 1)))]
+        assert_same_bits(blockdiag_systems(parts), scipy_blockdiag_systems(parts))
+        assert_same_bits(blockdiag_systems([h] * 3), scipy_blockdiag_systems([h] * 3))
 
 
 class TestLft:

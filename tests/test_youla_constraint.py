@@ -20,9 +20,11 @@ from coherentctl.statespace import StateSpace, log_grid, signature_matrix, stati
 from coherentctl.youla_constraint import (
     ConstraintData,
     MembershipVerdict,
+    SampledBasis,
     TangentSubspace,
     YoulaParameter,
     _constraint_matrix,
+    _hermitian_index,
     _hermitian_stack,
     _objective_matrix,
     _real_stack,
@@ -37,6 +39,7 @@ from coherentctl.youla_constraint import (
 )
 
 from conftest import (
+    assert_same_bits,
     constraint_map,
     coupled_cavity_loop,
     exact_cavity_parameter,
@@ -44,6 +47,7 @@ from conftest import (
     make_rng,
     random_complex,
     random_statespace,
+    scipy_chain_realization,
     sum_systems,
 )
 
@@ -154,6 +158,13 @@ class TestYoulaParameter:
         np.testing.assert_allclose(
             q.evaluate(grid), sys.response(grid), atol=1e-11
         )
+
+    @pytest.mark.parametrize("pole,order,shape", [(1.0, 0, (2, 2)), (1.3, 1, (2, 2)),
+                                                  (0.5, 4, (2, 3)), (2.0, 12, (2, 2))])
+    def test_realization_matches_scipy_chain_bit_for_bit(self, pole, order, shape):
+        # the -0 that -b * I leaves off each block's diagonal is kept
+        q = YoulaParameter(pole, random_complex(make_rng(order), (order + 1, *shape)))
+        assert_same_bits(q.to_statespace(), scipy_chain_realization(q))
 
     def test_static_realization(self):
         q = YoulaParameter(1.0, 0.7j * np.ones((1, 2, 3)))
@@ -365,7 +376,8 @@ class FeasibleCavity:
         self.grid = log_grid(1e-1, 1e1, 9)
         self.base = exact_cavity_parameter(order=4)
         self.samples = self.cd.samples(self.grid)
-        self.ts = tangent_subspace(self.samples, self.base, self.grid)
+        self.basis = SampledBasis.of(self.base, self.grid)
+        self.ts = tangent_subspace(self.samples, self.base, self.basis)
 
     def random_direction(self, seed):
         rng = make_rng(seed)
@@ -426,7 +438,8 @@ def dense_jacobians(w_samples, basis_mat):
                     tensor[v, :, p, q] = part * basis_mat[:, k]
                     v += 1
     cross = np.einsum("vwca,wcb->vwab", tensor.conj(), w_samples)
-    a_con = _hermitian_stack(cross + cross.conj().swapaxes(2, 3)).reshape(v, -1).T
+    a_con = _hermitian_stack(cross + cross.conj().swapaxes(2, 3), _hermitian_index(cols))
+    a_con = a_con.reshape(v, -1).T
     flat = tensor.reshape(v, -1)
     a_obj = np.concatenate([flat.real, flat.imag], axis=1).T
     return a_con, a_obj
@@ -440,11 +453,11 @@ class TestConstraintJacobian:
         # same products in the same order and layout: descent output
         # stays byte-identical only while this holds
         cd, base = jacobian_case(name)
-        w_samples = tangent_subspace(cd.samples(self.grid), base, self.grid).w_samples
-        basis_mat = base.basis(self.grid)
-        want_con, want_obj = dense_jacobians(w_samples, basis_mat)
-        a_con = _constraint_matrix(w_samples, basis_mat)
-        a_obj = _objective_matrix(basis_mat, *base.shape)
+        basis = SampledBasis.of(base, self.grid)
+        w_samples = tangent_subspace(cd.samples(self.grid), base, basis).w_samples
+        want_con, want_obj = dense_jacobians(w_samples, basis.matrix)
+        a_con = _constraint_matrix(w_samples, basis)
+        a_obj = basis.objective
         for got, want in ((a_con, want_con), (a_obj, want_obj)):
             assert got.flags.f_contiguous
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -455,12 +468,14 @@ class TestConstraintJacobian:
     @pytest.mark.parametrize("name", ["cavity", "random"])
     def test_constraint_columns_match_constraint_map(self, name):
         cd, base = jacobian_case(name)
-        ts = tangent_subspace(cd.samples(self.grid), base, self.grid)
-        a_con = _constraint_matrix(ts.w_samples, base.basis(self.grid))
+        basis = SampledBasis.of(base, self.grid)
+        ts = tangent_subspace(cd.samples(self.grid), base, basis)
+        a_con = _constraint_matrix(ts.w_samples, basis)
         units = list(unit_directions(base.order, base.shape, base.basis_pole))
         assert a_con.shape == (self.grid.size * 4, len(units))
         for v, e_v in enumerate(units):
-            want = _hermitian_stack(constraint_map(ts, e_v.evaluate(self.grid)))
+            want = constraint_map(ts, e_v.evaluate(self.grid))
+            want = _hermitian_stack(want, _hermitian_index(2))
             np.testing.assert_allclose(a_con[:, v], want.ravel(), rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("name", ["cavity", "random"])
@@ -474,33 +489,33 @@ class TestConstraintJacobian:
 class TestProjectDirection(FeasibleCavity):
     @pytest.mark.parametrize("seed", range(5))
     def test_projected_direction_is_tangent(self, seed):
-        x = project_direction(self.ts, self.base, self.random_direction(seed))
+        x = project_direction(self.ts, self.basis, self.random_direction(seed))
         vals = constraint_map(self.ts, x.evaluate(self.grid))
         assert np.sqrt(np.sum(np.abs(vals) ** 2, axis=(1, 2))).max() < 1e-8
 
     def test_idempotent_on_kernel_members(self):
-        x1 = project_direction(self.ts, self.base, self.random_direction(7))
-        x2 = project_direction(self.ts, self.base, x1.evaluate(self.grid))
+        x1 = project_direction(self.ts, self.basis, self.random_direction(7))
+        x2 = project_direction(self.ts, self.basis, x1.evaluate(self.grid))
         np.testing.assert_allclose(
             x2.evaluate(self.grid), x1.evaluate(self.grid), atol=1e-8
         )
 
     def test_orthogonality_of_residual(self):
         g = self.random_direction(3)
-        proj = project_direction(self.ts, self.base, g)
+        proj = project_direction(self.ts, self.basis, g)
         err = g - proj.evaluate(self.grid)
         scale = np.linalg.norm(g)
         for seed in range(10):
-            y = project_direction(self.ts, self.base, self.random_direction(40 + seed))
+            y = project_direction(self.ts, self.basis, self.random_direction(40 + seed))
             y_w = y.evaluate(self.grid)
             pairing = np.sum(err.conj() * y_w).real
             assert abs(pairing) <= 1e-8 * max(1.0, scale * np.linalg.norm(y_w))
 
     def test_real_linearity(self):
         g1, g2 = self.random_direction(11), self.random_direction(12)
-        lhs = project_direction(self.ts, self.base, 0.7 * g1 - 1.3 * g2)
-        p1 = project_direction(self.ts, self.base, g1)
-        p2 = project_direction(self.ts, self.base, g2)
+        lhs = project_direction(self.ts, self.basis, 0.7 * g1 - 1.3 * g2)
+        p1 = project_direction(self.ts, self.basis, g1)
+        p2 = project_direction(self.ts, self.basis, g2)
         np.testing.assert_allclose(
             lhs.evaluate(self.grid),
             0.7 * p1.evaluate(self.grid) - 1.3 * p2.evaluate(self.grid),
@@ -513,7 +528,7 @@ class TestProjectDirection(FeasibleCavity):
             w_samples=np.zeros((self.grid.size, 2, 2), dtype=complex),
         )
         g = self.random_direction(21)
-        proj = project_direction(free, self.base, g)
+        proj = project_direction(free, self.basis, g)
         fit = YoulaParameter.fit(g, self.grid, order=self.base.order)
         np.testing.assert_allclose(
             proj.evaluate(self.grid), fit.evaluate(self.grid), atol=1e-9
@@ -523,33 +538,35 @@ class TestProjectDirection(FeasibleCavity):
         # with only a constant and one decay term, the tangent space of
         # this fixture is trivial
         base = exact_cavity_parameter(order=1)
-        ts = tangent_subspace(self.samples, base, self.grid)
-        proj = project_direction(ts, base, self.random_direction(2))
+        basis = SampledBasis.of(base, self.grid)
+        ts = tangent_subspace(self.samples, base, basis)
+        proj = project_direction(ts, basis, self.random_direction(2))
         assert not proj.coeffs.any()
 
     def test_underdetermined_fit_warns(self):
         grid = np.array([1.0])
         base = exact_cavity_parameter(order=3)
-        ts = tangent_subspace(self.cd.samples(grid), base, grid)
+        basis = SampledBasis.of(base, grid)
+        ts = tangent_subspace(self.cd.samples(grid), base, basis)
         rng = make_rng(9)
         with pytest.warns(RankDeficientProjection):
-            proj = project_direction(ts, base, random_complex(rng, (1, 2, 2)))
+            proj = project_direction(ts, basis, random_complex(rng, (1, 2, 2)))
         vals = constraint_map(ts, proj.evaluate(grid))
         assert np.abs(vals).max() < 1e-8
 
     def test_order_zero_basis_rejected(self):
         base = YoulaParameter.zero(2, order=0)
         with pytest.raises(ValueError, match="order"):
-            project_direction(self.ts, base, self.random_direction(0))
+            project_direction(self.ts, SampledBasis.of(base, self.grid), self.random_direction(0))
 
     def test_direction_shape_guard(self):
         with pytest.raises(DimensionMismatch):
-            project_direction(self.ts, self.base, np.zeros((2, 2, 2)))
+            project_direction(self.ts, self.basis, np.zeros((2, 2, 2)))
 
 
 class TestRestoreFeasibility(FeasibleCavity):
     def test_noop_on_feasible_point(self):
-        q, res = restore_feasibility(self.samples, self.base, self.grid)
+        q, res = restore_feasibility(self.samples, self.base, self.basis)
         assert res < 1e-12
         np.testing.assert_array_equal(q.coeffs, self.base.coeffs)
 
@@ -562,14 +579,19 @@ class TestRestoreFeasibility(FeasibleCavity):
         )
         start = constraint_residual(self.cd, bumped, self.grid)
         assert start > 1e-4 * scale
-        q, res = restore_feasibility(self.samples, bumped, self.grid)
+        q, res = restore_feasibility(self.samples, bumped, self.basis)
         assert res < 1e-10
         drift = np.abs(q.coeffs - bumped.coeffs).max()
         assert drift < 10.0 * scale
 
+    def test_requires_the_parameter_of_its_basis(self):
+        for other in (exact_cavity_parameter(order=3), YoulaParameter(2.0, self.base.coeffs)):
+            with pytest.raises(DimensionMismatch, match="sampled basis"):
+                restore_feasibility(self.samples, other, self.basis)
+
     def test_requires_basis_parameter(self):
         with pytest.raises(TypeError):
-            restore_feasibility(self.samples, self.base.to_statespace(), self.grid)
+            restore_feasibility(self.samples, self.base.to_statespace(), self.basis)
 
     def test_makes_no_sweep(self, monkeypatch):
         calls = []
@@ -585,7 +607,7 @@ class TestRestoreFeasibility(FeasibleCavity):
             self.base.basis_pole,
             self.base.coeffs + 1e-2 * random_complex(rng, self.base.coeffs.shape),
         )
-        _, res = restore_feasibility(self.samples, bumped, self.grid)
+        _, res = restore_feasibility(self.samples, bumped, self.basis)
         assert res < 1e-10
         assert calls == []
 
