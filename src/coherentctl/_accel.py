@@ -21,7 +21,10 @@ triangular solve) per frequency serves all of their inputs.
   ``n * n_omega >= SCHUR_SWEEP_MIN``): one complex Schur form
   ``A = Z T Z^H``, then the triangular route on ``(T, Z^H B)`` and one
   batched ``C Z X + D`` (Laub 1981, IEEE TAC 26(2)).  Z is unitary, so
-  the route is backward-stable; it forms no resolvent stack.  Each
+  the route is backward-stable; it forms no resolvent stack.  The form
+  is :func:`~.statespace.schur_form`'s, taken block by block over A's
+  independent parts, unless the caller carries one already (the gain
+  design's form of a stable plant, for its factorization check).  Each
   nonzero column of the (stacked) B is solved once, up to sign, and its
   duplicates, negations and the zero columns are filled in exactly: the
   factor families and P22 of a stable plant, swept together as
@@ -40,8 +43,10 @@ checks of 16 states and more take the Schur route.
 """
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
+
+# statespace imports this module; the Schur form is looked up when a sweep needs it
+from . import statespace
 
 #: Upper bound on the bytes of one block's complex resolvent stack.
 SWEEP_BLOCK_BYTES = 16 * 2**20
@@ -70,15 +75,18 @@ SCHUR_SWEEP_MIN = 2000
 SCHUR_MIN_STATES = 16
 
 
-def freq_sweep(a, systems, omegas):
+def freq_sweep(a, systems, omegas, form):
     """Sweep ``C (iw I - A)^-1 B + D`` for each ``(B, C, D)`` in ``systems``.
 
     Returns one (n_omega, p, m) array per system.  The systems share A,
     and so one resolvent (or triangular) solve per frequency: their inputs
     are solved for as one right-hand side, and each output map is applied
     to its own columns only, with the shapes a sweep of that system alone
-    would use.  Raises ``np.linalg.LinAlgError`` when the resolvent is
-    exactly singular at a grid frequency.
+    would use.  ``form`` is None or a complex Schur form ``(T, Z)`` of A,
+    which the Schur route then takes instead of factoring A; the other
+    routes ignore it.
+    Raises ``np.linalg.LinAlgError`` when the resolvent is exactly
+    singular at a grid frequency.
     """
     n = a.shape[0]
     if n == 0:
@@ -87,7 +95,7 @@ def freq_sweep(a, systems, omegas):
     if n >= SCHUR_MIN_STATES and not np.any(np.tril(a, -1)):
         return _outputs(_triangular_sweep(a, b, omegas), systems)
     if n >= SCHUR_MIN_STATES and n * omegas.size >= SCHUR_SWEEP_MIN:
-        return _schur_sweep(a, b, systems, omegas)
+        return _schur_sweep(form or statespace.schur_form(a), b, systems, omegas)
     out = [np.empty((omegas.size, c.shape[0], b.shape[1]), dtype=np.complex128)
            for b, c, _ in systems]
     eye = np.eye(n, dtype=np.complex128)
@@ -102,8 +110,8 @@ def freq_sweep(a, systems, omegas):
     return out
 
 
-def _schur_sweep(a, b, systems, omegas):
-    t, z = sla.schur(a, output="complex")
+def _schur_sweep(form, b, systems, omegas):
+    t, z = form
     zb = z.conj().T @ b
     lead, parts = _distinct_columns(zb)
     x = _triangular_sweep(t, zb[:, lead], omegas)

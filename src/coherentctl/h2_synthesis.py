@@ -85,7 +85,8 @@ class SynthesisProblem:
     fold the outer factors into its quadratic expansion: ``T1* T0 T2*``
     drives the linear term, ``T1* T1`` and ``T2 T2*`` the quadratic one,
     and the gradient is ``2(T1* T0 T2* + T1* T1 Q T2 T2*)`` on ``grid``.
-    Only descent reads ``cd``; only validation reads ``mp``/``cf``.
+    Only descent reads ``cd``; validation reads ``mp``/``cf``, and the
+    H-infinity evaluation the Schur form their gains carry.
     """
 
     generator: StateSpace

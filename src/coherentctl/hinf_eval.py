@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .norms import HINF_REL_TOL, hinf_norm, sigma_max_profile
 from .stabilization import closed_loop_triple  # noqa: F401  (traced per layer by pipebench)
-from .statespace import StateSpace
+from .statespace import StateSpace, _closure, schur_form
 
 __all__ = ["HinfReport", "hinf_cost"]
 
@@ -58,10 +57,14 @@ def hinf_cost(sp, q, q_poles, rel_tol=HINF_REL_TOL):
     once, ``A = Z T Z*`` with Z unitary, which keeps its transfer and the
     Hamiltonian spectrum of every level test; each sigma_max sample,
     from the start set to the problem grid, is then one triangular solve
-    per frequency.  Stability and the start frequencies read the whole
-    loop's spectrum ``sp.loop_poles(q_poles)``, so a mode that no port
-    sees still counts.  ``q_poles`` is the parameter's spectrum, from
-    :func:`parameter_poles` or :func:`parameter_from_controller`.
+    per frequency.  When that A is exactly the plant's, as for a stable
+    plant at the zero parameter, the form is the one the gain design
+    carries (:class:`~.stabilization.GainPair`), else
+    :func:`~.statespace.schur_form` takes it.  Stability and the start
+    frequencies read the whole loop's spectrum ``sp.loop_poles(q_poles)``,
+    so a mode that no port sees still counts.  ``q_poles`` is the
+    parameter's spectrum, from :func:`parameter_poles` or
+    :func:`parameter_from_controller`.
 
     Raises
     ------
@@ -70,7 +73,11 @@ def hinf_cost(sp, q, q_poles, rel_tol=HINF_REL_TOL):
         plane (the axis supremum is then undefined/infinite).
     """
     loop = _structural_part(sp.loop(q))
-    t, z = sla.schur(loop.a, output="complex")
+    carried = None if sp.cf is None else sp.cf.gains.schur
+    if carried is not None and np.array_equal(loop.a, sp.mp.full.a):
+        t, z = carried
+    else:
+        t, z = schur_form(loop.a)
     loop = StateSpace(t, z.conj().T @ loop.b, loop.c @ z, loop.d)
     value, peak = hinf_norm(loop, sp.loop_poles(q_poles), rel_tol=rel_tol)
     grid = sp.grid
@@ -99,12 +106,3 @@ def _structural_part(sys):
     if keep.all():
         return sys
     return StateSpace(sys.a[np.ix_(keep, keep)], sys.b[keep], sys.c[:, keep], sys.d)
-
-
-def _closure(drives, seed):
-    """The states ``seed`` leads to along ``drives[i, j]`` (from j to i)."""
-    reached, frontier = seed.copy(), seed
-    while frontier.any():
-        frontier = drives[:, frontier].any(axis=1) & ~reached
-        reached |= frontier
-    return reached

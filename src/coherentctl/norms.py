@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import NotStable, NotStrictlyProper
-from .statespace import validate_grid
+from .statespace import schur_form, validate_grid
 
 __all__ = [
     "is_hurwitz",
@@ -39,16 +39,17 @@ def is_hurwitz(eig, margin=1e-9):
 def is_certified_stable(a, margin):
     """Lyapunov inertia certificate that every eigenvalue has Re < -margin.
 
-    Solves (A + mI) X + X (A + mI)* = -I in Schur coordinates and tries a
-    Cholesky factorization of X, which is positive definite exactly when
-    A + mI is Hurwitz, so a defective cluster's roundoff split is never
-    read.  A non-finite or perturbed solve or a failed factorization gives
-    False, never an exception; a 0-state matrix is stable.
+    Solves (A + mI) X + X (A + mI)* = -I in the Schur coordinates of
+    :func:`~.statespace.schur_form` and tries a Cholesky factorization of
+    X, which is positive definite exactly when A + mI is Hurwitz, so a
+    defective cluster's roundoff split is never read.  A non-finite or
+    perturbed solve or a failed factorization gives False, never an
+    exception; a 0-state matrix is stable.
     """
     if not a.size:
         return True
     try:
-        t, _ = sla.schur(a + margin * np.eye(len(a)), output="complex")
+        t, _ = schur_form(a + margin * np.eye(len(a)))
         x, scale, info = sla.lapack.ztrsyl(t, t, -np.eye(len(a), dtype=complex), tranb="C")
         if info or scale != 1.0 or not np.isfinite(x).all():
             return False
@@ -79,6 +80,11 @@ def h2_norm_sq(sys, poles):
 
     Solves ``A P + P A* + B B* = 0`` and returns ``trace(C P C*)``.
     Requires A's spectrum ``poles`` Hurwitz (margin 1e-12) and D = 0.
+    The solve takes the steps of ``scipy.linalg.solve_continuous_lyapunov``
+    (Bartels and Stewart 1972: a Schur form of A, ``trsyl`` on the
+    transformed right-hand side, the transform back), with its bits and
+    without its argument checks; the Hurwitz spectrum rules out the
+    near-singular case it warns of.
     """
     if not is_hurwitz(poles, 1e-12):
         raise NotStable(
@@ -90,7 +96,12 @@ def h2_norm_sq(sys, poles):
         raise NotStrictlyProper(f"H2 norm undefined: |D| = {dmax:.3e}")
     if sys.n_states == 0:
         return 0.0
-    p = sla.solve_continuous_lyapunov(sys.a, -sys.b @ sys.b.conj().T)
+    # one Schur form of the whole A, as scipy's: schur_form would split A and change the bits
+    t, u = sla.schur(sys.a, output="complex")
+    f = u.conj().T.dot((-sys.b @ sys.b.conj().T).dot(u))
+    y, scale, _ = sla.lapack.ztrsyl(t, t, f, tranb="C")
+    y *= scale
+    p = u.dot(y).dot(u.conj().T)
     return float(np.trace(sys.c @ p @ sys.c.conj().T).real)
 
 
@@ -229,7 +240,11 @@ def hinf_norm(sys, poles, rel_tol=HINF_REL_TOL):
     value : float
     peak_omega : float
         The sampled frequency with the largest sigma_max: any frequency
-        that attains the norm within ``rel_tol``.
+        that attains the norm within ``rel_tol``.  A peak at negative
+        frequency whose mirror -omega attains it within ``rel_tol`` too is
+        reported at -omega: the gain of a doubled-up model is even in
+        omega, so its peaks come in mirrored pairs of equal height, and
+        which of the two samples is larger in the last bit is roundoff.
 
     Raises
     ------
@@ -243,10 +258,15 @@ def hinf_norm(sys, poles, rel_tol=HINF_REL_TOL):
     def sigma(omegas):
         return np.linalg.svd(sys.response(omegas), compute_uv=False)[:, 0]
 
+    def attained(value, peak):
+        if peak < 0.0 and sigma(np.array([-peak]))[0] >= value * (1.0 - rel_tol):
+            return value, -peak
+        return value, peak
+
     grid = _default_hinf_grid(poles)
     best, peak = _climb(sigma, grid, sigma(grid), rel_tol)
     if sys.n_states == 0:
-        return best, peak
+        return attained(best, peak)
 
     sig_d = float(np.linalg.svd(sys.d, compute_uv=False)[0]) if sys.d.size else 0.0
     # floored so that the test's level squared stays a normal float
@@ -259,7 +279,7 @@ def hinf_norm(sys, poles, rel_tol=HINF_REL_TOL):
             break
         crossings = _imaginary_crossings(sys, level)
         if crossings is None:
-            return level, peak
+            return attained(level, peak)
         if crossings.size:
             lo_w, hi_w = crossings[:-1], crossings[1:]
             # arithmetic midpoints, plus geometric ones for intervals on one

@@ -30,12 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import InvalidSlh
 from .norms import is_spectrally_generic
-from .statespace import StateSpace, doubled, minimal_realization, signature_matrix
+from .statespace import (
+    StateSpace,
+    _parts,
+    doubled,
+    minimal_realization,
+    schur_form,
+    signature_matrix,
+)
 
 __all__ = [
     "SlhModel",
@@ -159,23 +165,32 @@ def slh_to_statespace(model):
     return StateSpace(a, b, lmat, dmat)
 
 
-def _lyapunov_residual(t, z, b, c, d, sign):
-    """``||X C* + B J D*||_F / (||X|| ||C|| + ||B|| ||D||)`` for ``A = Z T Z*``.
+def _lyapunov_residual(parts, b, c, d, sign):
+    """``||X C* + B J D*||_F / (||X|| ||C|| + ||B|| ||D||)``, part by part.
 
-    X solves ``A X + X A* + B J B* = 0``; T must have a generic spectrum,
-    which makes X unique.  The equation is solved in the Schur
-    coordinates and, every norm being Frobenius, the residual is taken
-    there too, so X itself is never formed.  The scale is floored at the
-    smallest normal float: a model with X = 0 and D = 0 gives 0, not NaN.
+    Each of ``parts`` is ``(states, T, Z)`` with ``A_i = Z T Z*`` the
+    block of A on those states.  X solves ``A X + X A* + B J B* = 0``; a
+    generic spectrum makes X unique.  The parts share no state, input or
+    output, so X is block diagonal over them and each block of
+    ``X C* + B J D*`` is its part's rows: every Frobenius norm is the
+    root sum of squares of the parts' norms.  Each part's equation is
+    solved in its Schur coordinates and its norms are taken there, so X
+    itself is never formed; a model of one part gets the norms of one
+    solve.  The scale is floored at the smallest normal float: a model
+    with X = 0 and D = 0 gives 0, not NaN.
     """
-    bz = z.conj().T @ b
-    cz = c @ z
-    bj = bz * sign
-    y, scale, _ = lapack.ztrsyl(t, t, -(bj @ bz.conj().T), tranb="C")
-    y = y / scale
     norm = np.linalg.norm
-    size = norm(y) * norm(cz) + norm(bz) * norm(d)
-    return norm(y @ cz.conj().T + bj @ d.conj().T) / max(size, np.finfo(float).tiny)
+    terms = []
+    for states, t, z in parts:
+        bz = z.conj().T @ b[states]
+        cz = c[:, states] @ z
+        bj = bz * sign
+        y, scale, _ = lapack.ztrsyl(t, t, -(bj @ bz.conj().T), tranb="C")
+        y = y / scale
+        terms.append((norm(y @ cz.conj().T + bj @ d.conj().T), norm(y), norm(cz), norm(bz)))
+    gap, norm_x, norm_c, norm_b = (np.hypot.reduce(column) for column in zip(*terms))
+    size = norm_x * norm_c + norm_b * norm(d)
+    return gap / max(size, np.finfo(float).tiny)
 
 
 @dataclass
@@ -212,6 +227,14 @@ def check_physical_realizability(sys, tol=DEFAULT_PR_TOL):
     was already minimal.  Non-generic or non-minimal inputs are reported
     as such, never repaired.  A non-generic A has no unique X, so its
     residual is the feedthrough term alone; such a model fails on (iii).
+
+    The minimal realization is taken, and the Lyapunov equation solved,
+    on each independent part of the model by the exact nonzero pattern
+    (:func:`~.statespace.minimal_realization`): a passive network
+    (L2 = H2 = 0) in doubled-up coordinates is the direct sum of its
+    annihilation model and that model's conjugate, so it takes two
+    half-size solves.  Genericity is tested on the union of the parts'
+    spectra, since a pair mirrored across the axis may straddle two parts.
     """
     p, m = sys.shape
     if p != m or p % 2:
@@ -222,14 +245,17 @@ def check_physical_realizability(sys, tol=DEFAULT_PR_TOL):
 
     d = reduced.d
     sign = np.diag(signature_matrix(half)).real
-    t, z = sla.schur(reduced.a, output="complex")
-    # T is unitarily similar to A, and its eigenvalues are its diagonal
-    generic_ok = is_spectrally_generic(np.diag(t))
+    parts = [(states, *schur_form(reduced.a[np.ix_(states, states)]))
+             for states in _parts(reduced)]
+    # each T is unitarily similar to its block of A, and its eigenvalues are its diagonal
+    generic_ok = is_spectrally_generic(
+        np.concatenate([np.zeros(0, dtype=np.complex128)] + [np.diag(t) for _, t, _ in parts])
+    )
     residual = np.linalg.norm((d * sign) @ d.conj().T - np.diag(sign))
     if generic_ok and reduced.n_states:
         # np.maximum, not max: a NaN from an overflowed solve must fail the check
         residual = np.maximum(
-            residual, _lyapunov_residual(t, z, reduced.b, reduced.c, d, sign)
+            residual, _lyapunov_residual(parts, reduced.b, reduced.c, d, sign)
         )
     residual = float(residual)
     residual_ok = residual <= tol

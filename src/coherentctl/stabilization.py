@@ -22,13 +22,15 @@ poles are theirs: :class:`GainPair` carries the cores' spectra and
 
 A stable plant has the trivial factorization F = L = 0, M = I, N = P22,
 U = 0, V = I (Youla, Jabr and Bongiorno 1976; Vidyasagar 1985), and it
-is found from one eigenvalue solve of A: the gain design reads that
-one spectrum throughout and takes no Schur form.  Systems that share a
-core (with zero gains: both families and P22) are swept as one system.
-From 16 states the 130-point check takes one Schur form of the core and
-then, per frequency, one triangular solve of B2's columns alone, which
-the stacked inputs ``[B2, 0 | -B2, 0 | B2]`` repeat up to sign; smaller
-plants take one batched resolvent solve per frequency.
+is found from one complex Schur form of A
+(:func:`~.statespace.schur_form`, one per independent block of A): the
+gain design reads the spectrum off its diagonal throughout, and
+:class:`GainPair` carries the form on.  Systems that share a core (with
+zero gains: both families and P22) are swept as one system.  From 16
+states the 130-point check takes that carried form and then, per
+frequency, one triangular solve of B2's columns alone, which the stacked
+inputs ``[B2, 0 | -B2, 0 | B2]`` repeat up to sign; smaller plants take
+one batched resolvent solve per frequency.
 
 The maps between a stable parameter Q and its controller
 K = (U + M Q)(V + N Q)^{-1}, in both directions, are each one
@@ -56,7 +58,7 @@ from .errors import (
     PlacementFailed,
 )
 from .norms import is_hurwitz, peak_frobenius
-from .statespace import StateSpace, compose_lft, log_grid, minimal_realization
+from .statespace import StateSpace, compose_lft, log_grid, minimal_realization, schur_form
 
 __all__ = [
     "PartitionSpec",
@@ -253,12 +255,17 @@ def pbh_unstabilizable_modes(a, b, eig):
 
 @dataclass
 class GainPair:
-    """Feedback F (ctrl x states), injection L (states x meas), spectra of A + B2 F, A + L C2."""
+    """Feedback F (ctrl x states), injection L (states x meas), spectra of A + B2 F, A + L C2.
+
+    ``schur`` is the complex Schur form ``(T, Z)`` of A when no mode
+    moved, so that both cores are A, and None otherwise.
+    """
 
     f: np.ndarray
     l: np.ndarray
     f_poles: np.ndarray
     l_poles: np.ndarray
+    schur: tuple | None = None
 
 
 def _lyapunov_gain(t, b, modes):
@@ -317,14 +324,17 @@ def stabilizing_gains(mp):
 
     Keeps eigenvalues with Re < -margin (``PLACEMENT_MARGIN``), mirrors
     strictly unstable ones across the imaginary axis (lam -> -conj(lam)),
-    and pushes near-axis modes to -1 + i Im(lam).  A stable plant
-    therefore gets F = 0, L = 0, and costs one eigenvalue solve: the
-    plant's spectrum is computed once, both PBH tests and both gains read
-    it (the adjoint pair its conjugate), and no Schur form is taken and
-    no core re-tested when every mode already has Re < -margin.  The
-    moved modes get Bass's minimum-energy gain (Armstrong 1975, IEEE TAC
-    20(1)): on the trailing block T of an ordered Schur form, one
-    Lyapunov solve of
+    and pushes near-axis modes to -1 + i Im(lam).  The plant's spectrum
+    is read once, off the diagonal of its complex Schur form
+    (:func:`~.statespace.schur_form`, one per independent block of A),
+    and both PBH tests and both gains read it (the adjoint pair its
+    conjugate).  A stable plant therefore gets F = 0, L = 0 and costs
+    that one form: no other is taken and no core re-tested when every
+    mode already has Re < -margin, and the returned pair carries the
+    form, which the factorization check and the H-infinity evaluation
+    reuse.  The moved modes get Bass's minimum-energy gain (Armstrong
+    1975, IEEE TAC 20(1)): on the trailing block T of an ordered Schur
+    form, one Lyapunov solve of
     (T + s I) Y + Y (T + s I)* = B2 B2*
     gives F2 = -B2* Y^-1, which lands each mode on -conj(lam) - 2 s.
     Strictly unstable modes take s = 0, near-axis modes s = 1/2.  L is
@@ -341,7 +351,8 @@ def stabilizing_gains(mp):
         eigenvalues of A*), or when a core is not Hurwitz afterwards.
     """
     a, b2, c2 = mp.full.a, mp.b2, mp.c2
-    eig = np.linalg.eigvals(a) if a.size else np.zeros(0, dtype=np.complex128)
+    t, z = schur_form(a)
+    eig = np.diag(t)
     bad = pbh_unstabilizable_modes(a, b2, eig)
     if bad:
         raise NotStabilizable(f"unstabilizable modes at {bad}")
@@ -356,7 +367,7 @@ def stabilizing_gains(mp):
 
     if np.all(eig.real < -PLACEMENT_MARGIN):
         # nothing moved: both cores are A, whose spectrum passed already
-        return GainPair(f=f, l=l, f_poles=eig, l_poles=eig)
+        return GainPair(f=f, l=l, f_poles=eig, l_poles=eig, schur=(t, z))
     poles = [np.linalg.eigvals(a + b2 @ f), np.linalg.eigvals(a + l @ c2)]
     for label, core in zip(("A + B2*F", "A + L*C2"), poles):
         if not is_hurwitz(core, 1e-12):
@@ -422,7 +433,8 @@ def coprime_factorization(mp, gains, check=True):
     reproduce P22, each within ``BEZOUT_TOL``.  Systems with the same
     core are swept once (see :func:`_shared_core_responses`): with zero
     gains, both families and P22 take one resolvent solve per frequency,
-    or one Schur form and then one triangular solve of B2 per frequency.
+    or, on the Schur route, one triangular solve of B2 per frequency in
+    the Schur form that ``gains`` carries.
     """
     a, b2, c2, d22 = mp.full.a, mp.b2, mp.c2, mp.d22
     f, l = gains.f, gains.l
@@ -455,7 +467,7 @@ def coprime_factorization(mp, gains, check=True):
             )
 
     grid = default_verification_grid()
-    rw, lw, p22w = _shared_core_responses([right, left, mp.p22()], grid)
+    rw, lw, p22w = _shared_core_responses([right, left, mp.p22()], grid, gains.schur)
     residual = peak_frobenius(lw @ rw - np.eye(nc + nm))
     if residual > BEZOUT_TOL:
         raise BezoutResidualTooLarge(
@@ -482,19 +494,21 @@ def bezout_residual(cf, grid):
 
     The residual is taken over ``grid``.  When the two families share
     their core (zero gains, as for every stable plant), they are swept as
-    one system.
+    one system, in the Schur form the gains carry.
     """
-    rw, lw = _shared_core_responses([cf.right_family, cf.left_family], grid)
+    rw, lw = _shared_core_responses([cf.right_family, cf.left_family], grid, cf.gains.schur)
     return peak_frobenius(lw @ rw - np.eye(cf.ctrl + cf.meas))
 
 
-def _shared_core_responses(systems, grid):
+def _shared_core_responses(systems, grid, form=None):
     """Responses of ``systems`` over ``grid``, one sweep per distinct core.
 
     Systems whose state matrices are equal are swept together, one
     resolvent (or triangular) solve per frequency serving all; on the
     Schur route each distinct input column is solved once, up to sign.
-    The others are swept on their own.
+    The others are swept on their own.  ``form``, when given, is a
+    complex Schur form of every system's state matrix (a stable plant's
+    A, which :class:`GainPair` carries), and the Schur route takes it.
     """
     out = [None] * len(systems)
     for k, lead in enumerate(systems):
@@ -502,7 +516,7 @@ def _shared_core_responses(systems, grid):
             continue
         group = [j for j in range(k + 1, len(systems))
                  if out[j] is None and np.array_equal(systems[j].a, lead.a)]
-        swept = lead.response(grid, *(systems[j] for j in group))
+        swept = lead.response(grid, *(systems[j] for j in group), form=form)
         for j, resp in zip([k, *group], swept if group else [swept]):
             out[j] = resp
     return out

@@ -18,6 +18,7 @@ responses, which evaluates the feasibility form and the
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import _accel
 from .errors import DimensionMismatch, IllPosedInterconnection, NonFiniteData, SingularResolvent
@@ -29,6 +30,7 @@ __all__ = [
     "blockdiag_systems",
     "compose_lft",
     "minimal_realization",
+    "schur_form",
     "doubled",
     "signature_matrix",
     "j_form",
@@ -101,20 +103,22 @@ class StateSpace:
 
     # -- evaluation ----------------------------------------------------
 
-    def response(self, omegas, *shared):
+    def response(self, omegas, *shared, form=None):
         """Responses stacked over a grid: an ``(n_omega, p, m)`` array.
 
         Models in ``shared`` must have this model's state matrix.  They are
         swept with it, one resolvent (or triangular) solve per frequency
         serving all, and a list of the responses is returned, this
-        model's first.
+        model's first.  ``form`` is a complex Schur form ``(T, Z)`` of the
+        state matrix, as :func:`schur_form` gives, for a sweep on the
+        Schur route to take instead of factoring it again.
         """
         omegas = np.asarray(omegas, dtype=np.float64).ravel()
         if any(not np.array_equal(other.a, self.a) for other in shared):
             raise DimensionMismatch("models swept together must share their state matrix")
         try:
             out = _accel.freq_sweep(
-                self.a, [(g.b, g.c, g.d) for g in (self, *shared)], omegas
+                self.a, [(g.b, g.c, g.d) for g in (self, *shared)], omegas, form
             )
         except np.linalg.LinAlgError as exc:
             raise SingularResolvent(
@@ -243,6 +247,69 @@ def compose_lft(plant, controller, n_meas, n_ctrl):
     return StateSpace(acl, bcl, ccl, dcl)
 
 
+# -- independent parts ------------------------------------------------
+
+
+def _closure(drives, seed):
+    """The states ``seed`` leads to along ``drives[i, j]`` (from j to i)."""
+    reached, frontier = seed.copy(), seed
+    while frontier.any():
+        frontier = drives[:, frontier].any(axis=1) & ~reached
+        reached |= frontier
+    return reached
+
+
+def _components(linked):
+    """Connected components of the symmetric boolean pattern ``linked``.
+
+    Ascending index arrays, in the order of their first index.
+    """
+    parts, left = [], np.ones(len(linked), dtype=bool)
+    while left.any():
+        seed = np.zeros_like(left)
+        seed[left.argmax()] = True
+        part = _closure(linked, seed)
+        parts.append(np.flatnonzero(part))
+        left &= ~part
+    return parts
+
+
+def _parts(sys):
+    """The states of each independent part of ``sys``, by the exact nonzero pattern.
+
+    Two states are linked when A couples them in either direction or
+    when they share an input (a column of B) or an output (a row of C);
+    D couples no state.  So A is block diagonal over the parts, each
+    input drives one part at most and each output sees one at most: the
+    model is their direct sum, and no rank is decided.
+    """
+    b, c = (sys.b != 0).astype(float), (sys.c != 0).astype(float)
+    linked = (sys.a != 0) | (b @ b.T != 0) | (c.T @ c != 0)
+    return _components(linked | linked.T)
+
+
+def schur_form(a):
+    """Complex Schur form ``A = Z T Z*`` (Z unitary, T upper triangular), block by block.
+
+    A is split into its connected blocks by its exact nonzero pattern,
+    and each block takes its own complex Schur form: T holds them on its
+    diagonal in the order of the blocks' first states, and Z has each
+    block's Schur vectors on that block's states.  An A of one block gets
+    the bits of ``scipy.linalg.schur(a, output="complex")``, in its
+    (Fortran) order.
+    """
+    n = len(a)
+    t = np.zeros((n, n), dtype=np.complex128, order="F")
+    z = np.zeros((n, n), dtype=np.complex128, order="F")
+    linked = a != 0
+    lo = 0
+    for part in _components(linked | linked.T):
+        hi = lo + part.size
+        t[lo:hi, lo:hi], z[part, lo:hi] = sla.schur(a[np.ix_(part, part)], output="complex")
+        lo = hi
+    return t, z
+
+
 # -- minimal realization ----------------------------------------------
 
 
@@ -280,13 +347,27 @@ def minimal_realization(sys, tol=1e-9):
     order does not depend on the orthonormal basis ``sys`` is given in,
     and reducing the result again keeps it.  The transfer matrix is kept
     up to the rank decisions.
+
+    Each independent part of ``sys`` (:func:`_parts`) gets its own
+    staircases, with the whole model's bounds: its blocks of A, B and C
+    are those of a direct sum, so their largest spectral norms are the
+    model's.  The reduced parts are returned block-diagonally, in the
+    order of their first states; a model of one part is reduced whole.
     """
-    norm_a, norm_b, norm_c = (np.linalg.svd(m, compute_uv=False).max(initial=0.0)
-                              for m in (sys.a, sys.b, sys.c))
-    a, q = _reachable_part(sys.a, sys.b, tol * max(norm_a, norm_b))
-    b, c = q.conj().T @ sys.b, sys.c @ q
-    a, w = _reachable_part(a.conj().T, c.conj().T, tol * max(norm_a, norm_c))
-    return StateSpace(a.conj().T, w.conj().T @ b, c @ w, sys.d)
+    parts = [(sys.a[np.ix_(p, p)], sys.b[p], sys.c[:, p]) for p in _parts(sys)]
+    norm_a, norm_b, norm_c = np.reshape(
+        [[np.linalg.svd(m, compute_uv=False).max(initial=0.0) for m in part] for part in parts],
+        (-1, 3),
+    ).max(axis=0, initial=0.0)
+    p, m = sys.shape
+    blocks = [(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)))]
+    for a, b, c in parts:
+        a, q = _reachable_part(a, b, tol * max(norm_a, norm_b))
+        b, c = q.conj().T @ b, c @ q
+        a, w = _reachable_part(a.conj().T, c.conj().T, tol * max(norm_a, norm_c))
+        blocks.append((a.conj().T, w.conj().T @ b, c @ w))
+    a, b, c = zip(*blocks)
+    return StateSpace(_block_diag(a), np.vstack(b), np.hstack(c), sys.d)
 
 
 # -- doubled-up structure ----------------------------------------------

@@ -7,11 +7,14 @@ import scipy.linalg as sla
 
 from coherentctl import _accel
 from coherentctl.errors import DimensionMismatch, SingularResolvent
-from coherentctl.norms import h2_norm_sq, hinf_norm, peak_frobenius
-from coherentctl.physreal import SlhModel, slh_to_statespace
+from coherentctl.norms import h2_norm_sq, hinf_norm, is_spectrally_generic, peak_frobenius
+from coherentctl.physreal import DEFAULT_PR_TOL, PrVerdict, SlhModel, slh_to_statespace
 from coherentctl.stabilization import _regroup_permutations
 from coherentctl.statespace import (
     StateSpace,
+    _reachable_part,
+    blockdiag_systems,
+    doubled,
     j_form,
     log_grid,
     signature_matrix,
@@ -137,6 +140,12 @@ def zero_system(p, m):
     return static_gain(np.zeros((p, m)))
 
 
+def scipy_h2_norm_sq(sys):
+    """Reference for ``h2_norm_sq``: the Gramian from scipy's Lyapunov solver."""
+    p = sla.solve_continuous_lyapunov(sys.a, -sys.b @ sys.b.conj().T)
+    return float(np.trace(sys.c @ p @ sys.c.conj().T).real)
+
+
 def h2_of(sys):
     """``h2_norm_sq`` of a model, its spectrum computed here."""
     return h2_norm_sq(sys, np.linalg.eigvals(sys.a))
@@ -211,6 +220,130 @@ def assert_same_bits(got, want):
         x, y = getattr(got, m), getattr(want, m)
         assert x.shape == y.shape, m
         np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64), err_msg=m)
+
+
+def monolithic_minimal_realization(sys, tol=1e-9):
+    """Reference for ``minimal_realization``: both staircases on the whole model.
+
+    The reduction as it was before models were split into their
+    independent parts, with the same staircase kernel and bounds.
+    """
+    norm_a, norm_b, norm_c = (np.linalg.svd(m, compute_uv=False).max(initial=0.0)
+                              for m in (sys.a, sys.b, sys.c))
+    a, q = _reachable_part(sys.a, sys.b, tol * max(norm_a, norm_b))
+    b, c = q.conj().T @ sys.b, sys.c @ q
+    a, w = _reachable_part(a.conj().T, c.conj().T, tol * max(norm_a, norm_c))
+    return StateSpace(a.conj().T, w.conj().T @ b, c @ w, sys.d)
+
+
+def monolithic_pr_check(sys, tol=DEFAULT_PR_TOL):
+    """Reference for ``check_physical_realizability``: one Schur form and one Lyapunov solve.
+
+    The check as it was before models were split into their independent
+    parts: the whole minimal model's Schur form, X solved from it, and the
+    norms of the residual taken on the whole.
+    """
+    half = sys.n_inputs // 2
+    reduced = monolithic_minimal_realization(sys)
+    d = reduced.d
+    sign = np.diag(signature_matrix(half)).real
+    t, z = sla.schur(reduced.a, output="complex")
+    generic_ok = is_spectrally_generic(np.diag(t))
+    residual = np.linalg.norm((d * sign) @ d.conj().T - np.diag(sign))
+    if generic_ok and reduced.n_states:
+        bz, cz = z.conj().T @ reduced.b, reduced.c @ z
+        bj = bz * sign
+        y, scale, _ = sla.lapack.ztrsyl(t, t, -(bj @ bz.conj().T), tranb="C")
+        y = y / scale
+        norm = np.linalg.norm
+        size = norm(y) * norm(cz) + norm(bz) * norm(d)
+        residual = np.maximum(
+            residual, norm(y @ cz.conj().T + bj @ d.conj().T) / max(size, np.finfo(float).tiny)
+        )
+    s_block = d[:half, :half]
+    gap_structure = np.abs(d - doubled(s_block, np.zeros_like(s_block))).max() if d.size else 0.0
+    gap_unitary = np.abs(s_block.conj().T @ s_block - np.eye(half)).max() if half else 0.0
+    feedthrough_gap = float(max(gap_structure, gap_unitary))
+    return PrVerdict(
+        residual=float(residual),
+        residual_ok=float(residual) <= tol,
+        feedthrough_gap=feedthrough_gap,
+        feedthrough_ok=feedthrough_gap <= tol,
+        generic_ok=generic_ok,
+        minimal_ok=reduced.n_states == sys.n_states,
+        n_states_minimal=reduced.n_states,
+    )
+
+
+#: Planted parts of :func:`random_direct_sum` and the independent parts each splits into.
+DIRECT_SUM_PARTS = {"active": 1, "passive": 2, "perturbed": 1, "unreachable": 1, "static": 0}
+
+#: The kinds of part of each direct sum the split is tested on: 2 or 3 parts.
+DIRECT_SUMS = [
+    ("active", "passive"),
+    ("passive", "perturbed", "static"),
+    ("unreachable", "active", "static"),
+    ("passive", "passive", "unreachable"),
+    ("perturbed", "unreachable"),
+    ("static", "passive"),
+    ("active", "active", "passive"),
+    ("perturbed", "passive", "active"),
+]
+
+
+def direct_sum_part(rng, kind):
+    """One part of a direct sum: a doubled-up model of ``2 r`` channels.
+
+    ``active`` and ``passive`` are realizable SLH networks (a passive one
+    is itself the direct sum of its annihilation and creation models),
+    ``perturbed`` an active one with B off by 1e-3 of its scale,
+    ``unreachable`` an active one with one more state that drives the
+    others and that no input reaches, and ``static`` a doubled scattering
+    unitary with no states.
+    """
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    if kind == "static":
+        return static_gain(doubled(random_unitary(rng, m), np.zeros((m, m))))
+    sys = slh_to_statespace(random_slh(rng, n, m, squeeze=0.0 if kind == "passive" else 0.5))
+    if kind == "perturbed":
+        noise = random_complex(rng, sys.b.shape)
+        return StateSpace(sys.a, sys.b + 1e-3 * np.abs(sys.b).max() * noise, sys.c, sys.d)
+    if kind == "unreachable":
+        drives = random_complex(rng, (2 * n, 1))
+        a = np.block([[sys.a, drives], [np.zeros((1, 2 * n)), -np.ones((1, 1))]])
+        b = np.vstack([sys.b, np.zeros((1, 2 * m))])
+        c = np.hstack([sys.c, random_complex(rng, (2 * m, 1))])
+        return StateSpace(a, b, c, sys.d)
+    return sys
+
+
+def random_direct_sum(rng, kinds):
+    """The doubled-up direct sum of one random part of each kind, shuffled.
+
+    Channels keep the doubled-up order, every annihilation channel and
+    then their conjugates in the same order, so a sum of realizable parts
+    is realizable.  The states are permuted at random and the channel
+    pairs by one random permutation of both halves, which keeps
+    ``J = diag(I, -I)``.
+    """
+    parts = [direct_sum_part(rng, kind) for kind in kinds]
+    whole = blockdiag_systems(parts)
+    # blockdiag order (a1, a1#, a2, a2#, ...) -> (a1, a2, ..., a1#, a2#, ...)
+    halves, lo = ([], []), 0
+    for g in parts:
+        r = g.n_inputs // 2
+        halves[0].extend(range(lo, lo + r))
+        halves[1].extend(range(lo + r, lo + 2 * r))
+        lo += 2 * r
+    pairs = rng.permutation(lo // 2)
+    channels = np.concatenate([np.array(halves[0])[pairs], np.array(halves[1])[pairs]])
+    states = rng.permutation(whole.n_states)
+    return StateSpace(
+        whole.a[np.ix_(states, states)],
+        whole.b[np.ix_(states, channels)],
+        whole.c[np.ix_(channels, states)],
+        whole.d[np.ix_(channels, channels)],
+    )
 
 
 def hstack_systems(systems):

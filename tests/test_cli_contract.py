@@ -275,7 +275,8 @@ def test_static_plant_evaluates(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     report = json.loads(captured.out)
-    assert (report["norm"], report["peak_omega"]) == (1.0, -1000.0)
+    # a flat gain attains its norm at -1000 and +1000 alike: the tie rule reports +1000
+    assert (report["norm"], report["peak_omega"]) == (1.0, 1000.0)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -71,6 +71,7 @@ from conftest import (
     random_complex,
     random_statespace,
     scalar_demo_loop,
+    scipy_h2_norm_sq,
     zero_constraints,
 )
 
@@ -734,6 +735,9 @@ class TestDescentReuse:
                 got = cost(sp, q)
                 assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), label
                 assert_same_bits(sp.basis_loop(q), sp.loop(q))
+                # the Lyapunov steps taken directly give the bits of scipy's solver
+                scipy_value = scipy_h2_norm_sq(sp.loop(q))
+                assert np.float64(want).view(np.uint64) == np.float64(scipy_value).view(np.uint64)
 
     @pytest.mark.parametrize("order", [0, 1, 3])
     def test_basis_loop_is_the_loop_at_every_order(self, order):

@@ -204,8 +204,11 @@ class TestHinfReport:
 def test_eval_hinf_takes_one_eigen_solve_besides_level_tests(
     decompositions, monkeypatch, tmp_path
 ):
-    # the plant's spectrum serves the gains, the factor check and the
-    # norm's stability test and start set; only level tests add solves
+    # the plant's Schur form, one per block of A (the mode and its
+    # conjugate), gives the spectrum that serves the gains and the norm's
+    # stability test and start set; at Q = 0 the pruned loop is the plant
+    # and takes that form too, at the document's parameter the loop's two
+    # blocks take theirs.  Only level tests add eigenvalue solves.
     crossings = norms._imaginary_crossings
 
     def uncounted(sys, gamma):
@@ -216,20 +219,27 @@ def test_eval_hinf_takes_one_eigen_solve_besides_level_tests(
             decompositions["eigvals"] = before
 
     monkeypatch.setattr(norms, "_imaginary_crossings", uncounted)
-    fixture = Path(__file__).parent / "fixtures" / "allpass_hinf.json"
-    assert main(["eval-hinf", str(fixture), "--out", str(tmp_path / "profile.csv")]) == 0
-    assert decompositions["eigvals"] == 1
+    fixtures = Path(__file__).parent / "fixtures"
+    argv = ["eval-hinf", str(fixtures / "allpass_hinf.json"),
+            "--out", str(tmp_path / "profile.csv")]
+    zero = ["--q-from", str(fixtures / "q_zero_basis.json")]
+    for extra, schur_forms in (([], 4), (zero, 2)):
+        decompositions.update(eigvals=0, schur=0)
+        assert main(argv + extra) == 0
+        assert decompositions == {"eigvals": 0, "schur": schur_forms}
 
 
 def test_realized_parameter_spectrum_is_solved_once(decompositions):
     # parameter_from_controller hands the poles of its range test to the
-    # loop's abscissa: one solve for the plant's 2 states and one for Q's
-    # 2, where the abscissa used to solve Q's again
+    # loop's abscissa: one solve for Q's 2 states, where the abscissa used
+    # to solve Q's again.  The plant's spectrum is its Schur form's, one per
+    # block of A, and the certified stability test takes the 6-state
+    # loop's, one per block of 3
     fixtures = Path(__file__).parent / "fixtures"
     argv = ["closed-loop", str(fixtures / "allpass_hinf.json"),
             "--q-from", str(fixtures / "q_from_controller.json")]
     assert main(argv) == 0
-    assert decompositions["eigvals"] == 2
+    assert decompositions == {"eigvals": 1, "schur": 4}
 
 
 PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"

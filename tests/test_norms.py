@@ -12,6 +12,7 @@ from coherentctl.norms import (
     is_spectrally_generic,
     sigma_max_profile,
 )
+from coherentctl.physreal import SlhModel, slh_to_statespace
 from coherentctl.statespace import StateSpace, log_grid, static_gain
 
 from conftest import h2_norm_sq_quadrature, h2_of, hinf_of, make_rng, random_statespace
@@ -276,6 +277,20 @@ class TestHinf:
         local_max = np.linalg.svd(sys.response(local), compute_uv=False)[:, 0].max()
         assert val >= local_max * (1.0 - 1e-6)
         assert val <= max(local_max, prof.max()) * 1.01
+
+
+    def test_mirrored_peaks_report_the_positive_frequency(self):
+        # transmission between the two channels of a passive cavity tuned to
+        # 5, in doubled-up coordinates: peaks of equal height at -5 (the
+        # mode) and +5 (its conjugate)
+        model = SlhModel(s=np.eye(2), l1=[[np.sqrt(0.05)], [np.sqrt(0.05)]],
+                         l2=np.zeros((2, 1)), h1=[[5.0]])
+        g = slh_to_statespace(model).select(rows=[0, 2], cols=[1, 3])
+        value, peak = hinf_of(g)
+        assert peak == pytest.approx(5.0)
+        for omega in (peak, -peak):
+            at = norms.sigma_max_profile(g, [omega])[0]
+            assert at >= value * (1.0 - norms.HINF_REL_TOL)
 
 
 class TestProfiles:

@@ -16,12 +16,15 @@ from coherentctl.problemfile import load_problem_file
 from coherentctl.statespace import StateSpace, doubled, signature_matrix, static_gain
 
 from conftest import (
+    DIRECT_SUMS,
     cavity_response,
     default_pr_grid,
     freq_response,
     j_unitarity_residual,
     make_rng,
+    monolithic_pr_check,
     random_complex,
+    random_direct_sum,
     random_slh,
     random_unitary,
 )
@@ -272,3 +275,20 @@ class TestAlgebraicResidual:
         )
         v = check_physical_realizability(sys)
         assert v.residual_ok is (j_unitarity_residual(sys) <= DEFAULT_PR_TOL)
+
+
+class TestDirectSums:
+    """The check part by part gives the verdict of the check on the whole model."""
+
+    @pytest.mark.parametrize("seed", range(len(DIRECT_SUMS)))
+    def test_verdict_matches_the_whole_model_check(self, seed):
+        kinds = DIRECT_SUMS[seed]
+        sys = random_direct_sum(make_rng([59, seed]), kinds)
+        got, want = check_physical_realizability(sys), monolithic_pr_check(sys)
+        for name in ("residual_ok", "feedthrough_ok", "generic_ok", "minimal_ok",
+                     "n_states_minimal"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert abs(got.residual - want.residual) <= 1e-12
+        # a sum of networks and scattering is realizable; a perturbed or
+        # unreachable part spoils it
+        assert got.is_physically_realizable is not ({"perturbed", "unreachable"} & set(kinds))

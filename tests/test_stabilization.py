@@ -498,9 +498,9 @@ def sweeps(monkeypatch):
     calls = {"sweep": [], "schur": 0}
     freq_sweep, schur_sweep = _accel.freq_sweep, _accel._schur_sweep
 
-    def sweep(a, systems, omegas):
+    def sweep(a, systems, omegas, form):
         calls["sweep"].append(systems)
-        return freq_sweep(a, systems, omegas)
+        return freq_sweep(a, systems, omegas, form)
 
     def schur(*args):
         calls["schur"] += 1
@@ -528,20 +528,28 @@ def stable_network(modes, fields=4, seed=0):
 
 
 class TestOneSpectrumPerPlant:
-    """A stable plant costs one eigenvalue solve; families sharing a core are swept once."""
+    """A stable plant costs one Schur form per block of A; a shared core is swept once."""
 
     @pytest.mark.parametrize("case", [(100, 2), "passive-32"])
     def test_stable_plant_gains_take_one_eigen_solve(self, decompositions, case):
+        # a squeezing network couples each mode with its conjugate: A is one
+        # block; a passive one is the direct sum of its annihilation and
+        # creation models: two
         if case == "passive-32":
             part = PartitionSpec(n_r=2, n_u=2, n_z=2, n_y=2)
-            mp = modify_plant(slh_to_statespace(stable_network(16)), part)
+            mp, blocks = modify_plant(slh_to_statespace(stable_network(16)), part), 2
         else:
-            mp = squeezing_plant(*case)
+            mp, blocks = squeezing_plant(*case), 1
         assert np.linalg.eigvals(mp.full.a).real.max() < -stabilization.PLACEMENT_MARGIN
         decompositions.update(eigvals=0, schur=0)
         gains = stabilizing_gains(mp)
-        assert decompositions == {"eigvals": 1, "schur": 0}
+        assert decompositions == {"eigvals": 0, "schur": blocks}
         assert not gains.f.any() and not gains.l.any()
+        # the pair carries the form its spectrum was read from
+        t, z = gains.schur
+        assert np.array_equal(gains.f_poles, np.diag(t))
+        a = mp.full.a
+        assert np.abs(z @ t @ z.conj().T - a).max() <= 1e-13 * np.abs(a).max()
 
     def test_stable_factorize_takes_at_most_two_decompositions(
         self, decompositions, tmp_path, capsys

@@ -12,6 +12,7 @@ from coherentctl.errors import (
 )
 from coherentctl.statespace import (
     StateSpace,
+    _parts,
     blockdiag_systems,
     compose_lft,
     doubled,
@@ -19,6 +20,7 @@ from coherentctl.statespace import (
     j_form,
     log_grid,
     minimal_realization,
+    schur_form,
     signature_matrix,
     static_gain,
     validate_grid,
@@ -26,12 +28,16 @@ from coherentctl.statespace import (
 from coherentctl.youla_constraint import YoulaParameter
 
 from conftest import (
+    DIRECT_SUM_PARTS,
+    DIRECT_SUMS,
     assert_same_bits,
     coupled_cavity_loop,
     freq_response,
     hstack_systems,
     make_rng,
+    monolithic_minimal_realization,
     random_complex,
+    random_direct_sum,
     random_statespace,
     random_unitary,
     scipy_blockdiag_systems,
@@ -513,3 +519,48 @@ class TestGrids:
             validate_grid([1.0, 1.0])
         with pytest.raises(ValueError):
             validate_grid([0.0, np.inf])
+
+
+class TestIndependentParts:
+    """A direct sum is reduced and factored part by part, as it was whole."""
+
+    @pytest.mark.parametrize("kinds", DIRECT_SUMS)
+    def test_parts_are_the_planted_ones(self, kinds):
+        sys = random_direct_sum(make_rng([41, len(kinds), *map(len, kinds)]), kinds)
+        parts = _parts(sys)
+        assert len(parts) == sum(DIRECT_SUM_PARTS[kind] for kind in kinds)
+        assert sorted(np.concatenate(parts)) == list(range(sys.n_states))
+
+    @pytest.mark.parametrize("seed", range(len(DIRECT_SUMS)))
+    def test_minimal_realization_matches_the_whole_model_reduction(self, seed):
+        rng = make_rng([43, seed])
+        sys = random_direct_sum(rng, DIRECT_SUMS[seed])
+        # any channel order: a part's inputs and outputs need not be adjacent
+        rows, cols = rng.permutation(sys.n_outputs), rng.permutation(sys.n_inputs)
+        sys = StateSpace(sys.a, sys.b[:, cols], sys.c[rows], sys.d[np.ix_(rows, cols)])
+        got, want = minimal_realization(sys), monolithic_minimal_realization(sys)
+        assert got.n_states == want.n_states
+        half = log_grid(1e-2, 1e2, 10)
+        grid = np.concatenate([-half[::-1], half])
+        reference = want.response(grid)
+        assert np.abs(got.response(grid) - reference).max() <= 1e-10 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("seed", range(len(DIRECT_SUMS)))
+    def test_schur_form_of_a_direct_sum(self, seed):
+        a = random_direct_sum(make_rng([47, seed]), DIRECT_SUMS[seed]).a
+        t, z = schur_form(a)
+        assert not np.tril(t, -1).any()
+        assert np.abs(z.conj().T @ z - np.eye(len(a))).max() <= 1e-13
+        assert np.abs(z @ t @ z.conj().T - a).max() <= 1e-13 * np.abs(a).max()
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 20])
+    def test_one_block_gets_the_bits_of_one_schur_form(self, n):
+        a = random_statespace(make_rng([53, n]), n, 1, 1).a
+        t, z = schur_form(a)
+        if n:
+            want_t, want_z = sla.schur(a, output="complex")
+        else:
+            want_t = want_z = np.zeros((0, 0), dtype=np.complex128)
+        for got, want in ((t, want_t), (z, want_z)):
+            assert got.shape == want.shape and got.flags.f_contiguous
+            assert got.tobytes(order="A") == want.tobytes(order="A")
