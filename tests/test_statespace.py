@@ -531,6 +531,17 @@ class TestIndependentParts:
         assert len(parts) == sum(DIRECT_SUM_PARTS[kind] for kind in kinds)
         assert sorted(np.concatenate(parts)) == list(range(sys.n_states))
 
+    @pytest.mark.parametrize("shared", ["input", "output"])
+    def test_states_that_share_a_port_are_one_part(self, shared):
+        # A = -I is two blocks, but one input drives (one output sees) both
+        # modes alike: together they are one reachable (observable) state
+        one, eye = np.ones((2, 1)), np.eye(2)
+        b, c = (one, eye) if shared == "input" else (eye, one.T)
+        sys = StateSpace(-eye, b, c, np.zeros((c.shape[0], b.shape[1])))
+        assert len(_parts(sys)) == 1
+        assert minimal_realization(sys).n_states == 1
+        assert monolithic_minimal_realization(sys).n_states == 1
+
     @pytest.mark.parametrize("seed", range(len(DIRECT_SUMS)))
     def test_minimal_realization_matches_the_whole_model_reduction(self, seed):
         rng = make_rng([43, seed])
