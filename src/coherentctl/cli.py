@@ -486,12 +486,21 @@ def _positive_int(text):
     return value
 
 
+def _positive_float(text):
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
+    return value
+
+
 #: The tuning flags a command may take, with their argparse settings.
 TUNING = {
     "--grid-points": dict(
         type=_positive_int, metavar="N", help="override the number of frequency-grid points"
     ),
-    "--tol": dict(type=float, metavar="X", help="override the command's pass/fail tolerance"),
+    "--tol": dict(
+        type=_positive_float, metavar="X", help="override the command's pass/fail tolerance"
+    ),
 }
 
 

@@ -57,7 +57,8 @@ def hinf_cost(sp, q, q_poles, rel_tol=HINF_REL_TOL):
     once, ``A = Z T Z*`` with Z unitary, which keeps its transfer and the
     Hamiltonian spectrum of every level test; each sigma_max sample,
     from the start set to the problem grid, is then one triangular solve
-    per frequency.  When that A is exactly the plant's, as for a stable
+    per frequency, since a sweep takes a triangular A as its own Schur
+    form.  When that A is exactly the plant's, as for a stable
     plant at the zero parameter, the form is the one the gain design
     carries (:class:`~.stabilization.GainPair`), else
     :func:`~.statespace.schur_form` takes it.  Stability and the start

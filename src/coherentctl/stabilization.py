@@ -26,11 +26,10 @@ is found from one complex Schur form of A
 (:func:`~.statespace.schur_form`, one per independent block of A): the
 gain design reads the spectrum off its diagonal throughout, and
 :class:`GainPair` carries the form on.  Systems that share a core (with
-zero gains: both families and P22) are swept as one system.  From 16
-states the 130-point check takes that carried form and then, per
-frequency, one triangular solve of B2's columns alone, which the stacked
-inputs ``[B2, 0 | -B2, 0 | B2]`` repeat up to sign; smaller plants take
-one batched resolvent solve per frequency.
+zero gains: both families and P22) are swept as one system: the
+130-point check takes that carried form and then, per frequency, one
+triangular solve of B2's columns alone, which the stacked inputs
+``[B2, 0 | -B2, 0 | B2]`` repeat up to sign.
 
 The maps between a stable parameter Q and its controller
 K = (U + M Q)(V + N Q)^{-1}, in both directions, are each one
@@ -432,9 +431,8 @@ def coprime_factorization(mp, gains, check=True):
     must match the identity and ``N M^{-1}``/``Mhat^{-1} Nhat`` must
     reproduce P22, each within ``BEZOUT_TOL``.  Systems with the same
     core are swept once (see :func:`_shared_core_responses`): with zero
-    gains, both families and P22 take one resolvent solve per frequency,
-    or, on the Schur route, one triangular solve of B2 per frequency in
-    the Schur form that ``gains`` carries.
+    gains, both families and P22 take one triangular solve of B2 per
+    frequency, in the Schur form that ``gains`` carries.
     """
     a, b2, c2, d22 = mp.full.a, mp.b2, mp.c2, mp.d22
     f, l = gains.f, gains.l
@@ -504,11 +502,11 @@ def _shared_core_responses(systems, grid, form=None):
     """Responses of ``systems`` over ``grid``, one sweep per distinct core.
 
     Systems whose state matrices are equal are swept together, one
-    resolvent (or triangular) solve per frequency serving all; on the
-    Schur route each distinct input column is solved once, up to sign.
-    The others are swept on their own.  ``form``, when given, is a
-    complex Schur form of every system's state matrix (a stable plant's
-    A, which :class:`GainPair` carries), and the Schur route takes it.
+    triangular solve per frequency serving all, and each distinct input
+    column is solved once, up to sign.  The others are swept on their
+    own.  ``form``, when given, is a complex Schur form of every system's
+    state matrix (a stable plant's A, which :class:`GainPair` carries),
+    and the sweep takes it instead of factoring A again.
     """
     out = [None] * len(systems)
     for k, lead in enumerate(systems):

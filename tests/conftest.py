@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from coherentctl import _accel
+from coherentctl import _accel, statespace
 from coherentctl.errors import DimensionMismatch, SingularResolvent
 from coherentctl.norms import h2_norm_sq, hinf_norm, is_spectrally_generic, peak_frobenius
 from coherentctl.physreal import DEFAULT_PR_TOL, PrVerdict, SlhModel, slh_to_statespace
@@ -113,6 +113,42 @@ def freq_response(sys, omega):
     return sys.c @ np.linalg.solve(t, sys.b) + sys.d
 
 
+#: Frequencies per block of :func:`batched_sweep`: a 128-state
+#: resolvent stack stays within 16 MiB.
+BATCHED_BLOCK = 64
+
+
+def batched_sweep(models, omegas):
+    """Reference for ``StateSpace.response``: the batched-LU sweep it replaced.
+
+    ``models`` share their state matrix A.  Per block of frequencies, one
+    batched LAPACK solve of the resolvent ``(iw I - A) X = B`` over all
+    their inputs, then ``C X + D`` of each model on its own columns.
+    Returns one (n_omega, p, m) array per model.
+
+    Raises
+    ------
+    np.linalg.LinAlgError
+        If the resolvent is exactly singular at a grid frequency.
+    """
+    omegas = np.asarray(omegas, dtype=np.float64).ravel()
+    a = models[0].a
+    if a.shape[0] == 0:
+        return [np.broadcast_to(g.d, (omegas.size,) + g.d.shape).copy() for g in models]
+    b = np.hstack([g.b for g in models])
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    x = np.concatenate([
+        np.linalg.solve(1j * w[:, None, None] * eye - a, np.broadcast_to(b, (w.size,) + b.shape))
+        for w in np.split(omegas, range(BATCHED_BLOCK, omegas.size, BATCHED_BLOCK))
+    ])
+    out, lo = [], 0
+    for g in models:
+        hi = lo + g.n_inputs
+        out.append(g.c @ np.ascontiguousarray(x[:, :, lo:hi]) + g.d)
+        lo = hi
+    return out
+
+
 def default_pr_grid():
     """64 log-spaced points per decade over [1e-3, 1e3]."""
     return log_grid(1e-3, 1e3, 6 * 64 + 1)
@@ -176,9 +212,9 @@ def decompositions(monkeypatch):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Counts of triangular sweeps (any route) and of Schur factorizations in sweeps."""
+    """Counts of triangular sweeps and of the Schur forms that sweeps take."""
     calls = {"triangular": 0, "schur": 0}
-    triangular, schur = _accel._triangular_sweep, _accel._schur_sweep
+    triangular, schur = _accel._triangular_sweep, statespace.schur_form
 
     def counted_triangular(*args):
         calls["triangular"] += 1
@@ -189,7 +225,7 @@ def routes(monkeypatch):
         return schur(*args)
 
     monkeypatch.setattr(_accel, "_triangular_sweep", counted_triangular)
-    monkeypatch.setattr(_accel, "_schur_sweep", counted_schur)
+    monkeypatch.setattr(statespace, "schur_form", counted_schur)
     return calls
 
 

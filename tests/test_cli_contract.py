@@ -333,3 +333,18 @@ def test_allocation_failure_is_input_error(monkeypatch, command, name, mutations
     assert (code, err.getvalue()) == (
         2, f"input error: problem too large for memory: refused a size of {HUGE}\n"
     )
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "1e-400", "nan", "inf"])
+@pytest.mark.parametrize("command", ["check-pr", "factorize", "synthesize-h2", "eval-hinf"])
+def test_tol_must_be_finite_and_positive(command, value, tmp_path):
+    # a negative tolerance once surfaced as an unbracketed norm, nan
+    # failed every check and inf passed every check; all are usage errors
+    argv = [command, str(FIXTURES / "allpass_hinf.json"), "--tol", value]
+    if command in ("synthesize-h2", "eval-hinf"):
+        argv += ["--out", str(tmp_path / "out")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2 and not os.listdir(tmp_path)
+    assert f"argument --tol: must be a finite positive number, got {value}" in err.getvalue()

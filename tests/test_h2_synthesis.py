@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coherentctl import _accel, h2_synthesis, youla_constraint
+from coherentctl import h2_synthesis, youla_constraint
 from coherentctl.cli import main
 from coherentctl.norms import h2_norm_sq, is_certified_stable
 from coherentctl.physreal import SlhModel, slh_to_statespace
@@ -635,32 +635,6 @@ class TestOneSpectrumPerLoop:
         mixing(4, 17)
         # the plant and the two weights
         assert len(calls) > 10 and decompositions["eigvals"] <= 3
-
-    def test_descent_sweeps_make_no_triangular_solve(self, routes, monkeypatch, tmp_path, capsys):
-        # no swept A is triangular with SCHUR_MIN_STATES states or more, and
-        # no sweep reaches the Schur path, in any document of the
-        # benchmark's descent workload (the three mixing cases and both
-        # coupled_h2 fixtures): every sweep keeps the batched path's
-        # roundoff, on which the benchmark's pinned descents depend
-        monkeypatch.syspath_prepend(str(PIPEBENCH))
-        from workloads import h2_descent
-
-        sweeps, freq_sweep = [], _accel.freq_sweep
-        monkeypatch.setattr(
-            _accel, "freq_sweep", lambda a, *rest: sweeps.append(a) or freq_sweep(a, *rest)
-        )
-        ops = h2_descent(1, str(tmp_path))
-        assert sorted(op.label for op in ops) == [
-            "synthesize-h2/coupled_h2", "synthesize-h2/coupled_h2_fc",
-            "synthesize-h2/mixing-12-65", "synthesize-h2/mixing-4-17", "synthesize-h2/mixing-8-33",
-        ]
-        for op in ops:
-            sweeps.clear()
-            main(op.argv)
-            capsys.readouterr()
-            assert sweeps
-            assert all(len(a) < _accel.SCHUR_MIN_STATES or np.tril(a, -1).any() for a in sweeps)
-            assert routes == {"triangular": 0, "schur": 0}
 
     @pytest.mark.parametrize("case", [(4, 17), (8, 33)])
     def test_mixing_abscissa_is_exact(self, mixing, case):

@@ -494,20 +494,14 @@ class TestCoprimeFactorization:
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """The systems lists passed to ``_accel.freq_sweep``, and the Schur-path calls."""
-    calls = {"sweep": [], "schur": 0}
-    freq_sweep, schur_sweep = _accel.freq_sweep, _accel._schur_sweep
+    """The systems lists passed to ``_accel.freq_sweep``, call by call."""
+    calls, freq_sweep = [], _accel.freq_sweep
 
-    def sweep(a, systems, omegas, form):
-        calls["sweep"].append(systems)
-        return freq_sweep(a, systems, omegas, form)
-
-    def schur(*args):
-        calls["schur"] += 1
-        return schur_sweep(*args)
+    def sweep(form, systems, omegas):
+        calls.append(systems)
+        return freq_sweep(form, systems, omegas)
 
     monkeypatch.setattr(_accel, "freq_sweep", sweep)
-    monkeypatch.setattr(_accel, "_schur_sweep", schur)
     return calls
 
 
@@ -551,25 +545,27 @@ class TestOneSpectrumPerPlant:
         a = mp.full.a
         assert np.abs(z @ t @ z.conj().T - a).max() <= 1e-13 * np.abs(a).max()
 
-    def test_stable_factorize_takes_at_most_two_decompositions(
-        self, decompositions, tmp_path, capsys
+    @pytest.mark.parametrize("modes", [4, 32])
+    def test_stable_factorize_takes_one_schur_form_per_block(
+        self, decompositions, routes, tmp_path, capsys, modes
     ):
-        # 64 states: the 130-point Bezout sweep takes the Schur path
-        doc = tmp_path / "passive-64.json"
-        doc.write_text(network_document(stable_network(32), 4))
+        # a passive network's A has two blocks; the Bezout sweep runs the
+        # triangular kernel in the gains' form, at 8 states as at 64
+        doc = tmp_path / f"passive-{2 * modes}.json"
+        doc.write_text(network_document(stable_network(modes), 4))
         assert main(["factorize", str(doc), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
-        assert decompositions["eigvals"] + decompositions["schur"] <= 2
+        assert decompositions == {"eigvals": 0, "schur": 2}
+        assert routes == {"triangular": 1, "schur": 0}
 
     @pytest.mark.parametrize("modes", [4, 8, 32])
-    def test_shared_core_sweep_matches_separate_sweeps(self, sweeps, modes):
-        # 8 states x 130 points take the batched path; 16 x 130, just
-        # above SCHUR_SWEEP_MIN, and 64 x 130 take the Schur path
+    def test_shared_core_sweep_matches_separate_sweeps(self, sweeps, routes, modes):
+        # the check sweeps both families and P22 at once, in the gains' form
         part = PartitionSpec(n_r=2, n_u=2, n_z=2, n_y=2)
         mp = modify_plant(slh_to_statespace(stable_network(modes)), part)
         cf = coprime_factorization(mp, stabilizing_gains(mp))
-        assert len(sweeps["sweep"]) == 1 and len(sweeps["sweep"][0]) == 3
-        assert sweeps["schur"] == (modes >= 8)
+        assert len(sweeps) == 1 and len(sweeps[0]) == 3
+        assert routes == {"triangular": 1, "schur": 0}
 
         grid = default_verification_grid()
         systems = [cf.right_family, cf.left_family, mp.p22()]
@@ -590,7 +586,7 @@ class TestOneSpectrumPerPlant:
         cf = coprime_factorization(mp, stabilizing_gains(mp))
         assert not np.array_equal(cf.right_family.a, cf.left_family.a)
         # right family, left family and P22 each on their own
-        assert [len(systems) for systems in sweeps["sweep"]] == [1, 1, 1]
+        assert [len(systems) for systems in sweeps] == [1, 1, 1]
 
     def test_sweeping_different_cores_together_is_refused(self):
         mp = squeezing_plant(0, 16)

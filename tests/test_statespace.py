@@ -1,10 +1,13 @@
 """State-space algebra: every composition is checked against a pointwise oracle."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from coherentctl import _accel
+from coherentctl.cli import main
 from coherentctl.errors import (
     DimensionMismatch,
     IllPosedInterconnection,
@@ -31,6 +34,7 @@ from conftest import (
     DIRECT_SUM_PARTS,
     DIRECT_SUMS,
     assert_same_bits,
+    batched_sweep,
     coupled_cavity_loop,
     freq_response,
     hstack_systems,
@@ -47,6 +51,8 @@ from conftest import (
 )
 
 GRID = log_grid(1e-2, 1e2, 17)
+FIXTURES = Path(__file__).parent / "fixtures"
+PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
 
 #: Order-8 basis coefficients (pole 1) of a mixing-weight cavity descent
 #: result.  The staircase reduces the 40-state sum/product/inverse
@@ -96,34 +102,18 @@ class TestFreqResponse:
         with pytest.raises(SingularResolvent):
             freq_response(g, 0.0)
 
-    def test_blocked_sweep_equals_per_frequency_solves(self, monkeypatch):
-        rng = make_rng(11)
-        g = random_statespace(rng, 5, 3, 2)
-        monkeypatch.setattr(_accel, "SCHUR_SWEEP_MIN", np.inf)
-        # three frequencies per block: the 17-point grid spans six blocks
-        monkeypatch.setattr(_accel, "SWEEP_BLOCK_BYTES", 3 * 16 * 5 * 5)
-        swept = g.response(GRID)
-        eye = np.eye(5, dtype=np.complex128)
-        single = np.stack(
-            [g.c @ np.linalg.solve(1j * w * eye - g.a, g.b) + g.d for w in GRID]
-        )
-        assert np.array_equal(swept, single)
 
-
-#: Path of ``_accel.freq_sweep`` -> the thresholds that force it at any size.
-SWEEP_PATHS = {
-    "batched": {"SCHUR_SWEEP_MIN": np.inf},
-    "schur": {"SCHUR_SWEEP_MIN": 0, "SCHUR_MIN_STATES": 0},
-}
-
-
-def force_path(monkeypatch, path):
-    for name, value in SWEEP_PATHS[path].items():
-        monkeypatch.setattr(_accel, name, value)
+#: The fixtures that some command sweeps: the ``q_*`` parameter documents
+#: and the malformed ones hold no plant, and the unrealizable and the
+#: unstabilizable plant are refused before any sweep.
+SWEPT_FIXTURES = sorted(
+    p.name for p in FIXTURES.glob("*.json")
+    if not p.name.startswith(("q_", "malformed", "cavity_notpr", "unstabilizable"))
+)
 
 
 def sweep_systems():
-    """Non-normal, defective and empty-state models for the sweep paths."""
+    """Non-normal, defective, empty-state and singular models for the sweep."""
     rng = make_rng(23)
     yield "random", random_statespace(rng, 12, 3, 2)
     g = random_statespace(rng, 9, 2, 2)
@@ -134,44 +124,68 @@ def sweep_systems():
     coeffs = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
     yield "basis chain", YoulaParameter(1.0, coeffs).to_statespace()
     yield "empty state", static_gain([[1.0 + 2.0j, -0.5], [0.0, 3.0j]])
+    # a pole at 0, on the grid
+    yield "singular resolvent", StateSpace(
+        np.diag([0.0, -1.0, -2.0]), np.ones((3, 1)), np.ones((1, 3)), [[0.0]]
+    )
 
 
-class TestSweepPaths:
-    """Both paths of the sweep kernel against the per-point reference."""
+REFERENCE_CASES = (
+    [f"fixture/{name}" for name in SWEPT_FIXTURES]
+    + [f"benchmark/{name}" for name in ("network_check", "hinf_eval", "h2_descent")]
+    + [f"model/{name}" for name, _ in sweep_systems()]
+)
 
-    @pytest.mark.parametrize("path", sorted(SWEEP_PATHS))
-    @pytest.mark.parametrize("name", [name for name, _ in sweep_systems()])
-    def test_path_matches_per_point_solves(self, monkeypatch, path, name):
-        g = dict(sweep_systems())[name]
-        force_path(monkeypatch, path)
-        grid = np.concatenate([[0.0], GRID])
-        swept = g.response(grid)
-        reference = np.stack([freq_response(g, w) for w in grid])
-        assert swept.shape == reference.shape
-        assert np.abs(swept - reference).max() <= 1e-12 * np.abs(reference).max()
 
-    @pytest.mark.parametrize("path", sorted(SWEEP_PATHS))
-    def test_singular_resolvent_raises_on_each_path(self, monkeypatch, path):
-        g = StateSpace(np.diag([0.0, -1.0, -2.0]), np.ones((3, 1)), np.ones((1, 3)), [[0.0]])
-        force_path(monkeypatch, path)
-        with pytest.raises(SingularResolvent):
-            g.response([1.0, 0.0, 2.0])
+def recorded_sweeps(monkeypatch, argvs, capsys):
+    """``(models, omegas, responses)`` of every sweep that the commands ``argvs`` make."""
+    sweeps, response = [], StateSpace.response
 
-    def test_size_rule_picks_the_path(self, monkeypatch):
-        calls = []
-        schur_sweep = _accel._schur_sweep
-        monkeypatch.setattr(
-            _accel, "_schur_sweep", lambda *args: calls.append(args) or schur_sweep(*args)
-        )
-        # 4 x 2000 reaches SCHUR_SWEEP_MIN, but per-frequency calls cost
-        # more than a batched solve at 4 states
-        random_statespace(make_rng(5), 4, 1, 1).response(log_grid(1e-2, 1e2, 2000))
-        assert not calls
-        g = random_statespace(make_rng(5), 16, 1, 1)
-        g.response(log_grid(1e-2, 1e2, 124))
-        assert not calls
-        g.response(log_grid(1e-2, 1e2, 125))
-        assert len(calls) == 1
+    def recorded(self, omegas, *shared, form=None):
+        out = response(self, omegas, *shared, form=form)
+        sweeps.append(((self, *shared), omegas, out if shared else [out]))
+        return out
+
+    monkeypatch.setattr(StateSpace, "response", recorded)
+    for argv in argvs:
+        main(argv)
+        capsys.readouterr()
+    return sweeps
+
+
+class TestOneRoute:
+    """Every sweep matches the batched-LU resolvent sweep it replaced."""
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_matches_batched_reference(self, monkeypatch, tmp_path, capsys, case):
+        kind, name = case.split("/", 1)
+        if kind == "model":
+            g = dict(sweep_systems())[name]
+            grid = np.concatenate([[0.0], GRID])
+            if name == "singular resolvent":
+                with pytest.raises(np.linalg.LinAlgError):
+                    batched_sweep([g], grid)
+                with pytest.raises(SingularResolvent):
+                    g.response(grid)
+                return
+            sweeps = [((g,), grid, [g.response(grid)])]
+        elif kind == "fixture":
+            doc, out = str(FIXTURES / name), str(tmp_path / "out")
+            argvs = [["factorize", doc], ["eval-hinf", doc, "--out", out],
+                     ["synthesize-h2", doc, "--out", out]]
+            sweeps = recorded_sweeps(monkeypatch, argvs, capsys)
+        else:
+            monkeypatch.syspath_prepend(str(PIPEBENCH))
+            from workloads import WORKLOADS
+
+            argvs = [op.argv for op in WORKLOADS[name](1, str(tmp_path))]
+            sweeps = recorded_sweeps(monkeypatch, argvs, capsys)
+        assert sweeps
+        for models, omegas, swept in sweeps:
+            for got, want in zip(swept, batched_sweep(models, omegas), strict=True):
+                assert got.shape == want.shape
+                scale = np.abs(want).max(initial=0.0)
+                assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
 
 
 def schur_model(g):
@@ -180,39 +194,32 @@ def schur_model(g):
     return StateSpace(t, z.conj().T @ g.b, g.c @ z, g.d)
 
 
-class TestTriangularRoute:
-    """A model already in Schur coordinates is swept by triangular solves alone."""
+class TestSweepForm:
+    """A sweep takes the caller's form, A itself when it is triangular, else one Schur form."""
 
-    @pytest.mark.parametrize("n", [16, 32, 64])
-    def test_schur_model_matches_batched_path(self, routes, n):
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_triangular_model_takes_no_schur_form(self, routes, n):
         g = random_statespace(make_rng([31, n]), n, 3, 2)
-        # as many grid points as keep the general model on the batched path
-        half = GRID[: (_accel.SCHUR_SWEEP_MIN // n - 1) // 2]
-        grid = np.concatenate([[0.0], half, -half])
-        assert n * grid.size < _accel.SCHUR_SWEEP_MIN
-        batched = g.response(grid)
-        assert routes == {"triangular": 0, "schur": 0}
+        grid = np.concatenate([[0.0], GRID, -GRID])
         swept = schur_model(g).response(grid)
         assert routes == {"triangular": 1, "schur": 0}
-        assert np.abs(swept - batched).max() <= 1e-12 * np.abs(batched).max()
+        reference = batched_sweep([g], grid)[0]
+        assert np.abs(swept - reference).max() <= 1e-12 * np.abs(reference).max()
 
-    @pytest.mark.parametrize("n", [16, 64])
-    def test_general_model_on_short_grid_stays_batched(self, routes, n):
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_general_model_takes_one_schur_form(self, routes, n):
         g = random_statespace(make_rng([37, n]), n, 2, 2)
         assert np.any(np.tril(g.a, -1))
         g.response(GRID)
-        assert routes == {"triangular": 0, "schur": 0}
-
-    def test_small_triangular_model_stays_batched(self, routes):
-        # below SCHUR_MIN_STATES the per-frequency LAPACK call costs more
-        g = schur_model(random_statespace(make_rng(41), _accel.SCHUR_MIN_STATES - 1, 2, 2))
-        g.response(GRID)
-        assert routes == {"triangular": 0, "schur": 0}
-
-    def test_schur_path_runs_the_triangular_kernel(self, routes):
-        g = random_statespace(make_rng(43), 16, 1, 1)
-        g.response(log_grid(1e-2, 1e2, 500))
         assert routes == {"triangular": 1, "schur": 1}
+
+    def test_carried_form_is_taken(self, routes):
+        g = random_statespace(make_rng(43), 16, 2, 2)
+        form = schur_form(g.a)
+        carried = g.response(GRID, form=form)
+        assert routes == {"triangular": 1, "schur": 0}
+        assert np.array_equal(carried, g.response(GRID))
+        assert routes == {"triangular": 2, "schur": 1}
 
 
 @pytest.fixture
@@ -226,7 +233,18 @@ def solved_widths(monkeypatch):
 
 
 class TestDistinctColumns:
-    """Models swept together on the Schur route solve each distinct column once."""
+    """Models swept together solve each distinct column once."""
+
+    def test_columns_equal_up_to_sign_share_a_class(self):
+        # leading zeros, a purely imaginary first entry and negative zeros
+        # do not split a class; a conjugate is a class of its own
+        u = np.array([0.0, 2.0j, complex(-0.0, 1.0), 3.0])
+        v = np.array([1.0, -0.0, 0.5, 0.0], dtype=np.complex128)
+        b = np.column_stack([-u, v, np.zeros(4), u, -v, u.conj()])
+        lead, parts = _accel._distinct_columns(b)
+        assert lead.tolist() == [0, 1, 5]
+        assert parts.tolist() == [[1, 0, 0, -1, 0, 0], [0, 1, 0, 0, -1, 0], [0, 0, 0, 0, 0, 1]]
+        assert np.array_equal(b[:, lead] @ parts, b)
 
     def test_shared_core_columns_solved_once(self, solved_widths):
         rng = make_rng(47)
@@ -238,7 +256,6 @@ class TestDistinctColumns:
         models = [StateSpace(g.a, bk, random_complex(rng, (2, 20)), random_complex(rng, (2, bk.shape[1])))
                   for bk in layouts]
         grid = np.concatenate([[0.0], log_grid(1e-2, 1e2, 64), -log_grid(1e-2, 1e2, 64)])
-        assert g.n_states * grid.size >= _accel.SCHUR_SWEEP_MIN
         together = models[0].response(grid, *models[1:])
         assert solved_widths == [3]
         for model, swept in zip(models, together):
