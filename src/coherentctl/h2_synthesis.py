@@ -73,10 +73,9 @@ class SynthesisProblem:
 
     ``generator`` is the weighted Youla generator
     ``diag(W_out, I) [[T0, T1], [T2, 0]] diag(W_in, I)``; :meth:`loop`
-    closes its lower port with a parameter of ``parameter_shape``, and
-    :meth:`basis_loop` does the same for a basis parameter from the
-    blocks no parameter changes, formed once per problem.  Of its
-    states [w_out, x, e, w_in], those before ``split`` realize
+    closes its lower port with a parameter of ``parameter_shape``.  Its
+    D22 is zero, so ``compose_lft`` closes that loop with no inverse.  Of
+    its states [w_out, x, e, w_in], those before ``split`` realize
     ``bold_t1 = W_out T1`` exactly and the rest ``bold_t2 = T2 W_in``.
     ``poles`` is the generator's spectrum (W_out, A + B2 F, A + L C2,
     W_in); Q is the only path from the later states to the earlier, so
@@ -127,53 +126,6 @@ class SynthesisProblem:
                 f"parameter block {qss.shape} does not fit slots {(rows, cols)}"
             )
         return compose_lft(self.generator, qss, n_meas=cols, n_ctrl=rows)
-
-    @cached_property
-    def _closing_blocks(self):
-        """The generator's blocks and the loop factors no parameter changes.
-
-        ``compose_lft`` inverts X = I - D22 Dq and Y = I - Dq D22.  The
-        generator's D22 is zero by construction, so for every Dq both are
-        the identity, bit for bit, and so are their inverses.  Returns A,
-        B1, B2, C1, C2, D11, D12, D21, D22, X^-1, B2 Y^-1 and D12 Y^-1.
-        """
-        g, (nz, nw), (rows, cols) = self.generator, self._outer, self.parameter_shape
-        d22 = g.d[nz:, nw:]
-        if d22.any():
-            raise ValueError("the weighted generator's D22 block must vanish")
-        x, y = np.eye(cols, dtype=np.complex128), np.eye(rows, dtype=np.complex128)
-        x_inv = np.linalg.inv(x) if x.size else x
-        y_inv = np.linalg.inv(y) if y.size else y
-        b2, d12 = g.b[:, nw:], g.d[:nz, nw:]
-        return (g.a, g.b[:, :nw], b2, g.c[:nz], g.c[nz:], g.d[:nz, :nw], d12,
-                g.d[nz:, :nw], d22, x_inv, b2 @ y_inv, d12 @ y_inv)
-
-    def basis_loop(self, q):
-        """:meth:`loop` at a basis parameter, bit for bit, without a general LFT.
-
-        The loop inverses are the identity's (:attr:`_closing_blocks`), so
-        a call forms only the products with Q's realization, each in the
-        order ``compose_lft`` forms it.
-        """
-        if q.shape != self.parameter_shape:
-            raise DimensionMismatch(
-                f"parameter block {q.shape} does not fit slots {self.parameter_shape}"
-            )
-        a, b1, b2, c1, c2, d11, d12, d21, d22, x_inv, b2_y, d12_y = self._closing_blocks
-        qss = q.to_statespace()
-        ak, bk, ck, dk = qss.a, qss.b, qss.c, qss.d
-        b2_dk = b2 @ dk @ x_inv
-        d12_dk = d12 @ dk @ x_inv
-        bk_x = bk @ x_inv
-        n = a.shape[0]
-        acl = np.empty((n + ak.shape[0],) * 2, dtype=np.complex128)
-        acl[:n, :n] = a + b2_dk @ c2
-        acl[:n, n:] = b2_y @ ck
-        acl[n:, :n] = bk_x @ c2
-        acl[n:, n:] = ak + bk_x @ d22 @ ck
-        bcl = np.vstack([b1 + b2_dk @ d21, bk_x @ d21])
-        ccl = np.hstack([c1 + d12_dk @ c2, d12_y @ ck])
-        return StateSpace(acl, bcl, ccl, d11 + d12_dk @ d21)
 
     def loop_poles(self, q_poles):
         """The spectrum of :meth:`loop` at a parameter with spectrum ``q_poles``."""
@@ -318,14 +270,11 @@ def assemble_problem(mp, cf, cd, w_in=None, w_out=None, grid=None):
 def cost(sp, q):
     """Squared H2 norm of the weighted loop at parameter ``q`` (Gramian).
 
-    Closes the weighted generator with ``q`` and solves one Lyapunov
-    equation; exact up to linear-algebra roundoff.  A basis parameter is
-    closed by :meth:`SynthesisProblem.basis_loop`, a realization by
-    :meth:`SynthesisProblem.loop`; at the same parameter both give the
-    same bits.
+    Closes the weighted generator with ``q`` (:meth:`SynthesisProblem.loop`,
+    a basis parameter or a realization) and solves one Lyapunov
+    equation; exact up to linear-algebra roundoff.
     """
-    loop = sp.loop(q) if isinstance(q, StateSpace) else sp.basis_loop(q)
-    return h2_norm_sq(loop, sp.loop_poles(parameter_poles(q)))
+    return h2_norm_sq(sp.loop(q), sp.loop_poles(parameter_poles(q)))
 
 
 def gradient(sp, q_w):
@@ -439,9 +388,10 @@ def descend(sp, q_init, cfg):
     non-increasing while the residual stays inside the hard bound.
 
     What no iteration changes is built once: the basis matrix on the grid
-    with its Jacobian pieces (:class:`~.youla_constraint.SampledBasis`),
-    the constraint samples and the loop blocks that
-    :meth:`SynthesisProblem.basis_loop` closes each trial with.
+    with its Jacobian pieces (:class:`~.youla_constraint.SampledBasis`)
+    and the constraint samples.  Each trial's loop is the generator
+    closed by it (:meth:`SynthesisProblem.loop`), whose D22 is zero, so
+    no loop factor is inverted.
 
     Returns the final parameter and a :class:`DescentTrace`.
 
@@ -478,8 +428,8 @@ def descend(sp, q_init, cfg):
     for k in range(cfg.max_iters):
         grad_w = gradient(sp, q_cur.sample(basis.matrix))
         grad_norm = _rms(grad_w)
-        ts = tangent_subspace(cd_samples, q_cur, basis)
-        direction = project_direction(ts, basis, grad_w)
+        w_samples = tangent_subspace(cd_samples, q_cur, basis)
+        direction = project_direction(w_samples, basis, grad_w)
         proj_norm = _rms(direction.sample(basis.matrix))
         if proj_norm <= cfg.grad_tol:
             records.append((k, e_cur, grad_norm, 0.0, res_cur, 0.0))

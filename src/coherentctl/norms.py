@@ -114,13 +114,18 @@ def sigma_max_profile(sys, grid):
     """Largest singular value of the response at each grid point.
 
     A model with no states is its feedthrough at every frequency, so it
-    takes one singular value decomposition of D and no sweep.
+    takes one singular value decomposition of D and no sweep.  A model
+    with no inputs or no outputs has the empty response, of gain 0.
     """
     grid = validate_grid(np.asarray(grid, dtype=np.float64))
     if sys.n_states == 0:
-        return np.full(grid.size, np.linalg.svd(sys.d, compute_uv=False)[0])
-    resp = sys.response(grid)
-    return np.linalg.svd(resp, compute_uv=False)[:, 0]
+        return np.full(grid.size, _sigma_max(sys.d))
+    return _sigma_max(sys.response(grid))
+
+
+def _sigma_max(m):
+    """Largest singular value of each matrix in the stack ``m``; 0 for an empty one."""
+    return np.linalg.svd(m, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 def _default_hinf_grid(eig):
@@ -150,7 +155,7 @@ def _imaginary_crossings(sys, gamma):
     m = b.shape[1]
     r = gamma**2 * np.eye(m) - d.conj().T @ d
     # gamma at or below sigma_max(D): certainly not an upper bound
-    if np.linalg.eigvalsh((r + r.conj().T) / 2.0).min() <= 0.0:
+    if np.linalg.eigvalsh((r + r.conj().T) / 2.0).min(initial=np.inf) <= 0.0:
         return np.array([])
     rinv = np.linalg.inv(r)
     ar = a + b @ rinv @ d.conj().T @ c
@@ -256,7 +261,7 @@ def hinf_norm(sys, poles, rel_tol=HINF_REL_TOL):
         raise NotStable("Hinf norm on the axis undefined for an unstable model")
 
     def sigma(omegas):
-        return np.linalg.svd(sys.response(omegas), compute_uv=False)[:, 0]
+        return _sigma_max(sys.response(omegas))
 
     def attained(value, peak):
         if peak < 0.0 and sigma(np.array([-peak]))[0] >= value * (1.0 - rel_tol):
@@ -268,7 +273,7 @@ def hinf_norm(sys, poles, rel_tol=HINF_REL_TOL):
     if sys.n_states == 0:
         return attained(best, peak)
 
-    sig_d = float(np.linalg.svd(sys.d, compute_uv=False)[0]) if sys.d.size else 0.0
+    sig_d = float(_sigma_max(sys.d))
     # floored so that the test's level squared stays a normal float
     lo = max(best, sig_d * (1.0 + 1e-12), 1e-150)
     level = lo

@@ -56,7 +56,6 @@ __all__ = [
     "ConstraintData",
     "YoulaParameter",
     "SampledBasis",
-    "TangentSubspace",
     "MembershipVerdict",
     "build_constraint_data",
     "quadratic_form",
@@ -393,29 +392,18 @@ class SampledBasis:
         return unknown_col, comp, source, scale[:, None, None, None]
 
 
-@dataclass
-class TangentSubspace:
-    """Sampled linearization of the quadratic form at a base parameter.
-
-    ``w_samples`` holds (linear + quadratic*Q)(iw) on the grid; a
-    direction X is tangent when the Hermitian product X* w + w* X
-    vanishes at every grid point.
-    """
-
-    grid: np.ndarray
-    w_samples: np.ndarray
-
-
 def tangent_subspace(samples, q, basis):
     """Linearize the quadratic form at ``q`` over the grid of ``basis``.
 
     ``samples`` is the ``(phi, lam, pi)`` triple of
     :meth:`ConstraintData.samples` and ``basis`` the
-    :class:`SampledBasis` of ``q`` on the same grid; the subspace holds
-    ``lam + pi Q`` there.
+    :class:`SampledBasis` of ``q`` on the same grid.  Returns the
+    ``(n_omega, d, d)`` samples of ``W = lam + pi Q``: a direction X is
+    tangent when the Hermitian product ``X* W + W* X`` vanishes at every
+    grid point.
     """
     _, lam_w, pi_w = samples
-    return TangentSubspace(grid=basis.grid, w_samples=lam_w + pi_w @ q.sample(basis.matrix))
+    return lam_w + pi_w @ q.sample(basis.matrix)
 
 
 def _real_stack(block):
@@ -522,14 +510,15 @@ def _nullspace(mat):
     return vt[rank:].T
 
 
-def project_direction(ts, basis, direction_samples):
+def project_direction(w_samples, basis, direction_samples):
     """Closest tangent direction to sampled gradient values, in the basis.
 
-    ``basis`` is the :class:`SampledBasis` of the grid of ``ts``: its
-    basis matrix and objective matrix are reused, not rebuilt.
+    ``w_samples`` are the :func:`tangent_subspace` samples and ``basis``
+    the :class:`SampledBasis` of their grid: its basis matrix and
+    objective matrix are reused, not rebuilt.
     Minimizes the summed pointwise Frobenius distance to
     ``direction_samples`` over the rational basis span, subject to the
-    tangent constraints of ``ts`` at every grid point — a real
+    tangent constraints of ``w_samples`` at every grid point — a real
     equality-constrained least-squares problem in the stacked
     coefficient unknowns, solved by restricting to the constraint
     nullspace.  A rank-deficient restricted system is reported via
@@ -546,7 +535,7 @@ def project_direction(ts, basis, direction_samples):
             f"grid/basis ({nw}, {rows}, {cols})"
         )
 
-    a_con = _constraint_matrix(ts.w_samples, basis)
+    a_con = _constraint_matrix(w_samples, basis)
     target = _real_stack(direction_samples)
 
     null = _nullspace(a_con)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 from coherentctl import _accel, statespace
-from coherentctl.errors import DimensionMismatch, SingularResolvent
+from coherentctl.errors import DimensionMismatch, IllPosedInterconnection, SingularResolvent
 from coherentctl.norms import h2_norm_sq, hinf_norm, is_spectrally_generic, peak_frobenius
 from coherentctl.physreal import DEFAULT_PR_TOL, PrVerdict, SlhModel, slh_to_statespace
 from coherentctl.stabilization import _regroup_permutations
@@ -258,6 +258,50 @@ def assert_same_bits(got, want):
         np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64), err_msg=m)
 
 
+def reference_compose_lft(plant, controller, n_meas, n_ctrl):
+    """Reference for ``compose_lft``: the loop closed through both inverses.
+
+    The closure as it was before a zero D22 skipped the rank test and
+    the inversions: ``I - D22 DK`` is tested and inverted for every
+    plant, and the closed-loop A is assembled with ``np.block``.
+    """
+    p, m = plant.shape
+    if not (0 <= n_meas <= p and 0 <= n_ctrl <= m):
+        raise DimensionMismatch("partition exceeds plant dimensions")
+    if controller.shape != (n_ctrl, n_meas):
+        raise DimensionMismatch(
+            f"controller must be ({n_ctrl}, {n_meas}), got {controller.shape}"
+        )
+    nz, nw = p - n_meas, m - n_ctrl
+    a, bmat, cmat, dmat = plant.a, plant.b, plant.c, plant.d
+    b1, b2 = bmat[:, :nw], bmat[:, nw:]
+    c1, c2 = cmat[:nz], cmat[nz:]
+    d11, d12 = dmat[:nz, :nw], dmat[:nz, nw:]
+    d21, d22 = dmat[nz:, :nw], dmat[nz:, nw:]
+    ak, bk, ck, dk = controller.a, controller.b, controller.c, controller.d
+
+    loop = np.eye(n_meas) - d22 @ dk
+    sv = np.linalg.svd(loop, compute_uv=False) if loop.size else np.array([1.0])
+    if loop.size and sv[-1] <= 1e-12 * max(sv[0], 1.0):
+        raise IllPosedInterconnection(
+            "algebraic loop: I - D22*DK is singular"
+        )
+    x = np.linalg.inv(loop) if loop.size else loop
+    y = np.eye(n_ctrl) - dk @ d22
+    yinv = np.linalg.inv(y) if y.size else y
+
+    acl = np.block(
+        [
+            [a + b2 @ dk @ x @ c2, b2 @ yinv @ ck],
+            [bk @ x @ c2, ak + bk @ x @ d22 @ ck],
+        ]
+    )
+    bcl = np.vstack([b1 + b2 @ dk @ x @ d21, bk @ x @ d21])
+    ccl = np.hstack([c1 + d12 @ dk @ x @ c2, d12 @ yinv @ ck])
+    dcl = d11 + d12 @ dk @ x @ d21
+    return StateSpace(acl, bcl, ccl, dcl)
+
+
 def monolithic_minimal_realization(sys, tol=1e-9):
     """Reference for ``minimal_realization``: both staircases on the whole model.
 
@@ -447,19 +491,20 @@ def h2_norm_sq_quadrature(sys, grid=None):
     return float(np.trapezoid(vals, grid) / (2.0 * np.pi))
 
 
-def constraint_map(ts, x_samples):
-    """Hermitian tangent map ``X* W + W* X`` of ``ts`` per grid point.
+def constraint_map(w_samples, x_samples):
+    """Hermitian tangent map ``X* W + W* X`` per grid point.
 
-    ``x_samples`` are a direction's values on ``ts.grid``; the result is
-    (n_omega, d, d).  The sampled reference for the tangent Jacobian.
+    ``w_samples`` are the samples of W that ``tangent_subspace`` returns
+    and ``x_samples`` a direction's values on the same grid; the result
+    is (n_omega, d, d).  The sampled reference for the tangent Jacobian.
     """
     x_samples = np.asarray(x_samples, dtype=np.complex128)
-    if x_samples.shape != ts.w_samples.shape:
+    if x_samples.shape != w_samples.shape:
         raise DimensionMismatch(
             f"direction block {x_samples.shape} does not match "
-            f"subspace data {ts.w_samples.shape}"
+            f"subspace data {w_samples.shape}"
         )
-    cross = x_samples.conj().swapaxes(1, 2) @ ts.w_samples
+    cross = x_samples.conj().swapaxes(1, 2) @ w_samples
     return cross + cross.conj().swapaxes(1, 2)
 
 

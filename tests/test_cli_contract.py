@@ -267,6 +267,51 @@ def test_overflow_raises_no_numpy_warnings():
         assert [line.split(":")[0] for line in err.splitlines()] == errors, err
 
 
+# A = [-1], B = [1, 1], C = [1], D = [0, 0]: the one output is measured,
+# so the plant has no performance output and every loop's response is empty
+NO_PERFORMANCE_OUTPUT = {
+    "plant": {
+        "abcd": {
+            "a": [[[-1.0, 0.0]]],
+            "b": [[[1.0, 0.0], [1.0, 0.0]]],
+            "c": [[[1.0, 0.0]]],
+            "d": [[[0.0, 0.0], [0.0, 0.0]]],
+        }
+    },
+    "partition": {"n_r": 1, "n_u": 1, "n_z": 0, "n_y": 1},
+    "grid": {"kind": "log", "omega_min": 0.01, "omega_max": 100.0, "points": 9},
+}
+
+
+def _no_performance_output(grid):
+    doc = dict(NO_PERFORMANCE_OUTPUT)
+    if not grid:
+        del doc["grid"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["grid", "no-grid"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_performance_output_keeps_exit_contract(command, grid):
+    code, err = _run(command, _no_performance_output(grid))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1, err
+
+
+def test_no_performance_output_has_norm_zero(tmp_path, capsys):
+    doc = tmp_path / "no-z.json"
+    doc.write_text(_no_performance_output(grid=True))
+    code = main(["eval-hinf", str(doc), "--out", str(tmp_path / "profile.csv")])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.startswith("Hinf norm 0 at omega ")
+    # with no grid, the zero response leaves no bandwidth for a default one
+    code, err = _run("eval-hinf", _no_performance_output(grid=False))
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("DegenerateWeights:"), err
+
+
 def test_static_plant_evaluates(tmp_path, capsys):
     doc = tmp_path / "static.json"
     doc.write_text(_document("scalar_demo.json", STATIC_PLANT))

@@ -236,6 +236,14 @@ class TestHinf:
         val, _ = hinf_of(StateSpace([[-1.0]], [[1.0]], [[0.0]], [[0.0]]))
         assert 0.0 < val <= 1e-149
 
+    @pytest.mark.parametrize("p, m", [(0, 2), (2, 0)], ids=["no-outputs", "no-inputs"])
+    def test_empty_response_certifies_a_tiny_level(self, p, m):
+        # the empty response has gain 0: a dynamic model certifies the
+        # floor level, and a static one is exactly 0
+        val, _ = hinf_of(StateSpace([[-1.0]], np.ones((1, m)), np.ones((p, 1)), np.zeros((p, m))))
+        assert 0.0 < val <= 1e-149
+        assert hinf_of(static_gain(np.zeros((p, m))))[0] == 0.0
+
     def test_static(self):
         val, peak = hinf_of(static_gain([[3.0, 0.0], [0.0, 1.0]]))
         assert val == pytest.approx(3.0)
@@ -299,6 +307,14 @@ class TestProfiles:
         grid = log_grid(1e-1, 1e1, 5)
         prof = sigma_max_profile(g, grid)
         np.testing.assert_allclose(prof, 1.0 / np.sqrt(1.0 + grid**2), rtol=1e-12)
+
+    @pytest.mark.parametrize("p, m", [(0, 2), (2, 0)], ids=["no-outputs", "no-inputs"])
+    def test_empty_response_profile_is_zero(self, p, m):
+        grid = log_grid(1e-1, 1e1, 5)
+        dynamic = StateSpace([[-1.0]], np.ones((1, m)), np.ones((p, 1)), np.zeros((p, m)))
+        for g in (dynamic, static_gain(np.zeros((p, m)))):
+            prof = sigma_max_profile(g, grid)
+            assert prof.shape == grid.shape and not prof.any()
 
     def test_static_profile_takes_no_sweep(self, monkeypatch):
         # a model with no states is its feedthrough at every frequency:

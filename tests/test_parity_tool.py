@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,22 @@ from coherentctl.physreal import SlhModel, slh_to_statespace
 from coherentctl.problemfile import load_problem_file
 
 PARITY = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Loads the harness in a fresh interpreter and prints the thread variables
+# as they stood when numpy was first imported, which is when BLAS reads them.
+AT_NUMPY_IMPORT = """
+import importlib.abc, importlib.util, json, os, sys
+seen = {}
+class Watch(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((v, os.environ.get(v)) for v in sys.argv[2:])
+spec = importlib.util.spec_from_file_location("parity", sys.argv[1])
+sys.meta_path.insert(0, Watch())
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+print(json.dumps(seen))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +118,14 @@ def test_unstable_network_is_among_the_documents(parity, tmp_path):
     for run in ("eval-hinf", "closed-loop"):
         for flag in ("", " --json"):
             assert f"{run} {name} --q-from {parity.UNSTABLE_Q}{flag}" in keys
+
+
+def test_blas_runs_on_one_thread():
+    # a certified norm can move in its last digits with the BLAS thread
+    # count, so the harness pins it whatever the caller's environment says
+    env = dict(os.environ, **{v: "2" for v in BLAS_THREADS})
+    out = subprocess.run(
+        [sys.executable, "-c", AT_NUMPY_IMPORT, str(PARITY), *BLAS_THREADS],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert json.loads(out) == {v: "1" for v in BLAS_THREADS}

@@ -35,23 +35,33 @@ exit code differs, the case or one of its files exists on one side
 only, or a text differs outside its numbers.  It prints that tally once
 per command (the first word of a case key) and once over all cases, and
 exits 1 when any case differs.
+
+BLAS runs on one thread, as in ``pipebench/run.py``: the variables
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` are
+set to 1 before numpy is imported.  A certified H-infinity norm can move
+in its last digits with the thread count, so two digests of the same
+checkout made with different counts could differ.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import io
-import json
-import math
 import os
-import re
-import sys
-import tempfile
-import traceback
-import warnings
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import re  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import traceback  # noqa: E402
+import warnings  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "tests", "fixtures")
