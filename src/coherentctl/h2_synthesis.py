@@ -73,8 +73,7 @@ class SynthesisProblem:
 
     ``generator`` is the weighted Youla generator
     ``diag(W_out, I) [[T0, T1], [T2, 0]] diag(W_in, I)``; :meth:`loop`
-    closes its lower port with a parameter of ``parameter_shape``.  Its
-    D22 is zero, so ``compose_lft`` closes that loop with no inverse.  Of
+    closes its lower port with a parameter of ``parameter_shape``.  Of
     its states [w_out, x, e, w_in], those before ``split`` realize
     ``bold_t1 = W_out T1`` exactly and the rest ``bold_t2 = T2 W_in``.
     ``poles`` is the generator's spectrum (W_out, A + B2 F, A + L C2,
@@ -390,8 +389,7 @@ def descend(sp, q_init, cfg):
     What no iteration changes is built once: the basis matrix on the grid
     with its Jacobian pieces (:class:`~.youla_constraint.SampledBasis`)
     and the constraint samples.  Each trial's loop is the generator
-    closed by it (:meth:`SynthesisProblem.loop`), whose D22 is zero, so
-    no loop factor is inverted.
+    closed by it (:meth:`SynthesisProblem.loop`).
 
     Returns the final parameter and a :class:`DescentTrace`.
 

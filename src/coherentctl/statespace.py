@@ -211,11 +211,6 @@ def compose_lft(plant, controller, n_meas, n_ctrl):
 
         ``G = P11 + P12 K (I - P22 K)^{-1} P21``
 
-    When D22 is exactly zero, as in a Youla generator, the loop factors
-    ``I - D22 DK`` and ``I - DK D22`` are exactly the identity, and so
-    are their inverses: they are taken as such, with no rank test and
-    no inversion, and every product is formed as in the general case.
-
     Raises
     ------
     IllPosedInterconnection
@@ -236,29 +231,26 @@ def compose_lft(plant, controller, n_meas, n_ctrl):
     d21, d22 = dmat[nz:, :nw], dmat[nz:, nw:]
     ak, bk, ck, dk = controller.a, controller.b, controller.c, controller.d
 
-    if d22.any():
-        loop = np.eye(n_meas) - d22 @ dk
-        sv = np.linalg.svd(loop, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-            raise IllPosedInterconnection(
-                "algebraic loop: I - D22*DK is singular"
-            )
-        x = np.linalg.inv(loop)
-        yinv = np.linalg.inv(np.eye(n_ctrl) - dk @ d22)
-    else:
-        x = np.eye(n_meas, dtype=np.complex128)
-        yinv = np.eye(n_ctrl, dtype=np.complex128)
+    loop = np.eye(n_meas) - d22 @ dk
+    sv = np.linalg.svd(loop, compute_uv=False) if loop.size else np.array([1.0])
+    if loop.size and sv[-1] <= 1e-12 * max(sv[0], 1.0):
+        raise IllPosedInterconnection(
+            "algebraic loop: I - D22*DK is singular"
+        )
+    x = np.linalg.inv(loop) if loop.size else loop
+    y = np.eye(n_ctrl) - dk @ d22
+    yinv = np.linalg.inv(y) if y.size else y
 
-    b2_dk, d12_dk, bk_x = b2 @ dk @ x, d12 @ dk @ x, bk @ x
-    n = a.shape[0]
-    acl = np.empty((n + ak.shape[0],) * 2, dtype=np.complex128)
-    acl[:n, :n] = a + b2_dk @ c2
-    acl[:n, n:] = b2 @ yinv @ ck
-    acl[n:, :n] = bk_x @ c2
-    acl[n:, n:] = ak + bk_x @ d22 @ ck
-    bcl = np.vstack([b1 + b2_dk @ d21, bk_x @ d21])
-    ccl = np.hstack([c1 + d12_dk @ c2, d12 @ yinv @ ck])
-    return StateSpace(acl, bcl, ccl, d11 + d12_dk @ d21)
+    acl = np.block(
+        [
+            [a + b2 @ dk @ x @ c2, b2 @ yinv @ ck],
+            [bk @ x @ c2, ak + bk @ x @ d22 @ ck],
+        ]
+    )
+    bcl = np.vstack([b1 + b2 @ dk @ x @ d21, bk @ x @ d21])
+    ccl = np.hstack([c1 + d12 @ dk @ x @ c2, d12 @ yinv @ ck])
+    dcl = d11 + d12 @ dk @ x @ d21
+    return StateSpace(acl, bcl, ccl, dcl)
 
 
 # -- independent parts ------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 from coherentctl import _accel, statespace
-from coherentctl.errors import DimensionMismatch, IllPosedInterconnection, SingularResolvent
+from coherentctl.errors import DimensionMismatch, SingularResolvent
 from coherentctl.norms import h2_norm_sq, hinf_norm, is_spectrally_generic, peak_frobenius
 from coherentctl.physreal import DEFAULT_PR_TOL, PrVerdict, SlhModel, slh_to_statespace
 from coherentctl.stabilization import _regroup_permutations
@@ -256,50 +256,6 @@ def assert_same_bits(got, want):
         x, y = getattr(got, m), getattr(want, m)
         assert x.shape == y.shape, m
         np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64), err_msg=m)
-
-
-def reference_compose_lft(plant, controller, n_meas, n_ctrl):
-    """Reference for ``compose_lft``: the loop closed through both inverses.
-
-    The closure as it was before a zero D22 skipped the rank test and
-    the inversions: ``I - D22 DK`` is tested and inverted for every
-    plant, and the closed-loop A is assembled with ``np.block``.
-    """
-    p, m = plant.shape
-    if not (0 <= n_meas <= p and 0 <= n_ctrl <= m):
-        raise DimensionMismatch("partition exceeds plant dimensions")
-    if controller.shape != (n_ctrl, n_meas):
-        raise DimensionMismatch(
-            f"controller must be ({n_ctrl}, {n_meas}), got {controller.shape}"
-        )
-    nz, nw = p - n_meas, m - n_ctrl
-    a, bmat, cmat, dmat = plant.a, plant.b, plant.c, plant.d
-    b1, b2 = bmat[:, :nw], bmat[:, nw:]
-    c1, c2 = cmat[:nz], cmat[nz:]
-    d11, d12 = dmat[:nz, :nw], dmat[:nz, nw:]
-    d21, d22 = dmat[nz:, :nw], dmat[nz:, nw:]
-    ak, bk, ck, dk = controller.a, controller.b, controller.c, controller.d
-
-    loop = np.eye(n_meas) - d22 @ dk
-    sv = np.linalg.svd(loop, compute_uv=False) if loop.size else np.array([1.0])
-    if loop.size and sv[-1] <= 1e-12 * max(sv[0], 1.0):
-        raise IllPosedInterconnection(
-            "algebraic loop: I - D22*DK is singular"
-        )
-    x = np.linalg.inv(loop) if loop.size else loop
-    y = np.eye(n_ctrl) - dk @ d22
-    yinv = np.linalg.inv(y) if y.size else y
-
-    acl = np.block(
-        [
-            [a + b2 @ dk @ x @ c2, b2 @ yinv @ ck],
-            [bk @ x @ c2, ak + bk @ x @ d22 @ ck],
-        ]
-    )
-    bcl = np.vstack([b1 + b2 @ dk @ x @ d21, bk @ x @ d21])
-    ccl = np.hstack([c1 + d12 @ dk @ x @ c2, d12 @ yinv @ ck])
-    dcl = d11 + d12 @ dk @ x @ d21
-    return StateSpace(acl, bcl, ccl, dcl)
 
 
 def monolithic_minimal_realization(sys, tol=1e-9):
