@@ -211,6 +211,10 @@ def evaluation_problem(mp, cf, w_in=None, w_out=None, grid=None, cd=None):
         @ blockdiag_systems([w_in, identity_system(mp.in_ctrl)])
     )
     if grid is None:
+        empty = "n_z" if not mp.out_perf else "n_r" if not mp.in_exo else None
+        if empty:
+            raise DegenerateWeights(f"partition block {empty} is empty, so no default grid "
+                                    "spans the loop's response; give the document a grid section")
         grid = default_descent_grid(w_out, w_in)
     return SynthesisProblem(
         generator=generator,

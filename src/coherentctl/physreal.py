@@ -37,9 +37,9 @@ from .norms import is_spectrally_generic
 from .statespace import (
     StateSpace,
     _parts,
+    _schur_forms,
     doubled,
     minimal_realization,
-    schur_form,
     signature_matrix,
 )
 
@@ -86,6 +86,7 @@ class SlhModel:
         self.l2 = np.atleast_2d(np.asarray(self.l2, dtype=np.complex128))
         m = self.s.shape[0]
         n = self.l1.shape[1]
+        canonical = self.f1 is None and self.f2 is None  # F = I, whose cond is exactly 1
         if self.s.shape != (m, m):
             raise InvalidSlh(f"scattering matrix must be square, got {self.s.shape}")
         if self.l1.shape != (m, n) or self.l2.shape != (m, n):
@@ -115,8 +116,7 @@ class SlhModel:
             raise InvalidSlh(
                 f"doubled Hamiltonian not Hermitian: residual {herm_gap:.2e}"
             )
-        fd = doubled(self.f1, self.f2)
-        if n and np.linalg.cond(fd) > 1e12:
+        if n and not canonical and np.linalg.cond(self.mode_basis()) > 1e12:
             raise InvalidSlh("mode-basis matrix F is (near-)singular")
 
     @property
@@ -165,23 +165,33 @@ def slh_to_statespace(model):
     return StateSpace(a, b, lmat, dmat)
 
 
-def _lyapunov_residual(parts, b, c, d, sign):
+def _lyapunov_residual(parts, forms, mirrors, b, c, d, sign):
     """``||X C* + B J D*||_F / (||X|| ||C|| + ||B|| ||D||)``, part by part.
 
-    Each of ``parts`` is ``(states, T, Z)`` with ``A_i = Z T Z*`` the
-    block of A on those states.  X solves ``A X + X A* + B J B* = 0``; a
-    generic spectrum makes X unique.  The parts share no state, input or
-    output, so X is block diagonal over them and each block of
+    Each of ``parts`` is a part's states, with ``(T, Z)`` in ``forms``
+    and ``A_i = Z T Z*`` its block of A.  X solves ``A X + X A* + B J B*
+    = 0``; a generic spectrum makes X unique.  The parts share no state,
+    input or output, so X is block diagonal over them and each block of
     ``X C* + B J D*`` is its part's rows: every Frobenius norm is the
     root sum of squares of the parts' norms.  Each part's equation is
     solved in its Schur coordinates and its norms are taken there, so X
     itself is never formed; a model of one part gets the norms of one
-    solve.  The scale is floored at the smallest normal float: a model
-    with X = 0 and D = 0 gives 0, not NaN.
+    solve.  A part q whose A mirrors an earlier part p's (``mirrors``)
+    takes p's four norms when the channel swap P carries the rest over
+    exactly, ``B_q = conj(B_p) P``, ``C_q = P conj(C_p)``, ``D = P conj(D) P``:
+    as ``P J P = -J``, X_q = -conj(X_p).  The scale is floored at the
+    smallest normal float: a model with X = 0 and D = 0 gives 0, not NaN.
     """
     norm = np.linalg.norm
+    swap = np.roll(np.arange(len(sign)), len(sign) // 2)
+    swapped = np.array_equal(d, d.conj()[np.ix_(swap, swap)])
     terms = []
-    for states, t, z in parts:
+    for states, (t, z), mirror in zip(parts, forms, mirrors):
+        first = None if mirror is None else parts[mirror]
+        if (first is not None and swapped and np.array_equal(b[states], b[first].conj()[:, swap])
+                and np.array_equal(c[:, states], c[np.ix_(swap, first)].conj())):
+            terms.append(terms[mirror])
+            continue
         bz = z.conj().T @ b[states]
         cz = c[:, states] @ z
         bj = bz * sign
@@ -232,9 +242,11 @@ def check_physical_realizability(sys, tol=DEFAULT_PR_TOL):
     on each independent part of the model by the exact nonzero pattern
     (:func:`~.statespace.minimal_realization`): a passive network
     (L2 = H2 = 0) in doubled-up coordinates is the direct sum of its
-    annihilation model and that model's conjugate, so it takes two
-    half-size solves.  Genericity is tested on the union of the parts'
-    spectra, since a pair mirrored across the axis may straddle two parts.
+    annihilation model and that model's conjugate: where the latter is
+    exact, its factorizations are taken as the conjugates of the first
+    half's (:func:`~.statespace._mirrors`).  Genericity is tested on the
+    union of the parts' spectra, since a pair mirrored across the axis
+    may straddle two parts.
     """
     p, m = sys.shape
     if p != m or p % 2:
@@ -245,17 +257,17 @@ def check_physical_realizability(sys, tol=DEFAULT_PR_TOL):
 
     d = reduced.d
     sign = np.diag(signature_matrix(half)).real
-    parts = [(states, *schur_form(reduced.a[np.ix_(states, states)]))
-             for states in _parts(reduced)]
+    parts = _parts(reduced)
+    forms, mirrors = _schur_forms([reduced.a[np.ix_(part, part)] for part in parts])
     # each T is unitarily similar to its block of A, and its eigenvalues are its diagonal
     generic_ok = is_spectrally_generic(
-        np.concatenate([np.zeros(0, dtype=np.complex128)] + [np.diag(t) for _, t, _ in parts])
+        np.concatenate([np.zeros(0, dtype=np.complex128)] + [np.diag(t) for t, _ in forms])
     )
     residual = np.linalg.norm((d * sign) @ d.conj().T - np.diag(sign))
     if generic_ok and reduced.n_states:
         # np.maximum, not max: a NaN from an overflowed solve must fail the check
         residual = np.maximum(
-            residual, _lyapunov_residual(parts, reduced.b, reduced.c, d, sign)
+            residual, _lyapunov_residual(parts, forms, mirrors, reduced.b, reduced.c, d, sign)
         )
     residual = float(residual)
     residual_ok = residual <= tol

@@ -23,13 +23,13 @@ poles are theirs: :class:`GainPair` carries the cores' spectra and
 A stable plant has the trivial factorization F = L = 0, M = I, N = P22,
 U = 0, V = I (Youla, Jabr and Bongiorno 1976; Vidyasagar 1985), and it
 is found from one complex Schur form of A
-(:func:`~.statespace.schur_form`, one per independent block of A): the
-gain design reads the spectrum off its diagonal throughout, and
-:class:`GainPair` carries the form on.  Systems that share a core (with
-zero gains: both families and P22) are swept as one system: the
-130-point check takes that carried form and then, per frequency, one
-triangular solve of B2's columns alone, which the stacked inputs
-``[B2, 0 | -B2, 0 | B2]`` repeat up to sign.
+(:func:`~.statespace.schur_form`, one per independent block of A up to
+conjugation): the gain design reads the spectrum off its diagonal
+throughout, and :class:`GainPair` carries the form on.  Systems that
+share a core (with zero gains: both families and P22) are swept as one
+system: the 130-point check takes that carried form and then, per
+frequency, one triangular solve of B2's columns alone, which the
+stacked inputs ``[B2, 0 | -B2, 0 | B2]`` repeat up to sign.
 
 The maps between a stable parameter Q and its controller
 K = (U + M Q)(V + N Q)^{-1}, in both directions, are each one
@@ -325,15 +325,15 @@ def stabilizing_gains(mp):
     strictly unstable ones across the imaginary axis (lam -> -conj(lam)),
     and pushes near-axis modes to -1 + i Im(lam).  The plant's spectrum
     is read once, off the diagonal of its complex Schur form
-    (:func:`~.statespace.schur_form`, one per independent block of A),
-    and both PBH tests and both gains read it (the adjoint pair its
-    conjugate).  A stable plant therefore gets F = 0, L = 0 and costs
-    that one form: no other is taken and no core re-tested when every
-    mode already has Re < -margin, and the returned pair carries the
-    form, which the factorization check and the H-infinity evaluation
-    reuse.  The moved modes get Bass's minimum-energy gain (Armstrong
-    1975, IEEE TAC 20(1)): on the trailing block T of an ordered Schur
-    form, one Lyapunov solve of
+    (:func:`~.statespace.schur_form`, one per independent block of A up
+    to conjugation), and both PBH tests and both gains read it (the
+    adjoint pair its conjugate).  A stable plant therefore gets F = 0,
+    L = 0 and costs that one form: no other is taken and no core
+    re-tested when every mode already has Re < -margin, and the returned
+    pair carries the form, which the factorization check and the
+    H-infinity evaluation reuse.  The moved modes get Bass's
+    minimum-energy gain (Armstrong 1975, IEEE TAC 20(1)): on the
+    trailing block T of an ordered Schur form, one Lyapunov solve of
     (T + s I) Y + Y (T + s I)* = B2 B2*
     gives F2 = -B2* Y^-1, which lands each mode on -conj(lam) - 2 s.
     Strictly unstable modes take s = 0, near-axis modes s = 1/2.  L is
@@ -478,9 +478,9 @@ def coprime_factorization(mp, gains, check=True):
     mhat_w = lw[:, nc:, nc:]
     res_right = np.abs(
         np.linalg.solve(m_w.swapaxes(1, 2), n_w.swapaxes(1, 2)).swapaxes(1, 2) - p22w
-    ).max()
-    res_left = np.abs(np.linalg.solve(mhat_w, nhat_w) - p22w).max()
-    if max(res_right, res_left) > BEZOUT_TOL * max(1.0, np.abs(p22w).max()):
+    ).max(initial=0.0)
+    res_left = np.abs(np.linalg.solve(mhat_w, nhat_w) - p22w).max(initial=0.0)
+    if max(res_right, res_left) > BEZOUT_TOL * max(1.0, np.abs(p22w).max(initial=0.0)):
         raise BezoutResidualTooLarge(
             f"factor quotients deviate from P22 by {max(res_right, res_left):.3e}"
         )

@@ -294,24 +294,56 @@ def _parts(sys):
     return _components(linked | linked.T)
 
 
+def _mirrors(parts):
+    """The index of the earlier part each part is the exact conjugate of, or None.
+
+    A part is a tuple of arrays, looked up in a dict keyed on their shapes
+    and bytes (``+ 0.0`` clears negative zeros): k parts make k lookups.
+    """
+    def key(arrays):
+        return tuple((m.shape, (m + 0.0).tobytes()) for m in arrays)
+
+    seen, found = {}, []
+    for i, arrays in enumerate(parts):
+        found.append(seen.get(key([m.conj() for m in arrays])) if seen else None)
+        if i + 1 < len(parts):
+            seen.setdefault(key(arrays), i)
+    return found
+
+
+def _schur_forms(blocks):
+    """Complex Schur forms ``(T, Z)`` of square blocks, and their :func:`_mirrors`.
+
+    A block that mirrors an earlier one takes that block's form conjugated,
+    a Schur form of conj(A) since conj(Z T Z*) = conj(Z) conj(T) conj(Z)*.
+    """
+    mirrors = _mirrors([(block,) for block in blocks])
+    forms = []
+    for block, mirror in zip(blocks, mirrors):
+        forms.append(sla.schur(block, output="complex") if mirror is None
+                     else tuple(m.conj() for m in forms[mirror]))
+    return forms, mirrors
+
+
 def schur_form(a):
     """Complex Schur form ``A = Z T Z*`` (Z unitary, T upper triangular), block by block.
 
     A is split into its connected blocks by its exact nonzero pattern,
-    and each block takes its own complex Schur form: T holds them on its
-    diagonal in the order of the blocks' first states, and Z has each
-    block's Schur vectors on that block's states.  An A of one block gets
-    the bits of ``scipy.linalg.schur(a, output="complex")``, in its
-    (Fortran) order.
+    and each block takes its own complex Schur form (:func:`_schur_forms`):
+    T holds them on its diagonal in the order of the blocks' first states,
+    and Z has each block's Schur vectors on that block's states.  An A of
+    one block gets the bits of ``scipy.linalg.schur(a, output="complex")``,
+    in its (Fortran) order.
     """
     n = len(a)
     t = np.zeros((n, n), dtype=np.complex128, order="F")
     z = np.zeros((n, n), dtype=np.complex128, order="F")
     linked = a != 0
+    parts = _components(linked | linked.T)
     lo = 0
-    for part in _components(linked | linked.T):
+    for part, (t_part, z_part) in zip(parts, _schur_forms([a[np.ix_(p, p)] for p in parts])[0]):
         hi = lo + part.size
-        t[lo:hi, lo:hi], z[part, lo:hi] = sla.schur(a[np.ix_(part, part)], output="complex")
+        t[lo:hi, lo:hi], z[part, lo:hi] = t_part, z_part
         lo = hi
     return t, z
 
@@ -357,21 +389,33 @@ def minimal_realization(sys, tol=1e-9):
     Each independent part of ``sys`` (:func:`_parts`) gets its own
     staircases, with the whole model's bounds: its blocks of A, B and C
     are those of a direct sum, so their largest spectral norms are the
-    model's.  The reduced parts are returned block-diagonally, in the
-    order of their first states; a model of one part is reduced whole.
+    model's.  A part whose A, nonzero columns of B and nonzero rows of C
+    mirror an earlier part's (:func:`_mirrors`) takes the conjugates of
+    its reduced A and bases: the conjugate of a reachable basis spans the
+    conjugate's reachable space.  The reduced parts are returned
+    block-diagonally, in the order of their first states; a model of one
+    part is reduced whole.
     """
     parts = [(sys.a[np.ix_(p, p)], sys.b[p], sys.c[:, p]) for p in _parts(sys)]
+    mirrors = _mirrors([(a, b[:, b.any(axis=0)], c[c.any(axis=1)]) for a, b, c in parts])
+    # a mirror's norms are those of the part it mirrors
     norm_a, norm_b, norm_c = np.reshape(
-        [[np.linalg.svd(m, compute_uv=False).max(initial=0.0) for m in part] for part in parts],
+        [[np.linalg.svd(x, compute_uv=False).max(initial=0.0) for x in part]
+         for part, mirror in zip(parts, mirrors) if mirror is None],
         (-1, 3),
     ).max(axis=0, initial=0.0)
     p, m = sys.shape
     blocks = [(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)))]
-    for a, b, c in parts:
-        a, q = _reachable_part(a, b, tol * max(norm_a, norm_b))
-        b, c = q.conj().T @ b, c @ q
-        a, w = _reachable_part(a.conj().T, c.conj().T, tol * max(norm_a, norm_c))
-        blocks.append((a.conj().T, w.conj().T @ b, c @ w))
+    bases = []
+    for (a, b, c), mirror in zip(parts, mirrors):
+        if mirror is None:
+            a, q = _reachable_part(a, b, tol * max(norm_a, norm_b))
+            a, w = _reachable_part(a.conj().T, (c @ q).conj().T, tol * max(norm_a, norm_c))
+            a = a.conj().T
+        else:
+            a, q, w = (x.conj() for x in bases[mirror])
+        bases.append((a, q, w))
+        blocks.append((a, w.conj().T @ (q.conj().T @ b), (c @ q) @ w))
     a, b, c = zip(*blocks)
     return StateSpace(_block_diag(a), np.vstack(b), np.hstack(c), sys.d)
 

@@ -71,6 +71,18 @@ def random_slh(rng, n=None, m=None, coupling_scale=1.0, squeeze=1.0):
     return SlhModel(s=s, l1=l1, l2=l2, h1=h1, h2=h2)
 
 
+def mirrored_network(rng, n, m):
+    """A passive network whose creation half is its annihilation half's exact conjugate.
+
+    ``slh_to_statespace`` need not round the two halves of its doubled-up
+    products alike, so the annihilation half of a random passive network
+    is taken here and stacked with its conjugate.
+    """
+    sys = slh_to_statespace(random_slh(rng, n, m, squeeze=0.0))
+    half = StateSpace(sys.a[:n, :n], sys.b[:n, :m], sys.c[:m, :n], sys.d[:m, :m])
+    return blockdiag_systems([half, StateSpace(*(getattr(half, x).conj() for x in "abcd"))])
+
+
 @pytest.fixture
 def cavity():
     """Single lossy mode, one field channel, decay rate 2, no detuning."""

@@ -306,10 +306,25 @@ def test_no_performance_output_has_norm_zero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out.startswith("Hinf norm 0 at omega ")
-    # with no grid, the zero response leaves no bandwidth for a default one
+    # with no grid, the zero response leaves no bandwidth for a default one;
+    # the message names the empty partition block, not weights the document lacks
     code, err = _run("eval-hinf", _no_performance_output(grid=False))
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("DegenerateWeights:"), err
+    assert "partition block n_z is empty" in err and "grid section" in err, err
+    assert "weights" not in err, err
+
+
+def test_no_exogenous_input_names_its_block():
+    # A = [-1], C = [1] and no inputs: every loop width is zero, so the
+    # factorization has no quotient to compare and the empty block is n_r
+    doc = {
+        "plant": {"abcd": {"a": [[[-1.0, 0.0]]], "b": [[]], "c": [[[1.0, 0.0]]], "d": [[]]}},
+        "partition": {"n_r": 0, "n_u": 0, "n_z": 1, "n_y": 0},
+    }
+    code, err = _run("eval-hinf", json.dumps(doc))
+    assert code == 1
+    assert err.startswith("DegenerateWeights: partition block n_r is empty"), err
 
 
 def test_static_plant_evaluates(tmp_path, capsys):

@@ -204,11 +204,12 @@ class TestHinfReport:
 def test_eval_hinf_takes_one_eigen_solve_besides_level_tests(
     decompositions, monkeypatch, tmp_path
 ):
-    # the plant's Schur form, one per block of A (the mode and its
-    # conjugate), gives the spectrum that serves the gains and the norm's
-    # stability test and start set; at Q = 0 the pruned loop is the plant
-    # and takes that form too, at the document's parameter the loop's two
-    # blocks take theirs.  Only level tests add eigenvalue solves.
+    # the plant's Schur form, one for the mode's block of A and its
+    # conjugate for the conjugate mode's, gives the spectrum that serves
+    # the gains and the norm's stability test and start set; at Q = 0 the
+    # pruned loop is the plant and takes that form too, at the document's
+    # parameter the loop's two mirrored blocks take one.  Only level tests
+    # add eigenvalue solves.
     crossings = norms._imaginary_crossings
 
     def uncounted(sys, gamma):
@@ -223,7 +224,7 @@ def test_eval_hinf_takes_one_eigen_solve_besides_level_tests(
     argv = ["eval-hinf", str(fixtures / "allpass_hinf.json"),
             "--out", str(tmp_path / "profile.csv")]
     zero = ["--q-from", str(fixtures / "q_zero_basis.json")]
-    for extra, schur_forms in (([], 4), (zero, 2)):
+    for extra, schur_forms in (([], 2), (zero, 1)):
         decompositions.update(eigvals=0, schur=0)
         assert main(argv + extra) == 0
         assert decompositions == {"eigvals": 0, "schur": schur_forms}
@@ -232,14 +233,14 @@ def test_eval_hinf_takes_one_eigen_solve_besides_level_tests(
 def test_realized_parameter_spectrum_is_solved_once(decompositions):
     # parameter_from_controller hands the poles of its range test to the
     # loop's abscissa: one solve for Q's 2 states, where the abscissa used
-    # to solve Q's again.  The plant's spectrum is its Schur form's, one per
-    # block of A, and the certified stability test takes the 6-state
-    # loop's, one per block of 3
+    # to solve Q's again.  The plant's spectrum is its Schur form's, one for
+    # A's two mirrored blocks, and the certified stability test takes the
+    # 6-state loop's, one for its two mirrored blocks of 3
     fixtures = Path(__file__).parent / "fixtures"
     argv = ["closed-loop", str(fixtures / "allpass_hinf.json"),
             "--q-from", str(fixtures / "q_from_controller.json")]
     assert main(argv) == 0
-    assert decompositions == {"eigvals": 1, "schur": 4}
+    assert decompositions == {"eigvals": 1, "schur": 2}
 
 
 PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
+from coherentctl import statespace
 from coherentctl.errors import InvalidSlh
 from coherentctl.physreal import (
     DEFAULT_PR_TOL,
@@ -22,6 +24,7 @@ from conftest import (
     freq_response,
     j_unitarity_residual,
     make_rng,
+    mirrored_network,
     monolithic_pr_check,
     random_complex,
     random_direct_sum,
@@ -44,6 +47,19 @@ class TestSlhValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidSlh):
             SlhModel(s=[[1.0]], l1=[[1.0, 0.0]], l2=[[0.0]])
+
+    def test_near_singular_mode_basis_rejected(self):
+        with pytest.raises(InvalidSlh, match="mode-basis"):
+            SlhModel(s=[[1.0]], l1=[[1.0, 1.0]], l2=[[0.0, 0.0]], f1=np.diag([1.0, 1e-13]))
+
+    def test_default_mode_basis_takes_no_condition_number(self, monkeypatch):
+        # the default basis is F = I, whose condition number is exactly 1
+        calls, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *args: calls.append(1) or cond(*args))
+        SlhModel(s=[[1.0]], l1=[[1.0, 1.0]], l2=[[0.0, 0.0]])
+        assert calls == []
+        SlhModel(s=[[1.0]], l1=[[1.0, 1.0]], l2=[[0.0, 0.0]], f1=np.eye(2))
+        assert calls == [1]
 
     def test_defaults_fill_in(self):
         m = SlhModel(s=[[1.0]], l1=[[1.0]], l2=[[0.0]])
@@ -292,3 +308,42 @@ class TestDirectSums:
         # a sum of networks and scattering is realizable; a perturbed or
         # unreachable part spoils it
         assert got.is_physically_realizable is not ({"perturbed", "unreachable"} & set(kinds))
+
+
+class TestMirroredHalves:
+    """A creation half that mirrors the annihilation half exactly is not factored again."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_verdict_without_the_mirror(self, decompositions, seed, scale):
+        # a random unitary basis on the creation half hides the mirror
+        rng = make_rng([73, seed])
+        sys = mirrored_network(rng, 3, 2)
+        sys = StateSpace(sys.a, scale * sys.b, sys.c, sys.d)
+        n = sys.n_states // 2
+        u = np.eye(2 * n, dtype=np.complex128)
+        u[n:, n:] = random_unitary(rng, n)
+        moved = StateSpace(u.conj().T @ sys.a @ u, u.conj().T @ sys.b, sys.c @ u, sys.d)
+        got = check_physical_realizability(sys)
+        assert decompositions["schur"] == 1
+        want = check_physical_realizability(moved)
+        assert decompositions["schur"] == 3
+        assert got.is_physically_realizable is want.is_physically_realizable is (scale == 1.0)
+        for name in ("residual_ok", "feedthrough_ok", "generic_ok", "minimal_ok",
+                     "n_states_minimal"):
+            assert getattr(got, name) == getattr(want, name), name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mirrored_residual_matches_the_direct_route(self, monkeypatch, seed):
+        sys = mirrored_network(make_rng([79, seed]), 3, 2)
+        bad = StateSpace(sys.a, (1.0 + 1e-3) * sys.b, sys.c, sys.d)
+        solves, ztrsyl = [], lapack.ztrsyl
+        monkeypatch.setattr(lapack, "ztrsyl",
+                            lambda *args, **kwargs: solves.append(1) or ztrsyl(*args, **kwargs))
+        got = check_physical_realizability(bad)
+        assert len(solves) == 1
+        monkeypatch.setattr(statespace, "_mirrors", lambda parts: [None] * len(parts))
+        want = check_physical_realizability(bad)
+        assert len(solves) == 3
+        assert got.residual > 1e-5 and not got.residual_ok
+        assert abs(got.residual - want.residual) <= 1e-9 * want.residual

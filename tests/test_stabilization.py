@@ -522,16 +522,16 @@ def stable_network(modes, fields=4, seed=0):
 
 
 class TestOneSpectrumPerPlant:
-    """A stable plant costs one Schur form per block of A; a shared core is swept once."""
+    """One Schur form per block of A up to conjugation; a shared core is swept once."""
 
     @pytest.mark.parametrize("case", [(100, 2), "passive-32"])
     def test_stable_plant_gains_take_one_eigen_solve(self, decompositions, case):
         # a squeezing network couples each mode with its conjugate: A is one
         # block; a passive one is the direct sum of its annihilation and
-        # creation models: two
+        # creation models, and the creation block takes the conjugate form: one
         if case == "passive-32":
             part = PartitionSpec(n_r=2, n_u=2, n_z=2, n_y=2)
-            mp, blocks = modify_plant(slh_to_statespace(stable_network(16)), part), 2
+            mp, blocks = modify_plant(slh_to_statespace(stable_network(16)), part), 1
         else:
             mp, blocks = squeezing_plant(*case), 1
         assert np.linalg.eigvals(mp.full.a).real.max() < -stabilization.PLACEMENT_MARGIN
@@ -549,13 +549,14 @@ class TestOneSpectrumPerPlant:
     def test_stable_factorize_takes_one_schur_form_per_block(
         self, decompositions, routes, tmp_path, capsys, modes
     ):
-        # a passive network's A has two blocks; the Bezout sweep runs the
-        # triangular kernel in the gains' form, at 8 states as at 64
+        # a passive network's A has two blocks, each the other's conjugate:
+        # one form serves both; the Bezout sweep runs the triangular kernel
+        # in the gains' form, at 8 states as at 64
         doc = tmp_path / f"passive-{2 * modes}.json"
         doc.write_text(network_document(stable_network(modes), 4))
         assert main(["factorize", str(doc), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
-        assert decompositions == {"eigvals": 0, "schur": 2}
+        assert decompositions == {"eigvals": 0, "schur": 1}
         assert routes == {"triangular": 1, "schur": 0}
 
     @pytest.mark.parametrize("modes", [4, 8, 32])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from coherentctl import _accel
+from coherentctl import _accel, statespace
 from coherentctl.cli import main
 from coherentctl.errors import (
     DimensionMismatch,
@@ -28,6 +28,7 @@ from coherentctl.statespace import (
     static_gain,
     validate_grid,
 )
+from coherentctl.stabilization import default_verification_grid
 from coherentctl.youla_constraint import YoulaParameter
 
 from conftest import (
@@ -39,6 +40,7 @@ from conftest import (
     freq_response,
     hstack_systems,
     make_rng,
+    mirrored_network,
     monolithic_minimal_realization,
     random_complex,
     random_direct_sum,
@@ -592,3 +594,63 @@ class TestIndependentParts:
         for got, want in ((t, want_t), (z, want_z)):
             assert got.shape == want.shape and got.flags.f_contiguous
             assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+def assert_schur_form(a, t, z):
+    assert not np.tril(t, -1).any()
+    assert np.abs(z.conj().T @ z - np.eye(len(a))).max() <= 1e-13
+    assert np.abs(z @ t @ z.conj().T - a).max() <= 1e-13 * np.abs(a).max()
+
+
+class TestConjugateParts:
+    """A part that is the exact conjugate of an earlier one takes that part's factors, conjugated."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_ulp_off_the_mirror_takes_its_own_form(self, decompositions, seed):
+        a = mirrored_network(make_rng([61, seed]), 3, 2).a
+        half = len(a) // 2
+        assert np.array_equal(a[half:, half:], a[:half, :half].conj())
+        assert_schur_form(a, *schur_form(a))
+        assert decompositions["schur"] == 1
+        nudged = a.copy()
+        entry = nudged[half, half]
+        nudged[half, half] = complex(np.nextafter(entry.real, np.inf), entry.imag)
+        decompositions.update(schur=0)
+        assert_schur_form(nudged, *schur_form(nudged))
+        assert decompositions["schur"] == 2
+
+    def test_conjugate_pairs_of_a_diagonal_take_one_form_each(self, decompositions):
+        rng = make_rng(67)
+        lam = -rng.uniform(0.5, 2.0, 100) + 1j * rng.uniform(0.5, 2.0, 100)
+        a = np.diag(np.column_stack([lam, lam.conj()]).ravel())
+        t, z = schur_form(a)
+        assert decompositions["schur"] == 100
+        assert np.array_equal(np.diag(t), np.diag(a))
+        assert_schur_form(a, t, z)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_minimal_realization_of_a_mirrored_model(self, monkeypatch, seed):
+        # each half gets one more state that its modes drive and no output
+        # sees: the creation half is still the annihilation half's conjugate
+        sys = mirrored_network(make_rng([61, seed]), 3, 2)
+        n, m = sys.n_states // 2, sys.n_inputs // 2
+        drives = random_complex(make_rng([71, seed]), (1, n))
+        a = np.block([[sys.a[:n, :n], np.zeros((n, 1))], [drives, -np.ones((1, 1))]])
+        b = np.vstack([sys.b[:n, :m], np.zeros((1, m))])
+        c = np.hstack([sys.c[:m, :n], np.zeros((m, 1))])
+        halves = [StateSpace(a, b, c, np.zeros((m, m))),
+                  StateSpace(a.conj(), b.conj(), c.conj(), np.zeros((m, m)))]
+        whole = blockdiag_systems(halves)
+        whole = StateSpace(whole.a, whole.b, whole.c, sys.d)
+        staircases, reachable_part = [], statespace._reachable_part
+        monkeypatch.setattr(statespace, "_reachable_part",
+                            lambda *args: staircases.append(1) or reachable_part(*args))
+        got = minimal_realization(whole)
+        assert len(staircases) == 2
+        monkeypatch.setattr(statespace, "_mirrors", lambda parts: [None] * len(parts))
+        want = minimal_realization(whole)
+        assert len(staircases) == 6
+        assert got.n_states == want.n_states == 2 * n
+        grid = default_verification_grid()
+        reference = whole.response(grid)
+        assert np.abs(got.response(grid) - reference).max() <= 1e-12 * np.abs(reference).max()
