@@ -42,11 +42,11 @@ class InvalidSlh(CoherentctlError, ValueError):
 
 
 class NotStabilizable(CoherentctlError):
-    """An unstable mode is unreachable from the control inputs (PBH test)."""
+    """An unstable mode is unreachable from the control inputs (found when placement fails)."""
 
 
 class NotDetectable(CoherentctlError):
-    """An unstable mode is invisible at the measured outputs (PBH test)."""
+    """An unstable mode is invisible at the measured outputs (found when placement fails)."""
 
 
 class PlacementFailed(CoherentctlError):

@@ -7,8 +7,8 @@ regroups both sides so each conjugate block sits next to its partner,
 which makes the controller-facing channels a trailing square block.
 
 On the regrouped plant the classical machinery applies verbatim:
-PBH tests, state-feedback / output-injection gains, and a doubly-coprime
-factor family for the controller-facing block
+feedback and injection gains, whose design decides stabilizability,
+and a doubly-coprime factor family for the controller-facing block
 
     P22 = N M^{-1} = Mhat^{-1} Nhat
 
@@ -57,7 +57,8 @@ from .errors import (
     PlacementFailed,
 )
 from .norms import is_hurwitz, peak_frobenius
-from .statespace import StateSpace, compose_lft, log_grid, minimal_realization, schur_form
+from .statespace import (StateSpace, _reachable_part, compose_lft, log_grid,
+                         minimal_realization, schur_form)
 
 __all__ = [
     "PartitionSpec",
@@ -66,7 +67,6 @@ __all__ = [
     "CoprimeFactorization",
     "default_verification_grid",
     "modify_plant",
-    "pbh_unstabilizable_modes",
     "stabilizing_gains",
     "coprime_factorization",
     "bezout_residual",
@@ -230,25 +230,6 @@ def modify_plant(plant, part):
     )
 
 
-# -- PBH tests ----------------------------------------------------------
-
-
-def pbh_unstabilizable_modes(a, b, eig):
-    """Closed-right-half-plane eigenvalues failing rank [lambda*I - A, B].
-
-    ``eig`` is A's spectrum.
-    """
-    bad = []
-    for lam in eig:
-        if lam.real < 0.0:
-            continue
-        pencil = np.hstack([lam * np.eye(a.shape[0]) - a, b])
-        sv = np.linalg.svd(pencil, compute_uv=False)
-        if sv[-1] <= 1e-8 * max(sv[0], 1.0):
-            bad.append(complex(lam))
-    return bad
-
-
 # -- gain design ----------------------------------------------------------
 
 
@@ -265,6 +246,24 @@ class GainPair:
     f_poles: np.ndarray
     l_poles: np.ndarray
     schur: tuple | None = None
+
+
+def _unreachable_modes(a, b, eig):
+    """A's modes at Re >= 0 that B cannot reach, as their entries of A's spectrum ``eig``.
+
+    One staircase (:func:`~.statespace._reachable_part`) finds the reachable
+    part of the block T of modes at Re >= -margin in an ordered Schur form,
+    counting singular values <= 1e-8 max(||T||, ||Z* B||) as zero.  Each of
+    its eigenvalues claims the nearest mode of T; the unclaimed are unreachable.
+    """
+    t, z, k = sla.schur(a, output="complex", sort=lambda lam: lam.real < -PLACEMENT_MARGIN)
+    t, b = t[k:, k:], z[:, k:].conj().T @ b
+    lost = list(np.diag(t))
+    bound = 1e-8 * max(np.linalg.norm(t, 2), np.linalg.norm(b, 2))
+    for lam in np.linalg.eigvals(_reachable_part(t, b, bound)[0]):
+        del lost[int(np.argmin(np.abs(np.subtract(lost, lam))))]
+    lost = [complex(eig[np.argmin(np.abs(eig - lam))]) for lam in lost]
+    return [lam for lam in lost if lam.real >= 0.0]
 
 
 def _lyapunov_gain(t, b, modes):
@@ -326,8 +325,8 @@ def stabilizing_gains(mp):
     and pushes near-axis modes to -1 + i Im(lam).  The plant's spectrum
     is read once, off the diagonal of its complex Schur form
     (:func:`~.statespace.schur_form`, one per independent block of A up
-    to conjugation), and both PBH tests and both gains read it (the
-    adjoint pair its conjugate).  A stable plant therefore gets F = 0,
+    to conjugation), and both gains read it (the adjoint pair its
+    conjugate).  A stable plant therefore gets F = 0,
     L = 0 and costs that one form: no other is taken and no core
     re-tested when every mode already has Re < -margin, and the returned
     pair carries the form, which the factorization check and the
@@ -335,15 +334,16 @@ def stabilizing_gains(mp):
     minimum-energy gain (Armstrong 1975, IEEE TAC 20(1)): on the
     trailing block T of an ordered Schur form, one Lyapunov solve of
     (T + s I) Y + Y (T + s I)* = B2 B2*
-    gives F2 = -B2* Y^-1, which lands each mode on -conj(lam) - 2 s.
-    Strictly unstable modes take s = 0, near-axis modes s = 1/2.  L is
-    the same design on the adjoint pair (A*, C2*).  The cores' spectra
-    are A's when nothing moved, else those their final Hurwitz test takes.
+    gives F2 = -B2* Y^-1, which lands each mode on -conj(lam) - 2 s; it
+    also decides stabilizability (:func:`_lyapunov_gain`).  Strictly
+    unstable modes take s = 0, near-axis modes s = 1/2.  L is the same
+    design on the adjoint pair (A*, C2*).  The cores' spectra are A's
+    when nothing moved, else those their final Hurwitz test takes.
 
     Raises
     ------
     NotStabilizable / NotDetectable
-        On PBH failure (the offending eigenvalues are reported).
+        On failed placement, naming the modes at Re >= 0 B2 cannot reach (C2 cannot see).
     PlacementFailed
         When a moved mode cannot be moved (its Lyapunov solution is
         singular or not finite; the modes are named, for L as
@@ -352,26 +352,25 @@ def stabilizing_gains(mp):
     a, b2, c2 = mp.full.a, mp.b2, mp.c2
     t, z = schur_form(a)
     eig = np.diag(t)
-    bad = pbh_unstabilizable_modes(a, b2, eig)
-    if bad:
-        raise NotStabilizable(f"unstabilizable modes at {bad}")
-    bad = pbh_unstabilizable_modes(a.conj().T, c2.conj().T, eig.conj())
-    if bad:
-        raise NotDetectable(f"undetectable modes at {np.conj(bad).tolist()}")
-
-    # The mirror map commutes with conjugation, so the adjoint problem
-    # gives L.
-    f = _mirror_feedback(a, b2, eig)
-    l = _mirror_feedback(a.conj().T, c2.conj().T, eig.conj()).conj().T
-
-    if np.all(eig.real < -PLACEMENT_MARGIN):
-        # nothing moved: both cores are A, whose spectrum passed already
-        return GainPair(f=f, l=l, f_poles=eig, l_poles=eig, schur=(t, z))
-    poles = [np.linalg.eigvals(a + b2 @ f), np.linalg.eigvals(a + l @ c2)]
-    for label, core in zip(("A + B2*F", "A + L*C2"), poles):
-        if not is_hurwitz(core, 1e-12):
-            raise PlacementFailed(f"{label} not Hurwitz after placement "
-                                  f"(abscissa {core.real.max():.3e})")
+    try:
+        # The mirror map commutes with conjugation, so the adjoint problem gives L.
+        f = _mirror_feedback(a, b2, eig)
+        l = _mirror_feedback(a.conj().T, c2.conj().T, eig.conj()).conj().T
+        if np.all(eig.real < -PLACEMENT_MARGIN):
+            # nothing moved: both cores are A, whose spectrum passed already
+            return GainPair(f=f, l=l, f_poles=eig, l_poles=eig, schur=(t, z))
+        poles = [np.linalg.eigvals(a + b2 @ f), np.linalg.eigvals(a + l @ c2)]
+        for label, core in zip(("A + B2*F", "A + L*C2"), poles):
+            if not is_hurwitz(core, 1e-12):
+                raise PlacementFailed(f"{label} not Hurwitz after placement "
+                                      f"(abscissa {core.real.max():.3e})")
+    except PlacementFailed:
+        # a mode B2 cannot reach fails the Lyapunov test, or passes it in roundoff and stays
+        if lost := _unreachable_modes(a, b2, eig):
+            raise NotStabilizable(f"unstabilizable modes at {lost}") from None
+        if lost := _unreachable_modes(a.conj().T, c2.conj().T, eig.conj()):
+            raise NotDetectable(f"undetectable modes at {np.conj(lost).tolist()}") from None
+        raise
     return GainPair(f, l, *poles)
 
 

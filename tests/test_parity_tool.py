@@ -102,22 +102,23 @@ def test_tally_per_command(parity, tmp_path, capsys):
 
 
 def test_unstable_network_is_among_the_documents(parity, tmp_path):
-    name, path = parity.unstable_network_doc(str(tmp_path))
-    prob = load_problem_file(path)
-    a = slh_to_statespace(SlhModel(**prob.slh)).a
-    modes, _ = parity.UNSTABLE_NETWORK
-    assert (name, a.shape) == (f"unstable-{2 * modes}.json", (2 * modes, 2 * modes))
-    assert np.linalg.eigvals(a).real.max() > 0.0
-    # the same seed gives the same document
-    (tmp_path / "again").mkdir()
-    _, again = parity.unstable_network_doc(str(tmp_path / "again"))
-    assert Path(again).read_text() == Path(path).read_text()
-    # closed-loop and eval-hinf take a parameter on it, so the oracle
-    # covers loops whose gains moved modes
-    keys = {key for key, _ in parity.cases([], (name, path))}
-    for run in ("eval-hinf", "closed-loop"):
-        for flag in ("", " --json"):
-            assert f"{run} {name} --q-from {parity.UNSTABLE_Q}{flag}" in keys
+    for modes, fields in parity.UNSTABLE_NETWORKS:
+        work = tmp_path / str(modes)
+        (work / "again").mkdir(parents=True)
+        name, path = parity.unstable_network_doc(str(work), modes, fields)
+        prob = load_problem_file(path)
+        a = slh_to_statespace(SlhModel(**prob.slh)).a
+        assert (name, a.shape) == (f"unstable-{2 * modes}.json", (2 * modes, 2 * modes))
+        assert np.linalg.eigvals(a).real.max() > 0.0
+        # the same seed gives the same document
+        _, again = parity.unstable_network_doc(str(work / "again"), modes, fields)
+        assert Path(again).read_text() == Path(path).read_text()
+        # closed-loop and eval-hinf take a parameter on it, so the oracle
+        # covers loops whose gains moved modes
+        keys = {key for key, _ in parity.cases([], [(name, path)])}
+        for run in ("eval-hinf", "closed-loop"):
+            for flag in ("", " --json"):
+                assert f"{run} {name} --q-from {parity.UNSTABLE_Q}{flag}" in keys
 
 
 def test_blas_runs_on_one_thread():

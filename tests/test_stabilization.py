@@ -1,5 +1,6 @@
 """Plant regrouping, gain design, and coprime factorizations."""
 
+import ast
 import json
 
 import numpy as np
@@ -38,7 +39,6 @@ from coherentctl.stabilization import (
     default_verification_grid,
     modify_plant,
     parameter_from_controller,
-    pbh_unstabilizable_modes,
     stabilizing_gains,
 )
 
@@ -52,6 +52,7 @@ from conftest import (
     random_complex,
     random_slh,
     random_statespace,
+    random_unitary,
     sum_systems,
     undo_modify,
     zero_system,
@@ -175,10 +176,48 @@ class TestModifyPlant:
             )
 
 
+def named_modes(err):
+    """The modes a NotStabilizable or NotDetectable message names."""
+    return ast.literal_eval(str(err).split(" modes at ", 1)[1])
+
+
 def unstabilizable(a, b):
-    """PBH failures of (A, B), with A's spectrum computed here."""
+    """Modes ``stabilizing_gains`` names as unstabilizable with B2 = B, or [].
+
+    C2 is a row of ones, which sees every mode of the plants given here.
+    """
     a = np.asarray(a, dtype=complex)
-    return pbh_unstabilizable_modes(a, b, np.linalg.eigvals(a))
+    mp = ModifiedPlant(
+        full=StateSpace(a, b, np.ones((1, len(a))), np.zeros((1, b.shape[1]))),
+        in_exo=0,
+        in_ctrl=b.shape[1],
+        out_perf=0,
+        out_meas=1,
+    )
+    try:
+        stabilizing_gains(mp)
+    except NotStabilizable as err:
+        return named_modes(err)
+    return []
+
+
+#: Unstable modes of :func:`hidden_mode_plant`: the first is unobservable, the last unreachable.
+HIDDEN = (1.5 + 0.5j, 0.7 - 0.3j)
+
+
+def hidden_mode_plant(seed):
+    """(A, B2, C2): two unstable modes in a random unitary basis, each hidden once.
+
+    A = Z T Z* with T upper triangular and ``HIDDEN`` first and last on its
+    diagonal.  The last row of Z* B2 is zero, so B2 cannot reach the last
+    mode; the first column of C2 Z is zero, so C2 cannot see the first.
+    """
+    rng = make_rng(seed)
+    t = np.triu(random_complex(rng, (4, 4)), 1) + np.diag([HIDDEN[0], -1.0, -2.0 + 1j, HIDDEN[1]])
+    b, c = random_complex(rng, (4, 2)), random_complex(rng, (2, 4))
+    b[-1], c[:, 0] = 0.0, 0.0
+    z = random_unitary(rng, 4)
+    return z @ t @ z.conj().T, z @ b, c @ z.conj().T
 
 
 class TestPbh:
@@ -216,6 +255,60 @@ class TestPbh:
         assert not unstabilizable(a, b)
         bad = unstabilizable(a, np.array([[0.0], [1.0]], dtype=complex))
         assert bad and bad[0] == pytest.approx(1j)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unreachable_mode_named_in_random_basis(self, seed):
+        # exactly the mode B2 cannot reach is named, not the reachable
+        # unstable one
+        a, b, _ = hidden_mode_plant(seed)
+        bad = unstabilizable(a, b)
+        assert len(bad) == 1 and abs(bad[0] - HIDDEN[1]) <= 1e-12
+
+    def test_mode_left_in_place_is_named(self, monkeypatch):
+        # a Lyapunov solution singular only in roundoff can pass its
+        # definiteness test; its gain leaves the unreachable mode in place
+        # and the core's Hurwitz test fails.  A gain that moves nothing
+        # stands in for it
+        monkeypatch.setattr(stabilization, "_lyapunov_gain",
+                            lambda t, b, modes: np.zeros((b.shape[1], len(t))))
+        a, b, _ = hidden_mode_plant(0)
+        bad = unstabilizable(a, b)
+        assert len(bad) == 1 and abs(bad[0] - HIDDEN[1]) <= 1e-12
+        with pytest.raises(PlacementFailed, match=r"A \+ B2\*F not Hurwitz"):
+            stabilizing_gains(random_unstable_plant(0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unobservable_mode_named_in_random_basis(self, seed):
+        # C2 cannot see HIDDEN[0]; and the adjoint dual (A*, C2 = B2*)
+        # hides conj(HIDDEN[1])
+        a, b, c = hidden_mode_plant(seed)
+        for a_d, c_d, mode in ((a, c, HIDDEN[0]), (a.conj().T, b.conj().T, np.conj(HIDDEN[1]))):
+            mp = ModifiedPlant(
+                full=StateSpace(a_d, np.ones((4, 1)), c_d, np.zeros((2, 1))),
+                in_exo=0,
+                in_ctrl=1,
+                out_perf=0,
+                out_meas=2,
+            )
+            with pytest.raises(NotDetectable) as err:
+                stabilizing_gains(mp)
+            bad = named_modes(err.value)
+            assert len(bad) == 1 and abs(bad[0] - mode) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unstabilizable_decided_before_undetectable(self, seed):
+        a, b, c = hidden_mode_plant(seed)
+        mp = ModifiedPlant(
+            full=StateSpace(a, b, c, np.zeros((2, 2))),
+            in_exo=0,
+            in_ctrl=2,
+            out_perf=0,
+            out_meas=2,
+        )
+        with pytest.raises(NotStabilizable) as err:
+            stabilizing_gains(mp)
+        bad = named_modes(err.value)
+        assert len(bad) == 1 and abs(bad[0] - HIDDEN[1]) <= 1e-12
 
 
 class TestStabilizingGains:
@@ -308,8 +401,8 @@ class TestStabilizingGains:
             np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_uncontrollable_near_axis_mode_fails_placement(self):
-        # -5e-10 is stable, so the PBH test passes, but it lies within the
-        # margin and is moved; B2 cannot reach it
+        # -5e-10 is stable, so the plant is stabilizable, but it lies
+        # within the margin and is moved; B2 cannot reach it
         a = np.diag([-5e-10, -1.0]).astype(complex)
         b = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
         mp = ModifiedPlant(
@@ -345,7 +438,7 @@ class TestStabilizingGains:
             out_perf=1,
             out_meas=1,
         )
-        with pytest.raises(NotDetectable):
+        with pytest.raises(NotDetectable, match=r"undetectable modes at \[\(1\+0j\)\]$"):
             stabilizing_gains(mp)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -544,6 +637,19 @@ class TestOneSpectrumPerPlant:
         assert np.array_equal(gains.f_poles, np.diag(t))
         a = mp.full.a
         assert np.abs(z @ t @ z.conj().T - a).max() <= 1e-13 * np.abs(a).max()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unstable_plant_gains_take_no_svd(self, monkeypatch, seed):
+        # the gains' Lyapunov solves decide stabilizability and
+        # detectability: no pencil [lam I - A, B2] is factored per mode
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+        mp = random_unstable_plant(seed)
+        assert np.linalg.eigvals(mp.full.a).real.max() > 0.0
+        gains = stabilizing_gains(mp)
+        assert calls == []
+        assert is_hurwitz(gains.f_poles) and is_hurwitz(gains.l_poles)
 
     @pytest.mark.parametrize("modes", [4, 32])
     def test_stable_factorize_takes_one_schur_form_per_block(

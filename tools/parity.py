@@ -14,11 +14,12 @@ checkout's ``src``) and calls ``cli.main`` on
 - the seed-1 documents of the three ``pipebench`` workloads that are
   not fixtures, written to a temporary directory by
   ``pipebench/workloads.py``, with the four commands of the first item;
-- one seeded open-loop-unstable squeezing network of
-  ``UNSTABLE_NETWORK`` modes and fields, drawn like the workloads'
-  active networks, with the same four commands and with ``eval-hinf``
-  and ``closed-loop`` taking ``--q-from UNSTABLE_Q``: the workloads draw
-  stable plants only, so this is the case where the gains move modes;
+- one seeded open-loop-unstable squeezing network for each
+  (modes, fields) pair of ``UNSTABLE_NETWORKS``, drawn like the
+  workloads' active networks, with the same four commands and with
+  ``eval-hinf`` and ``closed-loop`` taking ``--q-from UNSTABLE_Q``: the
+  workloads draw stable plants only, so these are the cases where the
+  gains move modes, at 32 states and at the workloads' largest, 128;
 - every extra document DOC with the same four commands;
 
 each case once with ``--json`` and once without.  For every case it
@@ -69,9 +70,9 @@ PIPEBENCH = os.path.join(ROOT, "pipebench")
 #: Seed of the generated ``pipebench`` documents.
 PIPEBENCH_SEED = 1
 COMMANDS = ("check-pr", "factorize", "synthesize-h2", "eval-hinf")
-#: (modes, fields) of the open-loop-unstable squeezing network: 2 * 16 states.
-UNSTABLE_NETWORK = (16, 4)
-#: Draws allowed to find it.
+#: (modes, fields) of the open-loop-unstable squeezing networks: 2 * 16 and 2 * 64 states.
+UNSTABLE_NETWORKS = ((16, 4), (64, 4))
+#: Draws allowed to find each.
 UNSTABLE_DRAWS = 100
 #: The fixture parameter ``eval-hinf`` and ``closed-loop`` take on it.
 UNSTABLE_Q = "q_zero_basis.json"
@@ -106,14 +107,13 @@ def pipebench_docs(work):
                   for p in paths if not p.startswith(FIXTURES + os.sep))
 
 
-def unstable_network_doc(work):
-    """Write the seeded open-loop-unstable squeezing network; return its (name, path)."""
+def unstable_network_doc(work, modes, fields):
+    """Write the seeded open-loop-unstable squeezing network of that size; return (name, path)."""
     if PIPEBENCH not in sys.path:
         sys.path.append(PIPEBENCH)
     from reference import slh_statespace
     from workloads import _draw_network, network_document
 
-    modes, fields = UNSTABLE_NETWORK
     rng = np.random.default_rng([PIPEBENCH_SEED, 2 * modes])
     for _ in range(UNSTABLE_DRAWS):
         net = _draw_network(rng, modes, fields, True)
@@ -132,16 +132,16 @@ def cases(docs, unstable):
     """Yield (key, argv) pairs; ``<out>`` in argv is the case's output directory.
 
     ``docs`` are the (name, path) pairs of the documents besides the
-    fixtures and ``unstable`` that of the unstable network.
+    fixtures and ``unstable`` those of the unstable networks.
     """
     fixtures = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
     q_files = [f for f in fixtures if f.startswith("q_")]
-    docs = [(f, os.path.join(FIXTURES, f)) for f in fixtures] + list(docs) + [unstable]
+    docs = [(f, os.path.join(FIXTURES, f)) for f in fixtures] + list(docs) + list(unstable)
     outputs = {"synthesize-h2": ["--out", "<out>/bundle"],
                "eval-hinf": ["--out", "<out>/profile.csv"]}
     for name, path in docs:
         runs = [(cmd, [cmd, path, *outputs.get(cmd, [])]) for cmd in COMMANDS]
-        q_here = [UNSTABLE_Q] if (name, path) == unstable else []
+        q_here = [UNSTABLE_Q] if (name, path) in unstable else []
         if path.startswith(FIXTURES):
             for flags in FIXTURE_FLAGS:
                 runs += [(" ".join([cmd, *flags]), [cmd, path, *flags, *outputs.get(cmd, [])])
@@ -194,7 +194,7 @@ def digest(src, extra_docs, out_path):
     with tempfile.TemporaryDirectory() as work:
         docs = pipebench_docs(work)
         docs += [(os.path.abspath(d), os.path.abspath(d)) for d in extra_docs]
-        unstable = unstable_network_doc(work)
+        unstable = [unstable_network_doc(work, *size) for size in UNSTABLE_NETWORKS]
         records = {key: run_case(cli, argv, work) for key, argv in cases(docs, unstable)}
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(records, handle, indent=1, sort_keys=True)
