@@ -9,79 +9,23 @@ solve ``(iw I - T) X = Z^H B``, O(n^2 m), and the outputs are one
 batched ``C Z X + D``.  Z is unitary, so the route is backward-stable;
 it forms no resolvent stack.  The caller chooses the form
 (:meth:`~.statespace.StateSpace.response`).
-
-Models that share their state matrix are swept together, their inputs
-stacked as one right-hand side.  Each nonzero column of the stacked
-``Z^H B`` is solved once, up to sign, and its duplicates, negations and
-the zero columns are filled in exactly: the factor families and P22 of
-a stable plant, swept together as ``[B2, 0 | -B2, 0 | B2]``, cost one
-solve of B2.  ``ztrsm`` solves each column on its own: a model without
-repeated columns gets the bits of solving them all.  With repeats,
-``C Z X`` over the distinct columns can differ from the product over all
-of them in the last bits.
 """
 
 import numpy as np
 from scipy.linalg import blas
 
 
-def freq_sweep(form, systems, omegas):
-    """Sweep ``C (iw I - A)^-1 B + D`` for each ``(B, C, D)`` in ``systems``.
+def freq_sweep(form, b, c, d, omegas):
+    """Sweep ``C (iw I - A)^-1 B + D``: an ``(n_omega, p, m)`` array.
 
-    ``form`` is a complex Schur form ``(T, Z)`` of the state matrix A
-    that the systems share.  Returns one (n_omega, p, m) array per
-    system: their inputs are solved for as one right-hand side, and each
-    output map is applied to its own columns only.
+    ``form`` is a complex Schur form ``(T, Z)`` of the state matrix A.
     Raises ``np.linalg.LinAlgError`` when the resolvent is exactly
     singular at a grid frequency.
     """
     t, z = form
     if t.shape[0] == 0:
-        return [np.broadcast_to(d, (omegas.size,) + d.shape).copy() for _, _, d in systems]
-    zb = z.conj().T @ np.hstack([b for b, _, _ in systems])
-    lead, parts = _distinct_columns(zb)
-    x = _triangular_sweep(t, zb[:, lead], omegas)
-    out, lo = [], 0
-    for b, c, d in systems:
-        hi = lo + b.shape[1]
-        # each column of ``parts`` holds at most one entry, +-1: the fill-in is exact
-        out.append((c @ z) @ x @ parts[:, lo:hi] + d)
-        lo = hi
-    return out
-
-
-def _distinct_columns(b):
-    """The distinct nonzero columns of ``b`` up to sign, and every column in terms of them.
-
-    Returns the indices ``lead`` of the first column of each class and a
-    ``(lead.size, m)`` matrix ``parts`` with ``b = b[:, lead] @ parts``:
-    column j of ``parts`` is +-1 in the row of its class, and zero for a
-    zero column.  Columns are compared exactly.
-    """
-    n, m = b.shape
-    # + 0.0 clears negative zeros, so column u equals column v exactly when
-    # their bytes in ``same`` agree, and equals -v when u's in ``opposite``
-    # agree with v's in ``same``
-    step = 16 * n
-    same, opposite = (b + 0.0).T.tobytes(), (0.0 - b).T.tobytes()
-    classes, lead, rows, cols, signs = {}, [], [], [], []
-    for j in range(m):
-        key = same[j * step : (j + 1) * step]
-        if key == bytes(step):
-            continue
-        i, sign = classes.get(key), 1.0
-        if i is None:
-            i, sign = classes.get(opposite[j * step : (j + 1) * step]), -1.0
-        if i is None:
-            i = classes[key] = len(lead)
-            sign = 1.0
-            lead.append(j)
-        rows.append(i)
-        cols.append(j)
-        signs.append(sign)
-    parts = np.zeros((len(lead), m), dtype=np.complex128)
-    parts[rows, cols] = signs
-    return np.array(lead, dtype=np.intp), parts
+        return np.broadcast_to(d, (omegas.size,) + d.shape).copy()
+    return (c @ z) @ _triangular_sweep(t, z.conj().T @ b, omegas) + d
 
 
 def _triangular_sweep(t, b, omegas):

@@ -84,7 +84,13 @@ def h2_norm_sq(sys, poles):
     (Bartels and Stewart 1972: a Schur form of A, ``trsyl`` on the
     transformed right-hand side, the transform back), with its bits and
     without its argument checks; the Hurwitz spectrum rules out the
-    near-singular case it warns of.
+    near-singular case it warns of.  It departs from scipy in one step:
+    ``trsyl`` returns ``scale * Y`` with ``scale <= 1`` chosen to avoid
+    overflow, and scipy multiplies that by ``scale`` again.  Here the
+    trace is taken of the scaled solution and divided by ``scale``, so
+    the bits differ only where ``scale < 1``, and a norm beyond the float
+    range is ``inf`` (dividing Y itself would meet ``inf * 0`` in the
+    complex transform back and give NaN).
     """
     if not is_hurwitz(poles, 1e-12):
         raise NotStable(
@@ -100,9 +106,8 @@ def h2_norm_sq(sys, poles):
     t, u = sla.schur(sys.a, output="complex")
     f = u.conj().T.dot((-sys.b @ sys.b.conj().T).dot(u))
     y, scale, _ = sla.lapack.ztrsyl(t, t, f, tranb="C")
-    y *= scale
     p = u.dot(y).dot(u.conj().T)
-    return float(np.trace(sys.c @ p @ sys.c.conj().T).real)
+    return float(np.trace(sys.c @ p @ sys.c.conj().T).real) / scale
 
 
 def peak_frobenius(samples):

@@ -13,8 +13,8 @@ and a doubly-coprime factor family for the controller-facing block
     P22 = N M^{-1} = Mhat^{-1} Nhat
 
 with the eight factors realized from one (A + B2 F) core and one
-(A + L C2) core.  Every factorization is verified on a frequency grid
-before it is returned.
+(A + L C2) core.  Every factorization whose gains move modes is verified
+on a frequency grid before it is returned.
 
 The Youla loop is block triangular over the two cores and Q, so its
 poles are theirs: :class:`GainPair` carries the cores' spectra and
@@ -25,11 +25,10 @@ U = 0, V = I (Youla, Jabr and Bongiorno 1976; Vidyasagar 1985), and it
 is found from one complex Schur form of A
 (:func:`~.statespace.schur_form`, one per independent block of A up to
 conjugation): the gain design reads the spectrum off its diagonal
-throughout, and :class:`GainPair` carries the form on.  Systems that
-share a core (with zero gains: both families and P22) are swept as one
-system: the 130-point check takes that carried form and then, per
-frequency, one triangular solve of B2's columns alone, which the
-stacked inputs ``[B2, 0 | -B2, 0 | B2]`` repeat up to sign.
+throughout, and :class:`GainPair` carries the form on to the H-infinity
+evaluation.  Its Bezout identity and quotients hold exactly, so they are
+not sampled: only a factorization whose gains move modes is swept, each
+family and P22 on its own.
 
 The maps between a stable parameter Q and its controller
 K = (U + M Q)(V + N Q)^{-1}, in both directions, are each one
@@ -238,7 +237,8 @@ class GainPair:
     """Feedback F (ctrl x states), injection L (states x meas), spectra of A + B2 F, A + L C2.
 
     ``schur`` is the complex Schur form ``(T, Z)`` of A when no mode
-    moved, so that both cores are A, and None otherwise.
+    moved, so that both cores are A, and None otherwise; the H-infinity
+    evaluation takes it (:func:`~.hinf_eval.hinf_cost`).
     """
 
     f: np.ndarray
@@ -329,8 +329,9 @@ def stabilizing_gains(mp):
     conjugate).  A stable plant therefore gets F = 0,
     L = 0 and costs that one form: no other is taken and no core
     re-tested when every mode already has Re < -margin, and the returned
-    pair carries the form, which the factorization check and the
-    H-infinity evaluation reuse.  The moved modes get Bass's
+    pair carries the form, which the H-infinity evaluation reuses; the
+    factorization of such a pair is exact and is not sampled
+    (:func:`coprime_factorization`).  The moved modes get Bass's
     minimum-energy gain (Armstrong 1975, IEEE TAC 20(1)): on the
     trailing block T of an ordered Schur form, one Lyapunov solve of
     (T + s I) Y + Y (T + s I)* = B2 B2*
@@ -425,13 +426,14 @@ def coprime_factorization(mp, gains, check=True):
     Right family ``[[M, U], [N, V]]`` from the state-feedback core and
     left family ``[[Vhat, -Uhat], [-Nhat, Mhat]]`` from the injection
     core.  With ``check=True`` (default) both factor cores must be
-    Hurwitz, read from the spectra ``gains`` carries, and on
-    :func:`default_verification_grid` the product of the two families
-    must match the identity and ``N M^{-1}``/``Mhat^{-1} Nhat`` must
-    reproduce P22, each within ``BEZOUT_TOL``.  Systems with the same
-    core are swept once (see :func:`_shared_core_responses`): with zero
-    gains, both families and P22 take one triangular solve of B2 per
-    frequency, in the Schur form that ``gains`` carries.
+    Hurwitz, read from the spectra ``gains`` carries.  When F or L is
+    nonzero, on :func:`default_verification_grid` the product of the two
+    families must then match the identity and ``N M^{-1}``/``Mhat^{-1}
+    Nhat`` must reproduce P22, each within ``BEZOUT_TOL``; the families
+    and P22 have different cores and are swept one at a time.  With
+    F = L = 0 the factors are M = V = Vhat = Mhat = I, U = Uhat = 0 and
+    N = Nhat = P22 exactly, so the identity and both quotients hold by
+    construction and nothing is sampled.
     """
     a, b2, c2, d22 = mp.full.a, mp.b2, mp.c2, mp.d22
     f, l = gains.f, gains.l
@@ -462,9 +464,11 @@ def coprime_factorization(mp, gains, check=True):
                 f"{label} factor family core not Hurwitz "
                 f"(abscissa {poles.real.max():.3e})"
             )
+    if not (f.any() or l.any()):
+        return cf
 
     grid = default_verification_grid()
-    rw, lw, p22w = _shared_core_responses([right, left, mp.p22()], grid, gains.schur)
+    rw, lw, p22w = (g.response(grid) for g in (right, left, mp.p22()))
     residual = peak_frobenius(lw @ rw - np.eye(nc + nm))
     if residual > BEZOUT_TOL:
         raise BezoutResidualTooLarge(
@@ -489,34 +493,15 @@ def coprime_factorization(mp, gains, check=True):
 def bezout_residual(cf, grid):
     """Peak Frobenius deviation of ``left_family * right_family`` from I.
 
-    The residual is taken over ``grid``.  When the two families share
-    their core (zero gains, as for every stable plant), they are swept as
-    one system, in the Schur form the gains carry.
+    The residual is taken over ``grid``.  With zero gains, as for every
+    stable plant, it is 0.0 without a sweep: the families are then
+    ``[[I, 0], [P22, I]]`` and ``[[I, 0], [-P22, I]]`` exactly, whose
+    product is I.
     """
-    rw, lw = _shared_core_responses([cf.right_family, cf.left_family], grid, cf.gains.schur)
+    if not (cf.gains.f.any() or cf.gains.l.any()):
+        return 0.0
+    rw, lw = (g.response(grid) for g in (cf.right_family, cf.left_family))
     return peak_frobenius(lw @ rw - np.eye(cf.ctrl + cf.meas))
-
-
-def _shared_core_responses(systems, grid, form=None):
-    """Responses of ``systems`` over ``grid``, one sweep per distinct core.
-
-    Systems whose state matrices are equal are swept together, one
-    triangular solve per frequency serving all, and each distinct input
-    column is solved once, up to sign.  The others are swept on their
-    own.  ``form``, when given, is a complex Schur form of every system's
-    state matrix (a stable plant's A, which :class:`GainPair` carries),
-    and the sweep takes it instead of factoring A again.
-    """
-    out = [None] * len(systems)
-    for k, lead in enumerate(systems):
-        if out[k] is not None:
-            continue
-        group = [j for j in range(k + 1, len(systems))
-                 if out[j] is None and np.array_equal(systems[j].a, lead.a)]
-        swept = lead.response(grid, *(systems[j] for j in group), form=form)
-        for j, resp in zip([k, *group], swept if group else [swept]):
-            out[j] = resp
-    return out
 
 
 def parameter_statespace(q):

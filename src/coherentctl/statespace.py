@@ -103,36 +103,27 @@ class StateSpace:
 
     # -- evaluation ----------------------------------------------------
 
-    def response(self, omegas, *shared, form=None):
+    def response(self, omegas):
         """Responses stacked over a grid: an ``(n_omega, p, m)`` array.
 
         Every sweep is one complex Schur form ``A = Z T Z*`` and then one
         triangular solve per frequency (:func:`~._accel.freq_sweep`).  The
-        form is ``form`` when the caller carries one, as :func:`schur_form`
-        gives; A itself with Z = I when A is upper triangular, as for a
-        model in Schur coordinates; and :func:`schur_form` of A otherwise.
-        Models in ``shared`` must have this model's state matrix.  They are
-        swept with it, one triangular solve per frequency serving all, and
-        a list of the responses is returned, this model's first.
+        form is A itself with Z = I when A is upper triangular, as for a
+        model in Schur coordinates, and :func:`schur_form` of A otherwise.
         """
         omegas = np.asarray(omegas, dtype=np.float64).ravel()
-        if any(not np.array_equal(other.a, self.a) for other in shared):
-            raise DimensionMismatch("models swept together must share their state matrix")
-        if form is None:
-            a = self.a
-            triangular = not np.tril(a, -1).any()
-            form = (a, np.eye(len(a), dtype=np.complex128)) if triangular else schur_form(a)
+        a = self.a
+        triangular = not np.tril(a, -1).any()
+        form = (a, np.eye(len(a), dtype=np.complex128)) if triangular else schur_form(a)
         try:
-            out = _accel.freq_sweep(
-                form, [(g.b, g.c, g.d) for g in (self, *shared)], omegas
-            )
+            out = _accel.freq_sweep(form, self.b, self.c, self.d, omegas)
         except np.linalg.LinAlgError as exc:
             raise SingularResolvent(
                 "resolvent singular at a grid frequency"
             ) from exc
-        if any(r.size and not np.all(np.isfinite(r)) for r in out):
+        if out.size and not np.all(np.isfinite(out)):
             raise SingularResolvent("non-finite response on grid (near-singular resolvent)")
-        return out if shared else out[0]
+        return out
 
     # -- algebra -------------------------------------------------------
 

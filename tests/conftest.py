@@ -130,13 +130,11 @@ def freq_response(sys, omega):
 BATCHED_BLOCK = 64
 
 
-def batched_sweep(models, omegas):
+def batched_sweep(sys, omegas):
     """Reference for ``StateSpace.response``: the batched-LU sweep it replaced.
 
-    ``models`` share their state matrix A.  Per block of frequencies, one
-    batched LAPACK solve of the resolvent ``(iw I - A) X = B`` over all
-    their inputs, then ``C X + D`` of each model on its own columns.
-    Returns one (n_omega, p, m) array per model.
+    Per block of frequencies, one batched LAPACK solve of the resolvent
+    ``(iw I - A) X = B``, then ``C X + D``: an (n_omega, p, m) array.
 
     Raises
     ------
@@ -144,21 +142,15 @@ def batched_sweep(models, omegas):
         If the resolvent is exactly singular at a grid frequency.
     """
     omegas = np.asarray(omegas, dtype=np.float64).ravel()
-    a = models[0].a
+    a, b = sys.a, sys.b
     if a.shape[0] == 0:
-        return [np.broadcast_to(g.d, (omegas.size,) + g.d.shape).copy() for g in models]
-    b = np.hstack([g.b for g in models])
+        return np.broadcast_to(sys.d, (omegas.size,) + sys.d.shape).copy()
     eye = np.eye(a.shape[0], dtype=np.complex128)
     x = np.concatenate([
         np.linalg.solve(1j * w[:, None, None] * eye - a, np.broadcast_to(b, (w.size,) + b.shape))
         for w in np.split(omegas, range(BATCHED_BLOCK, omegas.size, BATCHED_BLOCK))
     ])
-    out, lo = [], 0
-    for g in models:
-        hi = lo + g.n_inputs
-        out.append(g.c @ np.ascontiguousarray(x[:, :, lo:hi]) + g.d)
-        lo = hi
-    return out
+    return sys.c @ x + sys.d
 
 
 def default_pr_grid():

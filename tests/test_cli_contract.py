@@ -14,6 +14,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -265,6 +266,48 @@ def test_overflow_raises_no_numpy_warnings():
         assert code == 1, command
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert [line.split(":")[0] for line in err.splitlines()] == errors, err
+
+
+# A = [-1] and every entry of B and C 1e200: a stable plant whose
+# responses overflow on any grid
+HUGE_STABLE_PLANT = {
+    "plant": {
+        "abcd": {
+            "a": [[[-1.0, 0.0]]],
+            "b": [[[1e200, 0.0], [1e200, 0.0]]],
+            "c": [[[1e200, 0.0]], [[1e200, 0.0]]],
+            "d": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        }
+    },
+    "partition": {"n_r": 1, "n_u": 1, "n_z": 1, "n_y": 1},
+}
+
+
+def test_overflowing_stable_plant_factorizes_exactly(tmp_path, capsys):
+    # F = L = 0: the factors are exact and no Bezout sweep overflows
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps(HUGE_STABLE_PLANT))
+    assert main(["factorize", str(doc), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["passed"], report["bezout_residual"]) == (True, 0.0)
+    factors = {name: problemfile.loads_problem(json.dumps({"plant": {"abcd": block}})).abcd
+               for name, block in report["factors"].items()}
+    for g in factors.values():
+        assert all(np.isfinite(getattr(g, m)).all() for m in "abcd")
+    # M, V, Vhat and Mhat are I and U, Uhat are 0: no input reaches a seen state
+    for name, d in (("m", 1), ("v", 1), ("vhat", 1), ("mhat", 1), ("u", 0), ("uhat", 0)):
+        g = factors[name]
+        assert not (g.b.any() and g.c.any()) and np.array_equal(g.d, [[d]]), name
+    # N is P22's realization
+    n = factors["n"]
+    assert [m.tolist() for m in (n.a, n.b, n.c, n.d)] == [[[-1]], [[1e200]], [[1e200]], [[0]]]
+    # the loop's responses still overflow; its certificate cannot be formed
+    q = str(FIXTURES / "q_zero_basis.json")
+    assert main(["eval-hinf", str(doc), "--q-from", q, "--out", str(tmp_path / "p.csv")]) == 1
+    assert capsys.readouterr().err.startswith("SingularResolvent:")
+    assert main(["closed-loop", str(doc), "--q-from", q]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and "CLOSED-LOOP result=UNSTABLE" in out
 
 
 # A = [-1], B = [1, 1], C = [1], D = [0, 0]: the one output is measured,

@@ -101,6 +101,15 @@ class TestH2:
             h2_of(g) + h2_of(h), rel=1e-12
         )
 
+    def test_norm_beyond_float_range_is_inf(self):
+        # ||1e149 / (s + 1e-11)||_2^2 = 5e308: trsyl returns the Gramian
+        # scaled by 1e-298, which the norm undoes rather than applies twice
+        sys = StateSpace([[-1e-11]], [[1e149]], [[1.0]], [[0.0]])
+        assert h2_of(sys) == np.inf
+        # a norm in range keeps its value when trsyl scales
+        sys = StateSpace([[-1e-11]], [[1e148]], [[1.0]], [[0.0]])
+        assert h2_of(sys) == pytest.approx(5e306, rel=1e-12)
+
     def test_rejects_unstable(self):
         with pytest.raises(NotStable):
             h2_of(first_order(1.0))

@@ -1,13 +1,15 @@
 """Plant regrouping, gain design, and coprime factorizations."""
 
 import ast
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coherentctl import _accel, stabilization
-from coherentctl.cli import main
+from coherentctl.cli import _modified_plant, main
 from coherentctl.errors import (
     BezoutResidualTooLarge,
     DimensionMismatch,
@@ -26,7 +28,7 @@ from coherentctl.statespace import (
 )
 from coherentctl.norms import is_hurwitz, peak_frobenius
 from coherentctl.physreal import slh_to_statespace
-from coherentctl.problemfile import dumps_17g, encode_matrix
+from coherentctl.problemfile import dumps_17g, encode_matrix, load_problem_file
 from coherentctl.stabilization import (
     CoprimeFactorization,
     GainPair,
@@ -587,15 +589,37 @@ class TestCoprimeFactorization:
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """The systems lists passed to ``_accel.freq_sweep``, call by call."""
+    """The input matrices B passed to ``_accel.freq_sweep``, call by call."""
     calls, freq_sweep = [], _accel.freq_sweep
 
-    def sweep(form, systems, omegas):
-        calls.append(systems)
-        return freq_sweep(form, systems, omegas)
+    def sweep(form, b, c, d, omegas):
+        calls.append(b)
+        return freq_sweep(form, b, c, d, omegas)
 
     monkeypatch.setattr(_accel, "freq_sweep", sweep)
     return calls
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+PIPEBENCH = ROOT / "pipebench"
+
+#: The fixtures whose plants are open-loop stable: their gains are zero.
+STABLE_FIXTURES = ("allpass_hinf.json", "cavity_pr.json", "coupled_h2.json",
+                   "coupled_h2_fc.json", "network_fast.json", "t1_zero.json")
+
+
+def regrouped_plant(path):
+    """The plant of a problem document, regrouped as ``factorize`` takes it."""
+    return _modified_plant(load_problem_file(str(path)), "factorize")
+
+
+def unstable_network(work, modes):
+    """Path of ``tools/parity.py``'s open-loop-unstable network of ``2 * modes`` states."""
+    spec = importlib.util.spec_from_file_location("parity", ROOT / "tools" / "parity.py")
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    return parity.unstable_network_doc(str(work), modes, 4)[1]
 
 
 def network_document(net, fields):
@@ -615,7 +639,7 @@ def stable_network(modes, fields=4, seed=0):
 
 
 class TestOneSpectrumPerPlant:
-    """One Schur form per block of A up to conjugation; a shared core is swept once."""
+    """One Schur form per block of A up to conjugation; only moved modes are swept."""
 
     @pytest.mark.parametrize("case", [(100, 2), "passive-32"])
     def test_stable_plant_gains_take_one_eigen_solve(self, decompositions, case):
@@ -656,50 +680,97 @@ class TestOneSpectrumPerPlant:
         self, decompositions, routes, tmp_path, capsys, modes
     ):
         # a passive network's A has two blocks, each the other's conjugate:
-        # one form serves both; the Bezout sweep runs the triangular kernel
-        # in the gains' form, at 8 states as at 64
+        # one form serves both; with zero gains the Bezout check is exact
+        # and sweeps nothing, at 8 states as at 64
         doc = tmp_path / f"passive-{2 * modes}.json"
         doc.write_text(network_document(stable_network(modes), 4))
         assert main(["factorize", str(doc), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
         assert decompositions == {"eigvals": 0, "schur": 1}
-        assert routes == {"triangular": 1, "schur": 0}
+        assert routes == {"triangular": 0, "schur": 0}
 
     @pytest.mark.parametrize("modes", [4, 8, 32])
-    def test_shared_core_sweep_matches_separate_sweeps(self, sweeps, routes, modes):
-        # the check sweeps both families and P22 at once, in the gains' form
+    def test_stable_check_makes_no_sweep(self, sweeps, modes):
+        # zero gains: the identity and the quotients hold by construction
         part = PartitionSpec(n_r=2, n_u=2, n_z=2, n_y=2)
         mp = modify_plant(slh_to_statespace(stable_network(modes)), part)
         cf = coprime_factorization(mp, stabilizing_gains(mp))
-        assert len(sweeps) == 1 and len(sweeps[0]) == 3
-        assert routes == {"triangular": 1, "schur": 0}
-
-        grid = default_verification_grid()
-        systems = [cf.right_family, cf.left_family, mp.p22()]
-        shared = stabilization._shared_core_responses(systems, grid)
-        pair = stabilization._shared_core_responses(systems[:2], grid)
-        residual = bezout_residual(cf, grid)
-        for system, together in zip(systems + systems[:2], shared + pair):
-            alone = system.response(grid)
-            assert np.abs(together - alone).max() <= 1e-12 * np.abs(alone).max()
-        alone = peak_frobenius(
-            cf.left_family.response(grid) @ cf.right_family.response(grid) - np.eye(8)
-        )
-        assert abs(residual - alone) <= 1e-12
+        assert bezout_residual(cf, default_verification_grid()) == 0.0
+        assert sweeps == []
 
     def test_unstable_plant_sweeps_cores_separately(self, sweeps):
         mp = squeezing_plant(0, 16)
         assert np.linalg.eigvals(mp.full.a).real.max() > 0
         cf = coprime_factorization(mp, stabilizing_gains(mp))
         assert not np.array_equal(cf.right_family.a, cf.left_family.a)
-        # right family, left family and P22 each on their own
-        assert [len(systems) for systems in sweeps] == [1, 1, 1]
+        # right family, left family and P22, one sweep each
+        models = [cf.right_family, cf.left_family, mp.p22()]
+        assert len(sweeps) == 3
+        assert all(np.array_equal(b, g.b) for b, g in zip(sweeps, models))
+        grid = default_verification_grid()
+        alone = peak_frobenius(
+            cf.left_family.response(grid) @ cf.right_family.response(grid) - np.eye(8)
+        )
+        assert bezout_residual(cf, grid) == alone > 0.0
 
-    def test_sweeping_different_cores_together_is_refused(self):
-        mp = squeezing_plant(0, 16)
-        cf = coprime_factorization(mp, stabilizing_gains(mp), check=False)
-        with pytest.raises(DimensionMismatch):
-            cf.right_family.response([1.0], cf.left_family)
+    def test_factorize_sweeps_only_moved_modes(self, sweeps, monkeypatch, tmp_path, capsys):
+        # the stable fixtures and the network_check workload sweep nothing
+        monkeypatch.syspath_prepend(str(PIPEBENCH))
+        from workloads import WORKLOADS
+
+        for name in STABLE_FIXTURES:
+            assert main(["factorize", str(FIXTURES / name)]) == 0
+        # the perturbed documents fail check-pr by design
+        for op in WORKLOADS["network_check"](1, str(tmp_path)):
+            assert main(op.argv) == (1 if "perturbed" in op.argv[1] else 0)
+        capsys.readouterr()
+        assert sweeps == []
+        # an unstable 32-state network: the checked factorization sweeps
+        # three models, and factorize's Bezout residual the two families
+        path = unstable_network(tmp_path, 16)
+        mp = regrouped_plant(path)
+        coprime_factorization(mp, stabilizing_gains(mp))
+        assert len(sweeps) == 3
+        sweeps.clear()
+        assert main(["factorize", path]) == 0
+        assert len(sweeps) == 2
+
+
+class TestExactStableFactorization:
+    """Zero gains give M = V = I, U = 0 and N = P22: the samples show it bit for bit."""
+
+    @pytest.mark.parametrize("source", [*STABLE_FIXTURES, "network_check", "hinf_eval", "h2_descent"])
+    def test_families_sample_to_identity_and_p22(self, monkeypatch, tmp_path, source):
+        if source in STABLE_FIXTURES:
+            paths = [FIXTURES / source]
+        else:
+            monkeypatch.syspath_prepend(str(PIPEBENCH))
+            from workloads import WORKLOADS
+
+            # the seed-1 documents with a partition: check-pr alone takes the others
+            ops = WORKLOADS[source](1, str(tmp_path))
+            paths = sorted({op.argv[1] for op in ops if op.argv[0] != "check-pr"})
+        grid = default_verification_grid()
+        for path in paths:
+            mp = regrouped_plant(path)
+            gains = stabilizing_gains(mp)
+            assert not (gains.f.any() or gains.l.any()), path
+            cf = coprime_factorization(mp, gains)
+            nc = cf.ctrl
+            rw, lw = cf.right_family.response(grid), cf.left_family.response(grid)
+            assert np.array_equal(lw @ rw, np.broadcast_to(np.eye(nc + cf.meas), rw.shape))
+            m_w, n_w = rw[:, :nc, :nc], rw[:, nc:, :nc]
+            mhat_w, nhat_w = lw[:, nc:, nc:], -lw[:, nc:, :nc]
+            right = np.linalg.solve(m_w.swapaxes(1, 2), n_w.swapaxes(1, 2)).swapaxes(1, 2)
+            assert np.array_equal(right, n_w)
+            assert np.array_equal(np.linalg.solve(mhat_w, nhat_w), n_w)
+            # N is P22's realization, so both quotients are P22; sampled on
+            # its own, P22 can differ in the last bits, since the sweep's
+            # products are blocked by their widths
+            n, p22 = cf.n_factor(), mp.p22()
+            assert all(np.array_equal(getattr(n, m), getattr(p22, m)) for m in "abcd")
+            p22_w = p22.response(grid)
+            assert np.abs(n_w - p22_w).max() <= 1e-14 * np.abs(p22_w).max()
 
 
 #: The two-channel cavity loop and (seed, modes) of regrouped squeezing
